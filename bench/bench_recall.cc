@@ -6,8 +6,9 @@
 //
 // Gated fields are deterministic integers only: the recall@1 / recall@10
 // hit counts of every sweep point, the exact-mode bit-identity counter
-// (Query(q) vs Query(q, ApproxOptions{}) must agree on id and distance
-// bits for every query) and a bit-fold checksum of the exact answers.
+// (Query(q, ApproxOptions{}) vs the exact pipeline Query(q, nullptr) must
+// agree on id and distance bits for every query) and a bit-fold checksum
+// of the exact answers.
 // Under the FP-determinism contract (docs/KERNELS.md) and the seeded
 // serial build these are a pure function of the flags, so the gate is
 // machine-independent. us_per_query is recorded for the human reader and
@@ -106,8 +107,7 @@ SweepPoint RunSweepPoint(const NNCellIndex& index, const PointSet& queries,
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto r = approx.enabled() ? index.Query(queries[qi], approx)
-                                : index.Query(queries[qi]);
+      auto r = index.Query(queries[qi], approx);
       NNCELL_CHECK(r.ok());
     }
     auto t1 = std::chrono::steady_clock::now();
@@ -175,13 +175,14 @@ int Main(int argc, char** argv) {
     NNCellSetup setup = BuildNNCell(pts, opts, config);
     const NNCellIndex& index = *setup.index;
 
-    // Exact-mode bit-identity: the approximate entry points with
+    // Exact-mode bit-identity: the query entry point with
     // default-constructed options must answer bit-identically to the
-    // exact tier, query by query.
+    // exact cell-index pipeline called directly (Query with a null trace),
+    // query by query.
     uint64_t exact_match = 0;
     uint64_t exact_checksum = 0;
     for (size_t qi = 0; qi < kQueries; ++qi) {
-      auto exact = index.Query(queries[qi]);
+      auto exact = index.Query(queries[qi], /*trace=*/nullptr);
       auto routed = index.Query(queries[qi], ApproxOptions{});
       NNCELL_CHECK(exact.ok() && routed.ok());
       uint64_t eb, rb;

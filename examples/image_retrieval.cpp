@@ -95,7 +95,7 @@ int main() {
     pool.DropCache();
     pool.ResetStats();
     Stopwatch timer;
-    auto result = index.Query(q);
+    auto result = index.Query(q.data());
     index_ms += timer.ElapsedMillis();
     index_pages += pool.stats().physical_reads;
     if (!result.ok()) continue;

@@ -39,7 +39,7 @@ int main() {
 
   // 4. Query: nearest neighbor of an arbitrary point in the data space.
   std::vector<double> q = {0.31, 0.77, 0.15, 0.58, 0.92, 0.44};
-  auto result = index.Query(q);
+  auto result = index.Query(q.data());
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status().ToString().c_str());
@@ -50,13 +50,13 @@ int main() {
               result->candidates);
 
   // 5. Dynamic insert: the index stays exact as points arrive.
-  auto id = index.Query(q);
+  auto id = index.Query(q.data());
   auto inserted = index.Insert(q);  // insert the query point itself
   if (!inserted.ok()) {
     std::printf("insert failed: %s\n", inserted.status().ToString().c_str());
     return 1;
   }
-  auto after = index.Query(q);
+  auto after = index.Query(q.data());
   std::printf("after inserting the query point: id=%llu dist=%.4f (was %.4f)\n",
               static_cast<unsigned long long>(after->id), after->dist,
               id->dist);

@@ -106,7 +106,7 @@ int main() {
     size_t family = t % families;
     auto signature = ContourSignature(family, 1.0, rng);
     auto descriptor = FourierDescriptor(signature, dim);
-    auto result = index.Query(descriptor);
+    auto result = index.Query(descriptor.data());
     if (!result.ok()) continue;
     candidates += static_cast<double>(result->candidates);
     if (labels[result->id] == family) ++correct;

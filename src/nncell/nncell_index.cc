@@ -504,8 +504,12 @@ void NNCellIndex::RecomputeCell(uint64_t id) {
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const double* q_original) const {
-  return Query(q_original, nullptr);
+    const double* q_original, const ApproxOptions& approx) const {
+  if (!approx.enabled()) return Query(q_original, nullptr);
+  StatusOr<std::vector<QueryResult>> r =
+      ApproxTraversalQuery(q_original, 1, approx);
+  if (!r.ok()) return r.status();
+  return std::move(r->front());
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
@@ -639,14 +643,8 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
   return result;
 }
 
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const std::vector<double>& q) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return Query(q.data());
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
-    const PointSet& queries) const {
+    const PointSet& queries, const ApproxOptions& approx) const {
   if (queries.dim() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
   }
@@ -656,7 +654,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
   std::vector<QueryResult> results(n);
   if (thread_pool_ == nullptr || n <= 1) {
     for (size_t i = 0; i < n; ++i) {
-      StatusOr<QueryResult> r = Query(queries[i]);
+      StatusOr<QueryResult> r = Query(queries[i], approx);
       if (!r.ok()) return r.status();
       results[i] = std::move(*r);
     }
@@ -668,7 +666,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
   // and identical to the serial loop above.
   std::vector<Status> errors(n, Status::OK());
   thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<QueryResult> r = Query(queries[i]);
+    StatusOr<QueryResult> r = Query(queries[i], approx);
     if (r.ok()) {
       results[i] = std::move(*r);
     } else {
@@ -679,6 +677,17 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
     if (!st.ok()) return st;
   }
   return results;
+}
+
+NNCellIndex::QueryResult NNCellIndex::MakeResult(uint64_t id, double d2,
+                                                 size_t candidates) const {
+  QueryResult res;
+  res.id = id;
+  res.dist = std::sqrt(d2);
+  const double* p = points_[id];
+  res.point = FromMetricSpace(std::vector<double>(p, p + dim_));
+  res.candidates = candidates;
+  return res;
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
@@ -716,81 +725,40 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
 
   results.reserve(r.hits.size());
   for (const RTreeCore::ApproxNnResult::Hit& h : r.hits) {
-    QueryResult res;
-    res.id = h.id;
-    res.dist = std::sqrt(h.dist_sq);
-    const double* p = points_[h.id];
-    res.point = FromMetricSpace(std::vector<double>(p, p + dim_));
-    res.candidates = r.entries_scanned;
+    QueryResult res = MakeResult(h.id, h.dist_sq, r.entries_scanned);
     res.approx = cert;
     results.push_back(std::move(res));
   }
   return results;
 }
 
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const double* q_original, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return Query(q_original);
-  StatusOr<std::vector<QueryResult>> r =
-      ApproxTraversalQuery(q_original, 1, approx);
-  if (!r.ok()) return r.status();
-  return std::move(r->front());
-}
-
-StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
-    const std::vector<double>& q, const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return Query(q.data(), approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
-    const PointSet& queries, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return QueryBatch(queries);
-  if (queries.dim() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
+std::vector<std::pair<double, uint64_t>> NNCellIndex::BallScan(
+    const double* q, double r, double r_sq, size_t* candidates) const {
+  HyperRect ball_box = HyperRect::Empty(dim_);
+  for (size_t i = 0; i < dim_; ++i) {
+    ball_box.lo(i) = q[i] - r;
+    ball_box.hi(i) = q[i] + r;
   }
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
+  auto in_box = tree_->RangeQuery(ball_box);
+  std::vector<uint64_t> ids;
+  for (const auto& m : in_box) ids.push_back(m.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  *candidates = ids.size();
 
-  const size_t n = queries.size();
-  std::vector<QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<QueryResult> r = Query(queries[i], approx);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
+  std::vector<double> d2s(ids.size());
+  BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
+  std::vector<std::pair<double, uint64_t>> within;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (d2s[i] <= r_sq) within.emplace_back(d2s[i], ids[i]);
   }
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<QueryResult> r = Query(queries[i], approx);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  return results;
+  std::sort(within.begin(), within.end());
+  return within;
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
     const double* q_original, size_t k, const ApproxOptions& approx) const {
-  if (!approx.enabled()) return KnnQuery(q_original, k);
-  return ApproxTraversalQuery(q_original, k, approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const std::vector<double>& q, size_t k,
-    const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return KnnQuery(q.data(), k, approx);
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const double* q_original, size_t k) const {
+  if (approx.enabled()) return ApproxTraversalQuery(q_original, k, approx);
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   std::vector<double> q_vec = ToMetricSpace(q_original);
   const double* q = q_vec.data();
@@ -826,35 +794,14 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
   // within it. Each point's approximation contains the point itself, so
   // the ball query cannot miss an owner inside the ball.
   for (int attempt = 0; attempt < 64; ++attempt) {
-    double r = std::sqrt(radius_sq);
-    HyperRect ball_box = HyperRect::Empty(dim_);
-    for (size_t i = 0; i < dim_; ++i) {
-      ball_box.lo(i) = q[i] - r;
-      ball_box.hi(i) = q[i] + r;
-    }
-    auto in_box = tree_->RangeQuery(ball_box);
-    std::vector<uint64_t> ids;
-    for (const auto& m : in_box) ids.push_back(m.id);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-    std::vector<double> d2s(ids.size());
-    BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
-    std::vector<std::pair<double, uint64_t>> within;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (d2s[i] <= radius_sq) within.emplace_back(d2s[i], ids[i]);
-    }
+    size_t candidates = 0;
+    std::vector<std::pair<double, uint64_t>> within =
+        BallScan(q, std::sqrt(radius_sq), radius_sq, &candidates);
     if (within.size() >= k) {
-      std::sort(within.begin(), within.end());
       results.reserve(k);
       for (size_t i = 0; i < k; ++i) {
-        QueryResult res;
-        res.id = within[i].second;
-        res.dist = std::sqrt(within[i].first);
-        const double* p = points_[res.id];
-        res.point = FromMetricSpace(std::vector<double>(p, p + dim_));
-        res.candidates = ids.size();
-        results.push_back(std::move(res));
+        results.push_back(
+            MakeResult(within[i].second, within[i].first, candidates));
       }
       return results;
     }
@@ -863,57 +810,21 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
   return Status::Internal("kNN radius search did not converge");
 }
 
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
-    const std::vector<double>& q, size_t k) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return KnnQuery(q.data(), k);
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
     const double* q_original, double radius) const {
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   if (radius < 0.0) return Status::InvalidArgument("negative radius");
   std::vector<double> q_vec = ToMetricSpace(q_original);
-  const double* q = q_vec.data();
 
-  HyperRect ball_box = HyperRect::Empty(dim_);
-  for (size_t i = 0; i < dim_; ++i) {
-    ball_box.lo(i) = q[i] - radius;
-    ball_box.hi(i) = q[i] + radius;
-  }
-  auto in_box = tree_->RangeQuery(ball_box);
-  std::vector<uint64_t> ids;
-  for (const auto& m : in_box) ids.push_back(m.id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-
-  const double radius_sq = radius * radius;
-  std::vector<double> d2s(ids.size());
-  BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
-  std::vector<std::pair<double, uint64_t>> within;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (d2s[i] <= radius_sq) within.emplace_back(d2s[i], ids[i]);
-  }
-  std::sort(within.begin(), within.end());
-
+  size_t candidates = 0;
+  std::vector<std::pair<double, uint64_t>> within =
+      BallScan(q_vec.data(), radius, radius * radius, &candidates);
   std::vector<QueryResult> results;
   results.reserve(within.size());
   for (const auto& [d2, id] : within) {
-    QueryResult res;
-    res.id = id;
-    res.dist = std::sqrt(d2);
-    const double* p = points_[id];
-    res.point = FromMetricSpace(std::vector<double>(p, p + dim_));
-    res.candidates = ids.size();
-    results.push_back(std::move(res));
+    results.push_back(MakeResult(id, d2, candidates));
   }
   return results;
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
-    const std::vector<double>& q, double radius) const {
-  NNCELL_CHECK(q.size() == dim_);
-  return RangeSearch(q.data(), radius);
 }
 
 ApproxStats NNCellIndex::MeasureApproxEffort(size_t sample,
@@ -1055,7 +966,7 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
     for (size_t t = 0; t < sample_queries; ++t) {
       for (auto& v : q) v = rng.NextDouble();
       // Query() transforms into metric space itself; scan in metric space.
-      StatusOr<QueryResult> r = Query(FromMetricSpace(q));
+      StatusOr<QueryResult> r = Query(FromMetricSpace(q).data());
       if (!r.ok()) return r.status();
       double best = std::numeric_limits<double>::infinity();
       for (uint64_t id = 0; id < points_.size(); ++id) {

@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "geom/cell_approximator.h"
 #include "geom/decomposition.h"
+#include "nncell/index_backend.h"
 #include "nncell/query_trace.h"
 #include "rstar/rtree_core.h"
 #include "storage/buffer_pool.h"
@@ -110,17 +111,18 @@ struct NNCellBuildStats {
 // by the data space) is approximated by one or more MBRs via linear
 // programming and stored in an X-tree; a NN query is then a point query on
 // that index followed by exact distance checks among the candidate owners.
-class NNCellIndex {
+// Implements IndexBackend, so a query server can front it directly.
+class NNCellIndex final : public IndexBackend {
  public:
   // `pool` provides the paged storage for the underlying tree. The data
   // space is fixed to [0,1]^dim as in the paper.
   NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options);
-  ~NNCellIndex();
+  ~NNCellIndex() override;
 
   NNCellIndex(const NNCellIndex&) = delete;
   NNCellIndex& operator=(const NNCellIndex&) = delete;
 
-  size_t dim() const { return dim_; }
+  size_t dim() const override { return dim_; }
   // Number of live points.
   size_t size() const { return live_count_; }
   // Internal point table in *metric-transformed* coordinates (identical to
@@ -134,7 +136,7 @@ class NNCellIndex {
   // runs, index insert, then maintenance of the cells the new point
   // shrinks). Exact duplicates are rejected (their NN-cell would be
   // degenerate).
-  StatusOr<uint64_t> Insert(const std::vector<double>& point);
+  StatusOr<uint64_t> Insert(const std::vector<double>& point) override;
 
   // Static index creation (the paper's precomputation): registers all
   // points first, then computes every approximation once against the full
@@ -146,7 +148,7 @@ class NNCellIndex {
   // approximation is recomputed (a superset of the true Voronoi
   // neighbors; the paper defers to Roos' dynamic Voronoi algorithms for
   // this case). Ids are stable; deleted ids are never reused.
-  Status Delete(uint64_t id);
+  Status Delete(uint64_t id) override;
 
   // Whether the id refers to a live point.
   bool IsAlive(uint64_t id) const {
@@ -159,29 +161,31 @@ class NNCellIndex {
   // round-trip a point through the public API.
   std::vector<double> OriginalPoint(uint64_t id) const;
 
-  struct QueryResult {
-    uint64_t id = 0;              // index of the nearest neighbor
-    double dist = 0.0;            // Euclidean distance
-    std::vector<double> point;    // its coordinates
-    size_t candidates = 0;        // candidate cells inspected
-    bool used_fallback = false;   // numeric edge case: fell back to scan
-    ApproxCertificate approx;     // default (exact) unless ApproxOptions
-                                  // requested the approximate tier
-  };
+  using QueryResult = nncell::QueryResult;
 
   // Nearest-neighbor query = point query on the approximation index plus
   // exact distance checks over the candidates (Lemma 2 guarantees the true
-  // NN is always among them). Query is safe to call from any number of
-  // threads concurrently as long as no thread mutates the index (Insert /
-  // Delete / BulkBuild) at the same time.
-  StatusOr<QueryResult> Query(const double* q) const;
-  StatusOr<QueryResult> Query(const std::vector<double>& q) const;
+  // NN is always among them). Every query method is safe to call from any
+  // number of threads concurrently as long as no thread mutates the index
+  // (Insert / Delete / BulkBuild) at the same time.
+  //
+  // Approximate query tier (docs/APPROXIMATE.md): Query, QueryBatch and
+  // KnnQuery take ApproxOptions for certified (1+epsilon) answers and
+  // bounded-effort search via best-first traversal of the point X-tree.
+  // Exactness contract: a default-constructed `approx` (!approx.enabled():
+  // epsilon == 0 and no budget) takes the exact cell-index path (ids,
+  // distances, candidates, metrics). When enabled, the answer's
+  // certificate is populated: min(dist, approx.bound) lower-bounds the
+  // true NN distance, an untruncated search additionally guarantees
+  // dist <= (1+epsilon) * true distance, and a truncated search returns
+  // best-seen with approx.approximate == true.
+  StatusOr<QueryResult> Query(const double* q,
+                              const ApproxOptions& approx = {}) const;
 
-  // Traced variant: when `trace` is non-null it is cleared and filled with
-  // the per-stage timeline of this one query (see query_trace.h). Same
-  // thread-safety as the untraced overloads; the buffer-pool read deltas in
-  // the trace are attributed pool-wide, so they are exact only when no
-  // other query runs concurrently.
+  // Traced exact query: when `trace` is non-null it is cleared and filled
+  // with the per-stage timeline of this one query (see query_trace.h). The
+  // buffer-pool read deltas in the trace are attributed pool-wide, so they
+  // are exact only when no other query runs concurrently.
   StatusOr<QueryResult> Query(const double* q, QueryTrace* trace) const;
 
   // Batched nearest-neighbor search: answers every query and returns the
@@ -189,34 +193,8 @@ class NNCellIndex {
   // batch is fanned across the thread pool -- N concurrent readers over
   // the shared buffer pool; results are identical to a serial loop of
   // Query() calls. Several threads may call QueryBatch concurrently.
-  StatusOr<std::vector<QueryResult>> QueryBatch(const PointSet& queries) const;
-
-  // Approximate query tier (docs/APPROXIMATE.md): certified (1+epsilon)
-  // answers and bounded-effort search via best-first traversal of the
-  // point X-tree. Exactness contract: when !approx.enabled() (epsilon ==
-  // 0 and no budget) these dispatch to the exact overloads above and are
-  // bit-identical to them (ids, distances, candidates, metrics). When
-  // enabled, the answer's certificate is populated: min(dist, approx.bound)
-  // lower-bounds the true NN distance, an untruncated search additionally
-  // guarantees dist <= (1+epsilon) * true distance, and a truncated search
-  // returns best-seen with approx.approximate == true. Same thread-safety
-  // as the exact overloads.
-  StatusOr<QueryResult> Query(const double* q,
-                              const ApproxOptions& approx) const;
-  StatusOr<QueryResult> Query(const std::vector<double>& q,
-                              const ApproxOptions& approx) const;
   StatusOr<std::vector<QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(
-      const double* q, size_t k, const ApproxOptions& approx) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k,
-      const ApproxOptions& approx) const;
-
-  // Reconfigures the thread count for the parallel phases (e.g. after
-  // Load, which restores with the serial default). Not thread-safe: call
-  // only while no other thread uses the index.
-  void SetNumThreads(size_t num_threads);
+      const PointSet& queries, const ApproxOptions& approx = {}) const override;
 
   // Exact k-nearest-neighbor search -- the extension the paper names as
   // future work. Every point within distance r of q has a cell
@@ -226,10 +204,8 @@ class NNCellIndex {
   // from the point-query candidates and grows geometrically in the rare
   // case they contain fewer than k owners. Results are ascending by
   // distance; returns min(k, size()) entries.
-  StatusOr<std::vector<QueryResult>> KnnQuery(const double* q,
-                                              size_t k) const;
-  StatusOr<std::vector<QueryResult>> KnnQuery(const std::vector<double>& q,
-                                              size_t k) const;
+  StatusOr<std::vector<QueryResult>> KnnQuery(
+      const double* q, size_t k, const ApproxOptions& approx = {}) const;
 
   // Similarity range query: every live point within `radius` of q
   // (ascending by distance). Same covering argument as KnnQuery: each
@@ -238,8 +214,11 @@ class NNCellIndex {
   // miss one. Distances are in the configured (possibly weighted) metric.
   StatusOr<std::vector<QueryResult>> RangeSearch(const double* q,
                                                  double radius) const;
-  StatusOr<std::vector<QueryResult>> RangeSearch(const std::vector<double>& q,
-                                                 double radius) const;
+
+  // Reconfigures the thread count for the parallel phases (e.g. after
+  // Load, which restores with the serial default). Not thread-safe: call
+  // only while no other thread uses the index.
+  void SetNumThreads(size_t num_threads);
 
   // Re-runs the cell-approximation pipeline (candidate selection + LP
   // solves) for `sample` deterministically chosen live points and returns
@@ -330,10 +309,10 @@ class NNCellIndex {
   // (recording the covered WAL position), then truncates the log. A crash
   // between the two steps is safe -- the next Open skips the already-
   // covered records by LSN. Durable mode only.
-  Status Checkpoint();
+  Status Checkpoint() override;
 
   // True when this index was created by Open() and logs to a WAL.
-  bool durable() const { return wal_ != nullptr; }
+  bool durable() const override { return wal_ != nullptr; }
 
  private:
   // Candidate constraint points for `point` (not yet inserted) per the
@@ -413,12 +392,24 @@ class NNCellIndex {
   std::unique_ptr<BufferPool> point_pool_;
   std::unique_ptr<RTreeCore> point_tree_;
 
-  // Shared engine of the approximate-tier overloads: certified /
-  // bounded-effort best-first k-NN on point_tree_ (requires
-  // approx.enabled(); the public overloads dispatch to the exact path
-  // otherwise).
+  // Shared engine of the approximate tier: certified / bounded-effort
+  // best-first k-NN on point_tree_ (requires approx.enabled(); the public
+  // queries take the exact path otherwise).
   StatusOr<std::vector<QueryResult>> ApproxTraversalQuery(
       const double* q_original, size_t k, const ApproxOptions& approx) const;
+
+  // Ball scan shared by KnnQuery and RangeSearch: distance-checks every
+  // owner whose cell approximation meets the bounding box of Ball(q, r)
+  // (q in metric space) and returns the (squared distance, id) pairs with
+  // d2 <= r_sq, ascending. *candidates receives the number of distinct
+  // owners checked.
+  std::vector<std::pair<double, uint64_t>> BallScan(const double* q, double r,
+                                                    double r_sq,
+                                                    size_t* candidates) const;
+
+  // The answer for owner `id` at squared distance `d2`, its point mapped
+  // back to the original coordinates.
+  QueryResult MakeResult(uint64_t id, double d2, size_t candidates) const;
 
   std::vector<std::vector<HyperRect>> cell_rects_;  // per point id
   std::vector<bool> alive_;                          // tombstones

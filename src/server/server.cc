@@ -32,37 +32,7 @@ bool IsQueryType(uint8_t type) {
   return type == kReqQuery || type == kReqQueryBatch;
 }
 
-// The built-in backend over a plain NNCellIndex (the sharded one lives
-// with the daemon that links the shard layer).
-class PlainIndexBackend : public IndexBackend {
- public:
-  explicit PlainIndexBackend(NNCellIndex* index) : index_(index) {
-    NNCELL_CHECK(index_ != nullptr);
-  }
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
-  }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-
- private:
-  NNCellIndex* const index_;
-};
-
 }  // namespace
-
-NNCellServer::NNCellServer(NNCellIndex* index, ServerOptions options)
-    // nncell-lint: allow(naked-new) delegation needs the raw pointer; the body takes ownership into owned_backend_ before anything can fail
-    : NNCellServer(static_cast<IndexBackend*>(new PlainIndexBackend(index)),
-                   std::move(options)) {
-  owned_backend_.reset(backend_);
-}
 
 NNCellServer::NNCellServer(IndexBackend* backend, ServerOptions options)
     : backend_(backend), options_(std::move(options)) {
@@ -349,7 +319,7 @@ void NNCellServer::DispatcherLoop() {
 
 namespace {
 
-WireQueryResult ToWire(const NNCellIndex::QueryResult& r,
+WireQueryResult ToWire(const QueryResult& r,
                        bool with_certificate) {
   WireQueryResult w;
   w.id = r.id;
@@ -385,7 +355,7 @@ void NNCellServer::ExecuteQueryRun(std::vector<WorkItem>& run) {
   struct Group {
     ApproxOptions approx;
     PointSet batch;
-    std::vector<NNCellIndex::QueryResult> results;
+    std::vector<QueryResult> results;
     Status status;
     Group(size_t dim, const ApproxOptions& a) : approx(a), batch(dim) {}
   };

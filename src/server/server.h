@@ -16,7 +16,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "nncell/nncell_index.h"
+#include "nncell/index_backend.h"
 #include "server/frame.h"
 
 namespace nncell {
@@ -33,41 +33,20 @@ struct ServerOptions {
   // RETRY_LATER immediately (explicit backpressure, never a silent stall).
   size_t max_queue = 256;
   // Micro-batch cap: the dispatcher coalesces up to this many consecutive
-  // queued QUERY requests into one NNCellIndex::QueryBatch call.
+  // queued QUERY requests into one IndexBackend::QueryBatch call.
   size_t max_batch = 32;
   int listen_backlog = 64;
 };
 
-// The index operations the server dispatcher needs, so one server can
-// front either a plain NNCellIndex or a sharded one (the daemon in
-// tools/nncell_server.cc provides the ShardedIndex adapter; the server
-// library itself stays independent of the shard layer). Implementations
-// forward to an index the caller keeps alive; thread-safety contract is
-// the index's own (QueryBatch concurrent-safe, mutations called only from
-// the single dispatcher thread).
-class IndexBackend {
- public:
-  virtual ~IndexBackend() = default;
-  virtual size_t dim() const = 0;
-  virtual bool durable() const = 0;
-  // `approx` carries the request's approximate-tier knobs; a
-  // default-constructed value (the usual case) must take the exact path
-  // bit-identically (docs/APPROXIMATE.md).
-  virtual StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const = 0;
-  virtual StatusOr<uint64_t> Insert(const std::vector<double>& point) = 0;
-  virtual Status Delete(uint64_t id) = 0;
-  virtual Status Checkpoint() = 0;
-  // The "shard" object of STATS_JSON, or empty for a plain index (the
-  // key is omitted entirely so the unsharded schema is unchanged).
-  virtual std::string ShardStatsJson() const { return std::string(); }
-};
+// The serving interface lives with the index classes that implement it
+// (NNCellIndex and ShardedIndex); this name is kept for server callers.
+using nncell::IndexBackend;
 
-// A long-running query service wrapping one NNCellIndex: concurrent
+// A long-running query service wrapping one index: concurrent
 // connections (one reader thread each) feed a bounded admission queue,
 // and a single dispatcher thread executes requests in global arrival
 // order, coalescing runs of consecutive QUERY requests into
-// NNCellIndex::QueryBatch calls (adaptive micro-batching: the batch is
+// IndexBackend::QueryBatch calls (adaptive micro-batching: the batch is
 // whatever is already queued, capped at max_batch -- it grows under load
 // and degenerates to 1 when idle, adding no latency).
 //
@@ -89,12 +68,9 @@ class IndexBackend {
 // fold the WAL into a fresh snapshot via Checkpoint().
 class NNCellServer {
  public:
-  // Borrows `index`; the caller keeps it alive and does not touch it
-  // between Start() and Stop(). Wraps it in the built-in plain-index
-  // backend.
-  NNCellServer(NNCellIndex* index, ServerOptions options);
-  // Borrows `backend` under the same contract (sharded daemons pass an
-  // IndexBackend over a ShardedIndex).
+  // Borrows `backend` (an NNCellIndex or a ShardedIndex); the caller
+  // keeps it alive and does not touch it between Start() and Stop().
+  // Requires options.max_queue > 0 and options.max_batch > 0.
   NNCellServer(IndexBackend* backend, ServerOptions options);
   ~NNCellServer();
 
@@ -177,9 +153,6 @@ class NNCellServer {
   // Bumps one conservation counter and its registry twin.
   void Count(std::atomic<uint64_t>& counter, metrics::Counter* metric);
 
-  // Set only by the NNCellIndex constructor (which owns the wrapper);
-  // `backend_` is what the dispatcher talks to either way.
-  std::unique_ptr<IndexBackend> owned_backend_;
   IndexBackend* backend_;
   const ServerOptions options_;
 

@@ -61,6 +61,16 @@ double UnitUniform(uint64_t* state) {
   return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
 }
 
+// Folds one probed shard's certificate into the merged one: flags OR'd,
+// leaf visits summed, bound = min (`into->bound` starts at +infinity).
+void MergeCertificate(const ApproxCertificate& from, ApproxCertificate* into) {
+  into->approximate = into->approximate || from.approximate;
+  into->terminated_early = into->terminated_early || from.terminated_early;
+  into->truncated = into->truncated || from.truncated;
+  into->leaf_visits += from.leaf_visits;
+  into->bound = std::min(into->bound, from.bound);
+}
+
 }  // namespace
 
 ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
@@ -388,60 +398,44 @@ bool ShardedIndex::IsAlive(uint64_t global_id) const {
 }
 
 StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const double* q) const {
-  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return QueryLocked(q, ApproxOptions{});
-}
-
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const std::vector<double>& q) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return Query(q.data());
-}
-
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
     const double* q, const ApproxOptions& approx) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
   return QueryLocked(q, approx);
 }
 
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
-    const std::vector<double>& q, const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return Query(q.data(), approx);
+ShardedIndex::ProbePlan ShardedIndex::PlanProbes(const double* q) const {
+  ProbePlan plan;
+  for (const Shard& s : shards_) {
+    if (s.index != nullptr) plan.live += s.index->size();
+  }
+  const size_t dim = manifest_.dim;
+  plan.qm.assign(q, q + dim);
+  if (!options_.weights.empty()) {
+    for (size_t i = 0; i < dim; ++i) {
+      plan.qm[i] *= std::sqrt(options_.weights[i]);
+    }
+  }
+  const double qc = plan.qm[manifest_.route_dim];
+
+  // Nearest slab first, so once a slab cannot beat or tie the best,
+  // neither can any later one.
+  plan.order.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i].index == nullptr || shards_[i].index->size() == 0) continue;
+    plan.order.push_back({i, manifest_.SlabMinDistSq(i, qc)});
+  }
+  std::stable_sort(plan.order.begin(), plan.order.end(),
+                   [](const Probe& a, const Probe& b) {
+                     return a.slab_d2 < b.slab_d2;
+                   });
+  return plan;
 }
 
 StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
     const double* q, const ApproxOptions& approx) const {
-  size_t live = 0;
-  for (const Shard& s : shards_) {
-    if (s.index != nullptr) live += s.index->size();
-  }
-  if (live == 0) return Status::FailedPrecondition("index is empty");
-
-  const size_t dim = manifest_.dim;
-  std::vector<double> qm(q, q + dim);
-  if (!options_.weights.empty()) {
-    for (size_t i = 0; i < dim; ++i) qm[i] *= std::sqrt(options_.weights[i]);
-  }
-  const double qc = qm[manifest_.route_dim];
-
-  // Probe order: nearest slab first (the owner's slab distance is 0), so
-  // once a slab cannot beat or tie the best, neither can any later one.
-  struct Probe {
-    size_t idx;
-    double slab_d2;
-  };
-  std::vector<Probe> order;
-  order.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].index == nullptr || shards_[i].index->size() == 0) continue;
-    order.push_back({i, manifest_.SlabMinDistSq(i, qc)});
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Probe& a, const Probe& b) {
-                     return a.slab_d2 < b.slab_d2;
-                   });
+  const ProbePlan plan = PlanProbes(q);
+  if (plan.live == 0) return Status::FailedPrecondition("index is empty");
+  const std::vector<Probe>& order = plan.order;
 
   NNCellIndex::QueryResult best;
   double best_d2 = std::numeric_limits<double>::infinity();
@@ -451,14 +445,14 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
   size_t candidates = 0;
   bool fallback = false;
   ApproxCertificate cert;
-  double cert_bound = std::numeric_limits<double>::infinity();
+  cert.bound = std::numeric_limits<double>::infinity();
   for (size_t oi = 0; oi < order.size(); ++oi) {
     const Probe& pr = order[oi];
     if (have_best && pr.slab_d2 > best_d2 * kPruneSlack + kPruneSlackAbs) {
       NNCELL_METRIC_COUNT(m_pruned_, order.size() - oi);
       // Every unprobed shard's points are at least its slab distance away,
       // and later slabs are no closer than this one.
-      cert_bound = std::min(cert_bound, std::sqrt(pr.slab_d2));
+      cert.bound = std::min(cert.bound, std::sqrt(pr.slab_d2));
       break;
     }
     const Shard& sh = shards_[pr.idx];
@@ -469,16 +463,12 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
     probe_counts_[pr.idx]->fetch_add(1, std::memory_order_relaxed);
     candidates += r->candidates;
     fallback = fallback || r->used_fallback;
-    cert.approximate = cert.approximate || r->approx.approximate;
-    cert.terminated_early = cert.terminated_early || r->approx.terminated_early;
-    cert.truncated = cert.truncated || r->approx.truncated;
-    cert.leaf_visits += r->approx.leaf_visits;
-    cert_bound = std::min(cert_bound, r->approx.bound);
+    MergeCertificate(r->approx, &cert);
     // Exact merge key: the pair-kernel squared distance (bit-equal to the
     // shard's internal winner) plus the global id, exactly the unsharded
     // scan's comparison.
     const double d2 =
-        L2DistSq(sh.index->points()[r->id], qm.data(), dim);
+        L2DistSq(sh.index->points()[r->id], plan.qm.data(), manifest_.dim);
     const uint64_t gid = sh.local_to_global[r->id];
     if (!have_best || d2 < best_d2 || (d2 == best_d2 && gid < best_gid)) {
       have_best = true;
@@ -491,18 +481,10 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
   NNCELL_CHECK(have_best);
   best.candidates = candidates;
   best.used_fallback = fallback;
-  if (approx.enabled()) {
-    cert.bound = cert_bound;
-    best.approx = cert;
-  }
+  if (approx.enabled()) best.approx = cert;
   NNCELL_METRIC_RECORD(m_fanout_, probed);
   NNCELL_METRIC_COUNT(m_probes_, probed);
   return best;
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
-    const PointSet& queries) const {
-  return QueryBatch(queries, ApproxOptions{});
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
@@ -539,40 +521,17 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
     const double* q, size_t k, double radius, bool is_range,
     const ApproxOptions& approx) const {
-  size_t live = 0;
-  for (const Shard& s : shards_) {
-    if (s.index != nullptr) live += s.index->size();
-  }
-  if (live == 0) return Status::FailedPrecondition("index is empty");
+  const ProbePlan plan = PlanProbes(q);
+  if (plan.live == 0) return Status::FailedPrecondition("index is empty");
   if (is_range && radius < 0.0) {
     return Status::InvalidArgument("negative radius");
   }
   std::vector<NNCellIndex::QueryResult> out;
   if (!is_range) {
     if (k == 0) return out;
-    k = std::min(k, live);
+    k = std::min(k, plan.live);
   }
-
-  const size_t dim = manifest_.dim;
-  std::vector<double> qm(q, q + dim);
-  if (!options_.weights.empty()) {
-    for (size_t i = 0; i < dim; ++i) qm[i] *= std::sqrt(options_.weights[i]);
-  }
-  const double qc = qm[manifest_.route_dim];
-
-  struct Probe {
-    size_t idx;
-    double slab_d2;
-  };
-  std::vector<Probe> order;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].index == nullptr || shards_[i].index->size() == 0) continue;
-    order.push_back({i, manifest_.SlabMinDistSq(i, qc)});
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Probe& a, const Probe& b) {
-                     return a.slab_d2 < b.slab_d2;
-                   });
+  const std::vector<Probe>& order = plan.order;
 
   // Merged candidates keyed exactly like the unsharded sort: (squared
   // distance, global id) ascending.
@@ -586,7 +545,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
       is_range ? radius * radius * kPruneSlack + kPruneSlackAbs : 0.0;
   size_t probed = 0;
   ApproxCertificate cert;
-  double cert_bound = std::numeric_limits<double>::infinity();
+  cert.bound = std::numeric_limits<double>::infinity();
   for (size_t oi = 0; oi < order.size(); ++oi) {
     const Probe& pr = order[oi];
     bool skip;
@@ -601,7 +560,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
       NNCELL_METRIC_COUNT(m_pruned_, order.size() - oi);
       // Every unprobed shard's points are at least its slab distance away,
       // and later slabs are no closer than this one.
-      cert_bound = std::min(cert_bound, std::sqrt(pr.slab_d2));
+      cert.bound = std::min(cert.bound, std::sqrt(pr.slab_d2));
       break;
     }
     const Shard& sh = shards_[pr.idx];
@@ -610,19 +569,13 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
                  : sh.index->KnnQuery(q, k, approx);
     if (!r.ok()) return r.status();
     ++probed;
-    if (!r->empty()) {
-      const ApproxCertificate& sc = r->front().approx;
-      cert.approximate = cert.approximate || sc.approximate;
-      cert.terminated_early = cert.terminated_early || sc.terminated_early;
-      cert.truncated = cert.truncated || sc.truncated;
-      cert.leaf_visits += sc.leaf_visits;
-      cert_bound = std::min(cert_bound, sc.bound);
-    }
+    if (!r->empty()) MergeCertificate(r->front().approx, &cert);
     // nncell-lint: allow(relaxed-atomics) monotonic stats counter; readers only ever see a point-in-time sum, no ordering with shard state
     probe_counts_[pr.idx]->fetch_add(1, std::memory_order_relaxed);
     for (NNCellIndex::QueryResult& res : *r) {
       Merged m;
-      m.d2 = L2DistSq(sh.index->points()[res.id], qm.data(), dim);
+      m.d2 = L2DistSq(sh.index->points()[res.id], plan.qm.data(),
+                      manifest_.dim);
       m.gid = sh.local_to_global[res.id];
       res.id = m.gid;
       m.res = std::move(res);
@@ -639,22 +592,9 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
   out.reserve(merged.size());
   for (Merged& m : merged) out.push_back(std::move(m.res));
   if (approx.enabled()) {
-    cert.bound = cert_bound;
     for (NNCellIndex::QueryResult& res : out) res.approx = cert;
   }
   return out;
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const double* q, size_t k) const {
-  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return MergeListQuery(q, k, 0.0, /*is_range=*/false, ApproxOptions{});
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const std::vector<double>& q, size_t k) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return KnnQuery(q.data(), k);
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
@@ -663,23 +603,10 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
   return MergeListQuery(q, k, 0.0, /*is_range=*/false, approx);
 }
 
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
-    const std::vector<double>& q, size_t k,
-    const ApproxOptions& approx) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return KnnQuery(q.data(), k, approx);
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::RangeSearch(
     const double* q, double radius) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
   return MergeListQuery(q, 0, radius, /*is_range=*/true, ApproxOptions{});
-}
-
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::RangeSearch(
-    const std::vector<double>& q, double radius) const {
-  NNCELL_CHECK(q.size() == manifest_.dim);
-  return RangeSearch(q.data(), radius);
 }
 
 StatusOr<uint64_t> ShardedIndex::Insert(const std::vector<double>& point) {
@@ -1078,7 +1005,7 @@ ShardedIndex::ShardStats ShardedIndex::Stats() const {
   return st;
 }
 
-std::string ShardedIndex::StatsJson() const {
+std::string ShardedIndex::ShardStatsJson() const {
   ShardStats s = Stats();
   char buf[64];
   std::string out = "{\"count\":" + std::to_string(s.live.size());

@@ -12,6 +12,7 @@
 #include "common/point_set.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "nncell/index_backend.h"
 #include "nncell/nncell_index.h"
 #include "shard/shard_manifest.h"
 
@@ -56,8 +57,9 @@ struct ShardedOptions {
 // externally exclusive. Internally an epoch lock (shared for queries,
 // exclusive for mutations and rebalance) makes the rebalance install
 // atomic with respect to in-flight queries: queries drain, the new epoch
-// installs, queries resume on the new shard set.
-class ShardedIndex {
+// installs, queries resume on the new shard set. Implements IndexBackend,
+// so a query server can front it directly.
+class ShardedIndex final : public IndexBackend {
  public:
   struct ShardRecovery {
     Status status;  // per-shard open result; !ok() => shard is degraded
@@ -103,16 +105,16 @@ class ShardedIndex {
       NNCellIndex::DurableOptions dopts, ShardedOptions sopts,
       RecoveryInfo* info = nullptr);
 
-  ~ShardedIndex();
+  ~ShardedIndex() override;
   ShardedIndex(const ShardedIndex&) = delete;
   ShardedIndex& operator=(const ShardedIndex&) = delete;
 
-  size_t dim() const { return manifest_.dim; }
+  size_t dim() const override { return manifest_.dim; }
   size_t num_shards() const { return manifest_.shard_count; }
   uint64_t epoch() const { return manifest_.epoch; }
   const NNCellOptions& options() const { return options_; }
   const ShardedOptions& sharded_options() const { return sopts_; }
-  bool durable() const { return !dir_.empty(); }
+  bool durable() const override { return !dir_.empty(); }
   size_t size() const;  // live points across healthy shards
 
   bool degraded() const { return degraded_count_ > 0; }
@@ -127,46 +129,31 @@ class ShardedIndex {
   // best distance, nearest slab first. The returned id/dist/point are
   // bit-identical to an unsharded index over the same inserts;
   // `candidates` sums the probed shards' candidate sets.
-  StatusOr<NNCellIndex::QueryResult> Query(const double* q) const;
-  StatusOr<NNCellIndex::QueryResult> Query(const std::vector<double>& q) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(const double* q,
-                                                           size_t k) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> RangeSearch(
-      const double* q, double radius) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> RangeSearch(
-      const std::vector<double>& q, double radius) const;
-
-  // Approximate query tier (docs/APPROXIMATE.md): every probed shard runs
-  // its certified / bounded-effort traversal with the same knobs, and the
-  // merged answer carries an aggregate certificate (leaf visits summed,
-  // flags OR'd, bound = min over probed shards' bounds and pruned shards'
-  // slab distances). The (1+epsilon) guarantee survives the merge: a
-  // pruned slab provably cannot beat the returned best, and the winning
-  // shard's own certificate covers its slab. When !approx.enabled() these
-  // dispatch to the exact overloads above, bit-identically. The leaf-visit
-  // budget applies per probed shard, not globally.
-  StatusOr<NNCellIndex::QueryResult> Query(const double* q,
-                                           const ApproxOptions& approx) const;
-  StatusOr<NNCellIndex::QueryResult> Query(const std::vector<double>& q,
-                                           const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const double* q, size_t k, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> KnnQuery(
-      const std::vector<double>& q, size_t k,
-      const ApproxOptions& approx) const;
+  //
+  // Approximate query tier (docs/APPROXIMATE.md): with approx.enabled()
+  // every probed shard runs its certified / bounded-effort traversal with
+  // the same knobs, and the merged answer carries an aggregate certificate
+  // (leaf visits summed, flags OR'd, bound = min over probed shards'
+  // bounds and pruned shards' slab distances). The (1+epsilon) guarantee
+  // survives the merge: a pruned slab provably cannot beat the returned
+  // best, and the winning shard's own certificate covers its slab. The
+  // leaf-visit budget applies per probed shard, not globally. Default
+  // options take the exact path, bit-identically.
+  StatusOr<QueryResult> Query(const double* q,
+                              const ApproxOptions& approx = {}) const;
+  StatusOr<std::vector<QueryResult>> QueryBatch(
+      const PointSet& queries, const ApproxOptions& approx = {}) const override;
+  StatusOr<std::vector<QueryResult>> KnnQuery(
+      const double* q, size_t k, const ApproxOptions& approx = {}) const;
+  StatusOr<std::vector<QueryResult>> RangeSearch(const double* q,
+                                                 double radius) const;
 
   // Routes to the owning shard, inserts there (WAL first), then journals
   // the (global id, shard) assignment in the router log. Returns the
   // global id. May trigger an online rebalance per ShardedOptions; the
   // insert itself is acknowledged either way.
-  StatusOr<uint64_t> Insert(const std::vector<double>& point);
-  Status Delete(uint64_t global_id);
+  StatusOr<uint64_t> Insert(const std::vector<double>& point) override;
+  Status Delete(uint64_t global_id) override;
 
   // Static build: partitions the (deduplicated) input along
   // quantile-balanced cuts, builds every shard in parallel over the
@@ -175,7 +162,7 @@ class ShardedIndex {
 
   // Checkpoints every healthy shard (in parallel), then folds the router
   // log into a fresh router snapshot.
-  Status Checkpoint();
+  Status Checkpoint() override;
 
   // Recomputes quantile-balanced cuts (and, with target_points_per_shard,
   // the shard count) from the live points and rebuilds the shards under
@@ -204,7 +191,7 @@ class ShardedIndex {
   //  "shards":[{"healthy":b,"live":n,"probes":n,"total":n},...]}.
   // The "shard" member of `nncell_cli stats --json` and the server's
   // STATS_JSON response.
-  std::string StatsJson() const;
+  std::string ShardStatsJson() const override;
 
   // Aggregates over the healthy shards (test / CLI support).
   RTreeCore::TreeInfo TreeInfo() const;
@@ -241,9 +228,23 @@ class ShardedIndex {
   // Router recovery: snapshot + log replay + shard reconciliation.
   Status RecoverRouter(NNCellIndex::DurableOptions dopts, RecoveryInfo* info);
 
-  StatusOr<NNCellIndex::QueryResult> QueryLocked(
-      const double* q, const ApproxOptions& approx) const;
-  StatusOr<std::vector<NNCellIndex::QueryResult>> MergeListQuery(
+  // What every scatter-gather query starts from: the live count, the
+  // query in metric space, and the non-empty healthy shards in probe
+  // order (nearest slab first; the owner's slab distance is 0).
+  struct Probe {
+    size_t idx;
+    double slab_d2;
+  };
+  struct ProbePlan {
+    size_t live = 0;
+    std::vector<double> qm;
+    std::vector<Probe> order;
+  };
+  ProbePlan PlanProbes(const double* q) const;
+
+  StatusOr<QueryResult> QueryLocked(const double* q,
+                                    const ApproxOptions& approx) const;
+  StatusOr<std::vector<QueryResult>> MergeListQuery(
       const double* q, size_t k, double radius, bool is_range,
       const ApproxOptions& approx) const;
 

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "common/approx.h"
+#include "common/metrics.h"
+#include "common/metrics_names.h"
 #include "common/point_set.h"
 #include "common/rng.h"
 #include "data/generators.h"
@@ -112,65 +114,90 @@ TEST_P(ApproxExactnessTest, DisabledOptionsAreBitIdentical) {
   ASSERT_TRUE(sharded.ok()) << sharded.status().message();
   ASSERT_TRUE((*sharded)->BulkBuild(pts).ok());
 
+  // Every approximate traversal bumps this counter, and its certificate
+  // always reports at least one leaf visit; an exact-path answer does
+  // neither. Together they prove the disabled calls never left the exact
+  // tier, including the entry points with no separate exact overload.
+  metrics::Counter* approx_count =
+      metrics::Registry::Global().counter(metrics::kApproxQueryCount);
+  const bool metrics_were_enabled = metrics::Registry::Enabled();
+  metrics::Registry::SetEnabled(true);
+  const uint64_t approx_before = approx_count->Value();
+  auto expect_exact_path = [](const NNCellIndex::QueryResult& r,
+                              const std::string& what) {
+    EXPECT_FALSE(r.approx.approximate) << what;
+    EXPECT_EQ(r.approx.leaf_visits, 0u) << what;
+  };
+
   Rng rng(0xe9 + dim);
   PointSet queries(dim);
   std::vector<double> q(dim);
+  std::vector<NNCellIndex::QueryResult> serial_exact;
   for (size_t i = 0; i < 16; ++i) {
     for (double& v : q) v = rng.NextDouble();
     queries.Add(q);
 
     const std::string tag = "query " + std::to_string(i);
-    auto exact = plain.index->Query(q);
-    auto routed = plain.index->Query(q, disabled);
-    ASSERT_TRUE(exact.ok() && routed.ok()) << tag;
+    // The traced overload is the cell-index path with no approx dispatch.
+    auto exact = plain.index->Query(q.data(), /*trace=*/nullptr);
+    auto by_default = plain.index->Query(q.data());
+    auto routed = plain.index->Query(q.data(), disabled);
+    ASSERT_TRUE(exact.ok() && by_default.ok() && routed.ok()) << tag;
+    ExpectBitIdentical(*exact, *by_default, tag + " default");
     ExpectBitIdentical(*exact, *routed, tag);
-    // A disabled-tier answer is exact: the certificate must stay trivial.
-    EXPECT_FALSE(routed->approx.approximate) << tag;
+    expect_exact_path(*routed, tag);
+    serial_exact.push_back(*exact);
 
-    auto exact_knn = plain.index->KnnQuery(q, 5);
-    auto routed_knn = plain.index->KnnQuery(q, 5, disabled);
-    ASSERT_TRUE(exact_knn.ok() && routed_knn.ok()) << tag;
-    ASSERT_EQ(exact_knn->size(), routed_knn->size()) << tag;
-    for (size_t j = 0; j < exact_knn->size(); ++j) {
-      ExpectBitIdentical((*exact_knn)[j], (*routed_knn)[j],
-                         tag + " knn " + std::to_string(j));
-    }
+    for (const ApproxOptions& opts : {ApproxOptions{}, disabled}) {
+      auto knn = plain.index->KnnQuery(q.data(), 5, opts);
+      auto s_knn = (*sharded)->KnnQuery(q.data(), 5, opts);
+      ASSERT_TRUE(knn.ok() && s_knn.ok()) << tag;
+      ASSERT_EQ(knn->size(), 5u) << tag;
+      ASSERT_EQ(s_knn->size(), knn->size()) << tag;
+      // The 1-NN answer heads the k-NN list.
+      EXPECT_EQ(knn->front().id, exact->id) << tag;
+      EXPECT_EQ(Bits(knn->front().dist), Bits(exact->dist)) << tag;
+      for (size_t j = 0; j < knn->size(); ++j) {
+        const std::string what = tag + " knn " + std::to_string(j);
+        expect_exact_path((*knn)[j], what);
+        expect_exact_path((*s_knn)[j], "sharded " + what);
+        EXPECT_EQ((*knn)[j].id, (*s_knn)[j].id) << what;
+        EXPECT_EQ(Bits((*knn)[j].dist), Bits((*s_knn)[j].dist)) << what;
+      }
 
-    auto s_exact = (*sharded)->Query(q);
-    auto s_routed = (*sharded)->Query(q, disabled);
-    ASSERT_TRUE(s_exact.ok() && s_routed.ok()) << tag;
-    ExpectBitIdentical(*s_exact, *s_routed, tag + " sharded");
-
-    auto s_knn = (*sharded)->KnnQuery(q, 5, disabled);
-    auto s_knn_exact = (*sharded)->KnnQuery(q, 5);
-    ASSERT_TRUE(s_knn.ok() && s_knn_exact.ok()) << tag;
-    ASSERT_EQ(s_knn->size(), s_knn_exact->size()) << tag;
-    for (size_t j = 0; j < s_knn->size(); ++j) {
-      ExpectBitIdentical((*s_knn_exact)[j], (*s_knn)[j],
-                         tag + " sharded knn " + std::to_string(j));
+      auto s_nn = (*sharded)->Query(q.data(), opts);
+      ASSERT_TRUE(s_nn.ok()) << tag;
+      expect_exact_path(*s_nn, tag + " sharded");
+      EXPECT_EQ(s_nn->id, exact->id) << tag;
+      EXPECT_EQ(Bits(s_nn->dist), Bits(exact->dist)) << tag;
     }
   }
 
-  // The batch entry points agree with their own exact tier. (Plain and
-  // sharded are compared within each kind: candidate counts legitimately
-  // differ across the scatter-gather merge, ids and distances never do.)
-  auto batch_exact = plain.index->QueryBatch(queries);
-  auto batch_routed = plain.index->QueryBatch(queries, disabled);
-  auto s_batch_exact = (*sharded)->QueryBatch(queries);
-  auto s_batch_routed = (*sharded)->QueryBatch(queries, disabled);
-  ASSERT_TRUE(batch_exact.ok() && batch_routed.ok() && s_batch_exact.ok() &&
-              s_batch_routed.ok());
-  ASSERT_EQ(batch_exact->size(), batch_routed->size());
-  ASSERT_EQ(s_batch_exact->size(), s_batch_routed->size());
-  for (size_t i = 0; i < batch_exact->size(); ++i) {
-    ExpectBitIdentical((*batch_exact)[i], (*batch_routed)[i],
-                       "batch " + std::to_string(i));
-    ExpectBitIdentical((*s_batch_exact)[i], (*s_batch_routed)[i],
-                       "sharded batch " + std::to_string(i));
-    // Across kinds the answer itself is still bit-identical.
-    EXPECT_EQ((*batch_exact)[i].id, (*s_batch_routed)[i].id);
-    EXPECT_EQ(Bits((*batch_exact)[i].dist), Bits((*s_batch_routed)[i].dist));
+  // The batch entry points agree with the serial exact loop. (Plain and
+  // sharded differ only in candidate counts, which legitimately change
+  // across the scatter-gather merge; ids and distances never do.)
+  for (const ApproxOptions& opts : {ApproxOptions{}, disabled}) {
+    auto batch = plain.index->QueryBatch(queries, opts);
+    auto s_batch = (*sharded)->QueryBatch(queries, opts);
+    ASSERT_TRUE(batch.ok() && s_batch.ok());
+    ASSERT_EQ(batch->size(), serial_exact.size());
+    ASSERT_EQ(s_batch->size(), serial_exact.size());
+    for (size_t i = 0; i < serial_exact.size(); ++i) {
+      const std::string what = "batch " + std::to_string(i);
+      ExpectBitIdentical(serial_exact[i], (*batch)[i], what);
+      expect_exact_path((*s_batch)[i], "sharded " + what);
+      EXPECT_EQ(serial_exact[i].id, (*s_batch)[i].id) << what;
+      EXPECT_EQ(Bits(serial_exact[i].dist), Bits((*s_batch)[i].dist)) << what;
+    }
   }
+
+  metrics::Registry::SetEnabled(metrics_were_enabled);
+#if NNCELL_METRICS
+  EXPECT_EQ(approx_count->Value(), approx_before)
+      << "a disabled-options call ran the approximate traversal";
+#else
+  (void)approx_before;
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -277,7 +304,7 @@ TEST_P(CertificateSoundnessTest, EveryAnswerObeysItsCertificate) {
         ApproxOptions approx;
         approx.epsilon = eps;
         approx.max_leaf_visits = budget;
-        auto r = t.index->Query(q, approx);
+        auto r = t.index->Query(q.data(), approx);
         ASSERT_TRUE(r.ok());
         const std::string tag = "query " + std::to_string(i) + " eps=" +
                                 std::to_string(eps) + " budget=" +
@@ -299,7 +326,7 @@ TEST_P(CertificateSoundnessTest, EveryAnswerObeysItsCertificate) {
     // distance when the budget did not truncate the search.
     ApproxOptions approx;
     approx.epsilon = 0.1;
-    auto knn = t.index->KnnQuery(q, 5, approx);
+    auto knn = t.index->KnnQuery(q.data(), 5, approx);
     ASSERT_TRUE(knn.ok());
     auto true_knn = oracle.scan->KnnQuery(q.data(), 5);
     ASSERT_EQ(knn->size(), true_knn.size());
@@ -348,7 +375,7 @@ TEST(ApproxShardedTest, MergedCertificateStaysSound) {
     for (double eps : {0.1, 0.5}) {
       ApproxOptions approx;
       approx.epsilon = eps;
-      auto r = (*sharded)->Query(q, approx);
+      auto r = (*sharded)->Query(q.data(), approx);
       ASSERT_TRUE(r.ok());
       const std::string tag =
           "query " + std::to_string(i) + " eps=" + std::to_string(eps);
@@ -358,7 +385,7 @@ TEST(ApproxShardedTest, MergedCertificateStaysSound) {
     // Per-shard budget: the total is bounded by shards * budget.
     ApproxOptions budgeted;
     budgeted.max_leaf_visits = 2;
-    auto r = (*sharded)->Query(q, budgeted);
+    auto r = (*sharded)->Query(q.data(), budgeted);
     ASSERT_TRUE(r.ok());
     EXPECT_LE(r->approx.leaf_visits,
               budgeted.max_leaf_visits * (*sharded)->num_shards());

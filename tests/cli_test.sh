@@ -110,6 +110,14 @@ test -d "$DIR/sharded/shard-0"
 cut -d' ' -f1-5 "$DIR/serial.out" > "$DIR/serial.ids"
 cut -d' ' -f1-5 "$DIR/sharded.out" > "$DIR/sharded.ids"
 cmp "$DIR/serial.ids" "$DIR/sharded.ids"
+# the k-NN and batched paths answer like the plain index too (k-NN lines
+# carry no candidate counts, so they match whole)
+"$CLI" query "$DIR/idx.nncell" "$DIR/q.csv" --k=3 > "$DIR/knn.out"
+"$CLI" query "$DIR/sharded" "$DIR/q.csv" --k=3 > "$DIR/sharded_knn.out"
+cmp "$DIR/knn.out" "$DIR/sharded_knn.out"
+"$CLI" query "$DIR/sharded" "$DIR/q.csv" --threads=4 | cut -d' ' -f1-5 \
+  > "$DIR/sharded_batch.ids"
+cmp "$DIR/serial.ids" "$DIR/sharded_batch.ids"
 "$CLI" stats "$DIR/sharded" | grep -q "shards:             4 (epoch 0"
 "$CLI" stats "$DIR/sharded" --json > "$DIR/shard_stats.json"
 python3 - "$DIR/shard_stats.json" <<'PY'

@@ -49,7 +49,7 @@ TEST(DeleteTest, BasicDeleteThenQuery) {
   EXPECT_TRUE(fx.index->IsAlive(6));
   // Querying the deleted point's location finds someone else, exactly.
   std::vector<double> q = fx.index->points().Get(5);
-  auto r = fx.index->Query(q);
+  auto r = fx.index->Query(q.data());
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r->id, 5u);
   EXPECT_NEAR(r->dist, BruteNNDist(*fx.index, q.data()), 1e-9);
@@ -90,7 +90,7 @@ TEST_P(DeleteStrategyTest, QueriesExactUnderChurn) {
       for (int t = 0; t < 5; ++t) {
         std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                                  rng.NextDouble()};
-        auto r = fx.index->Query(q);
+        auto r = fx.index->Query(q.data());
         ASSERT_TRUE(r.ok());
         EXPECT_NEAR(r->dist, BruteNNDist(*fx.index, q.data()), 1e-9)
             << "step " << step << " " << ApproxAlgorithmName(GetParam());
@@ -118,7 +118,7 @@ TEST(DeleteTest, DeleteAllButOne) {
   for (uint64_t i = 1; i < 20; ++i) ASSERT_TRUE(fx.index->Delete(i).ok());
   EXPECT_EQ(fx.index->size(), 1u);
   // The survivor owns the whole space again.
-  auto r = fx.index->Query({0.99, 0.99});
+  auto r = fx.index->Query(std::vector<double>{0.99, 0.99}.data());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->id, 0u);
   // Its recomputed cell should cover everything.
@@ -134,7 +134,7 @@ TEST(DeleteTest, DeleteAllThenQueriesFail) {
   ASSERT_TRUE(fx.index->BulkBuild(GenerateUniform(8, 2, 4)).ok());
   for (uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(fx.index->Delete(i).ok());
   EXPECT_EQ(fx.index->size(), 0u);
-  auto r = fx.index->Query({0.5, 0.5});
+  auto r = fx.index->Query(std::vector<double>{0.5, 0.5}.data());
   EXPECT_FALSE(r.ok());
 }
 
@@ -146,7 +146,7 @@ TEST(DeleteTest, ReinsertSameCoordinatesAfterDelete) {
   auto id = fx.index->Insert(coords);
   ASSERT_TRUE(id.ok());
   EXPECT_NE(*id, 7u);  // ids are never reused
-  auto r = fx.index->Query(coords);
+  auto r = fx.index->Query(coords.data());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->id, *id);
   EXPECT_NEAR(r->dist, 0.0, 1e-12);
@@ -166,7 +166,7 @@ TEST(DeleteTest, NeighborsGrowAfterDelete) {
     }
   }
   ASSERT_TRUE(fx.index->Delete(center).ok());
-  auto r = fx.index->Query({0.5, 0.5});
+  auto r = fx.index->Query(std::vector<double>{0.5, 0.5}.data());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->used_fallback);  // covered by recomputed neighbors
   EXPECT_NEAR(r->dist, 1.0 / 3.0, 1e-9);  // one grid step away
@@ -181,7 +181,7 @@ TEST(DeleteTest, KnnAfterDeletes) {
   for (int t = 0; t < 20; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
-    auto r = fx.index->KnnQuery(q, 5);
+    auto r = fx.index->KnnQuery(q.data(), 5);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r->size(), 5u);
     // Compare against brute force over live points.

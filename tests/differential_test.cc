@@ -75,7 +75,7 @@ std::vector<double> ToMetric(const std::vector<double>& q,
 // legitimately resolve to different ids at equal distance).
 void ExpectSameNearest(const NNCellIndex& index, const SequentialScan& scan,
                        const std::vector<double>& q) {
-  auto got = index.Query(q);
+  auto got = index.Query(q.data());
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   SequentialScan::Result want =
       scan.NearestNeighbor(ToMetric(q, index.options().weights).data());
@@ -197,7 +197,7 @@ TEST(DifferentialCandidateCountTest, CorrectStrategyMatchesContainmentOracle) {
   std::vector<double> q(4);
   for (int probe = 0; probe < 25; ++probe) {
     for (auto& v : q) v = rng.NextDouble();
-    auto r = t.index->Query(q);
+    auto r = t.index->Query(q.data());
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     // No weights configured, so q is already in metric space.
     size_t contained = 0;

@@ -254,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(NNCellKnnTest, KLargerThanN) {
   PointSet pts = GenerateUniform(7, 3, 3);
   KnnFixture fx(3, pts);
-  auto r = fx.index->KnnQuery({0.5, 0.5, 0.5}, 50);
+  auto r = fx.index->KnnQuery(std::vector<double>{0.5, 0.5, 0.5}.data(), 50);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 7u);
 }
@@ -262,7 +262,7 @@ TEST(NNCellKnnTest, KLargerThanN) {
 TEST(NNCellKnnTest, KZero) {
   PointSet pts = GenerateUniform(10, 2, 4);
   KnnFixture fx(2, pts);
-  auto r = fx.index->KnnQuery({0.5, 0.5}, 0);
+  auto r = fx.index->KnnQuery(std::vector<double>{0.5, 0.5}.data(), 0);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -271,14 +271,14 @@ TEST(NNCellKnnTest, EmptyIndexFails) {
   PageFile file(2048);
   BufferPool pool(&file, 64);
   NNCellIndex index(&pool, 2, NNCellOptions{});
-  auto r = index.KnnQuery({0.5, 0.5}, 3);
+  auto r = index.KnnQuery(std::vector<double>{0.5, 0.5}.data(), 3);
   EXPECT_FALSE(r.ok());
 }
 
 TEST(NNCellKnnTest, QueryAtDataPoint) {
   PointSet pts = GenerateUniform(100, 3, 5);
   KnnFixture fx(3, pts);
-  auto r = fx.index->KnnQuery(pts.Get(17), 5);
+  auto r = fx.index->KnnQuery(pts[17], 5);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 5u);
   EXPECT_EQ((*r)[0].id, 17u);

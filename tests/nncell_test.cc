@@ -55,7 +55,7 @@ void ExpectQueriesMatchBruteForce(const IndexFixture& fx, const PointSet& pts,
 
 TEST(NNCellIndexTest, EmptyIndexQueryFails) {
   IndexFixture fx(2, NNCellOptions{});
-  auto r = fx.index->Query({0.5, 0.5});
+  auto r = fx.index->Query(std::vector<double>{0.5, 0.5}.data());
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -66,7 +66,7 @@ TEST(NNCellIndexTest, SinglePointOwnsWholeSpace) {
   const auto& rects = fx.index->CellRects(0);
   ASSERT_EQ(rects.size(), 1u);
   EXPECT_EQ(rects[0], HyperRect::UnitCube(3));
-  auto r = fx.index->Query({0.99, 0.01, 0.5});
+  auto r = fx.index->Query(std::vector<double>{0.99, 0.01, 0.5}.data());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->id, 0u);
   EXPECT_EQ(r->candidates, 1u);
@@ -159,7 +159,7 @@ TEST(NNCellIndexTest, GridDataIsPerfectlyApproximated) {
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble()};
-    auto r = fx.index->Query(q);
+    auto r = fx.index->Query(q.data());
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->candidates, 1u);
     EXPECT_EQ(r->id, BruteForceNN(pts, q.data()));
@@ -214,7 +214,7 @@ TEST(NNCellIndexTest, DynamicInsertKeepsQueriesExact) {
       for (int t = 0; t < 5; ++t) {
         std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                                  rng.NextDouble()};
-        auto r = fx.index->Query(q);
+        auto r = fx.index->Query(q.data());
         ASSERT_TRUE(r.ok());
         size_t expected = BruteForceNN(inserted, q.data());
         EXPECT_NEAR(r->dist, L2Dist(inserted[expected], q.data(), 3), 1e-9);
@@ -318,7 +318,7 @@ TEST(NNCellIndexTest, QueryPointQueryUsesFewPages) {
   auto info = fx.index->TreeInfo();
   fx.pool.DropCache();
   fx.pool.ResetStats();
-  auto r = fx.index->Query({0.4, 0.6, 0.3, 0.8});
+  auto r = fx.index->Query(std::vector<double>{0.4, 0.6, 0.3, 0.8}.data());
   ASSERT_TRUE(r.ok());
   EXPECT_LT(fx.pool.stats().physical_reads, info.total_pages / 2);
 }

@@ -118,7 +118,7 @@ TEST(IndexPersistenceTest, LoadedIndexIsMutable) {
                              rng.NextDouble()};
     auto id = (*loaded)->Insert(p);
     ASSERT_TRUE(id.ok());
-    auto r = (*loaded)->Query(p);
+    auto r = (*loaded)->Query(p.data());
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->id, *id);
   }

@@ -156,7 +156,7 @@ TEST(AdversarialLayoutTest, CollinearPoints) {
   for (int t = 0; t < 100; ++t) {
     std::vector<double> q(d);
     for (auto& v : q) v = rng.NextDouble();
-    auto r = index.Query(q);
+    auto r = index.Query(q.data());
     ASSERT_TRUE(r.ok());
     double best = 1e300;
     for (size_t i = 0; i < pts.size(); ++i) {
@@ -182,10 +182,10 @@ TEST(AdversarialLayoutTest, CoplanarGridWithOutlier) {
   NNCellIndex index(&pool, d, opts);
   ASSERT_TRUE(index.BulkBuild(pts).ok());
   // Queries near the outlier find it; queries above the plane never do.
-  auto low = index.Query({0.5, 0.5, 0.05});
+  auto low = index.Query(std::vector<double>{0.5, 0.5, 0.05}.data());
   ASSERT_TRUE(low.ok());
   EXPECT_EQ(low->id, 25u);
-  auto high = index.Query({0.33, 0.61, 0.9});
+  auto high = index.Query(std::vector<double>{0.33, 0.61, 0.9}.data());
   ASSERT_TRUE(high.ok());
   EXPECT_NE(high->id, 25u);
 }
@@ -207,7 +207,7 @@ TEST(AdversarialLayoutTest, PointsOnSpaceBoundary) {
   for (int t = 0; t < 200; ++t) {
     std::vector<double> q(d);
     for (auto& v : q) v = rng.NextDouble();
-    auto r = index.Query(q);
+    auto r = index.Query(q.data());
     ASSERT_TRUE(r.ok());
     double best = 1e300;
     for (size_t i = 0; i < pts.size(); ++i) {
@@ -398,7 +398,7 @@ TEST(AdversarialLayoutTest, NearDuplicateClusters) {
   ASSERT_TRUE(index.BulkBuild(pts).ok());
   for (int t = 0; t < 100; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble()};
-    auto r = index.Query(q);
+    auto r = index.Query(q.data());
     ASSERT_TRUE(r.ok());
     double best = 1e300;
     for (size_t i = 0; i < pts.size(); ++i) {

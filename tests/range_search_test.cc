@@ -40,7 +40,7 @@ TEST_P(RangeSearchTest, MatchesBruteForce) {
   for (int t = 0; t < 40; ++t) {
     std::vector<double> q(dim);
     for (auto& v : q) v = rng.NextDouble();
-    auto r = fx.index->RangeSearch(q, radius);
+    auto r = fx.index->RangeSearch(q.data(), radius);
     ASSERT_TRUE(r.ok());
     std::set<uint64_t> got;
     for (const auto& hit : *r) {
@@ -66,11 +66,12 @@ TEST(RangeSearchTest, ZeroRadiusFindsExactMatchesOnly) {
   Fixture fx(2);
   PointSet pts = GenerateUniform(50, 2, 19);
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
-  auto on_point = fx.index->RangeSearch(pts.Get(13), 0.0);
+  auto on_point = fx.index->RangeSearch(pts[13], 0.0);
   ASSERT_TRUE(on_point.ok());
   ASSERT_EQ(on_point->size(), 1u);
   EXPECT_EQ((*on_point)[0].id, 13u);
-  auto off_point = fx.index->RangeSearch({0.123456789, 0.987654321}, 0.0);
+  const double off[] = {0.123456789, 0.987654321};
+  auto off_point = fx.index->RangeSearch(off, 0.0);
   ASSERT_TRUE(off_point.ok());
   EXPECT_TRUE(off_point->empty());
 }
@@ -78,7 +79,7 @@ TEST(RangeSearchTest, ZeroRadiusFindsExactMatchesOnly) {
 TEST(RangeSearchTest, NegativeRadiusRejected) {
   Fixture fx(2);
   ASSERT_TRUE(fx.index->BulkBuild(GenerateUniform(10, 2, 20)).ok());
-  auto r = fx.index->RangeSearch({0.5, 0.5}, -0.1);
+  auto r = fx.index->RangeSearch(std::vector<double>{0.5, 0.5}.data(), -0.1);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -86,7 +87,8 @@ TEST(RangeSearchTest, NegativeRadiusRejected) {
 TEST(RangeSearchTest, HugeRadiusReturnsEverything) {
   Fixture fx(3);
   ASSERT_TRUE(fx.index->BulkBuild(GenerateUniform(60, 3, 21)).ok());
-  auto r = fx.index->RangeSearch({0.5, 0.5, 0.5}, 10.0);
+  const double center[] = {0.5, 0.5, 0.5};
+  auto r = fx.index->RangeSearch(center, 10.0);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 60u);
 }
@@ -96,7 +98,7 @@ TEST(RangeSearchTest, RespectsDeletions) {
   PointSet pts = GenerateUniform(40, 2, 22);
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
   ASSERT_TRUE(fx.index->Delete(7).ok());
-  auto r = fx.index->RangeSearch(pts.Get(7), 0.5);
+  auto r = fx.index->RangeSearch(pts[7], 0.5);
   ASSERT_TRUE(r.ok());
   for (const auto& hit : *r) EXPECT_NE(hit.id, 7u);
 }
@@ -110,7 +112,7 @@ TEST(RangeSearchTest, WeightedMetricRange) {
   pts.Add({0.6, 0.5});  // d_W = 3 * 0.1 = 0.3
   pts.Add({0.5, 0.6});  // d_W = 1 * 0.1 = 0.1
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
-  auto r = fx.index->RangeSearch({0.5, 0.5}, 0.2);
+  auto r = fx.index->RangeSearch(std::vector<double>{0.5, 0.5}.data(), 0.2);
   ASSERT_TRUE(r.ok());
   std::set<uint64_t> got;
   for (const auto& hit : *r) got.insert(hit.id);
@@ -128,7 +130,7 @@ TEST(RangeSearchTest, DecompositionStillExact) {
   for (int t = 0; t < 25; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
-    auto r = fx.index->RangeSearch(q, 0.25);
+    auto r = fx.index->RangeSearch(q.data(), 0.25);
     ASSERT_TRUE(r.ok());
     std::set<uint64_t> got;
     for (const auto& hit : *r) got.insert(hit.id);

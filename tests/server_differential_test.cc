@@ -4,7 +4,8 @@
 // every response must match. Covers all four approximation algorithms at
 // d = 2, 8, 16, and (separately) a durable server that is SIGTERM-drained,
 // checkpointed and restarted mid-workload: the reopened server must keep
-// answering exactly like the never-restarted oracle.
+// answering exactly like the never-restarted oracle. A ShardedIndex served
+// in-process must answer exactly like a served plain index.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -22,6 +23,7 @@
 #include "nncell/nncell_index.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
@@ -162,6 +164,82 @@ INSTANTIATE_TEST_SUITE_P(
                                            static_cast<unsigned char>(c)); });
       return name + "_d" + std::to_string(std::get<1>(info.param));
     });
+
+// --- ShardedIndex served directly -----------------------------------------
+
+// Both index kinds implement IndexBackend, so the server fronts a sharded
+// index with no adapter. Over the same inserts its answers (ids, distances,
+// points) must equal the plain-index server's; only the candidate counts
+// differ (they sum over the probed shards). STATS_JSON gains the "shard"
+// object for the sharded server alone.
+TEST(ServerShardedTest, ShardedServerMatchesPlainServer) {
+  constexpr size_t kDim = 3;
+  const std::string base = ::testing::TempDir() + "server_sharded_";
+  const std::string plain_sock = base + "plain.sock";
+  const std::string shard_sock = base + "shard.sock";
+  std::filesystem::remove(plain_sock);
+  std::filesystem::remove(shard_sock);
+
+  Oracle plain(kDim, ApproxAlgorithm::kSphere);
+  ShardedOptions shopt;
+  shopt.num_shards = 4;
+  auto sharded =
+      ShardedIndex::Create(kDim, Options(ApproxAlgorithm::kSphere), shopt);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  ServerOptions popt;
+  popt.socket_path = plain_sock;
+  NNCellServer plain_server(plain.index.get(), popt);
+  ServerOptions sopt;
+  sopt.socket_path = shard_sock;
+  NNCellServer shard_server(sharded->get(), sopt);
+  ASSERT_TRUE(plain_server.Start().ok());
+  ASSERT_TRUE(shard_server.Start().ok());
+  {
+    auto pc = Client::ConnectUnix(plain_sock);
+    auto sc = Client::ConnectUnix(shard_sock);
+    ASSERT_TRUE(pc.ok() && sc.ok());
+    Rng rng(0x5a4d);
+    auto random_point = [&] {
+      std::vector<double> p(kDim);
+      for (double& v : p) v = rng.NextDouble();
+      return p;
+    };
+    for (int i = 0; i < 120; ++i) {
+      auto p = random_point();
+      auto pid = pc->Insert(p);
+      auto sid = sc->Insert(p);
+      ASSERT_TRUE(pid.ok() && sid.ok()) << "insert " << i;
+      ASSERT_EQ(*pid, *sid) << "insert " << i;
+    }
+    ASSERT_TRUE(pc->Delete(17).ok());
+    ASSERT_TRUE(sc->Delete(17).ok());
+
+    std::vector<std::vector<double>> qs;
+    for (int i = 0; i < 40; ++i) qs.push_back(random_point());
+    auto pr = pc->QueryBatch(qs);
+    auto sr = sc->QueryBatch(qs);
+    ASSERT_TRUE(pr.ok() && sr.ok());
+    ASSERT_EQ(pr->size(), qs.size());
+    ASSERT_EQ(sr->size(), qs.size());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_EQ((*sr)[i].id, (*pr)[i].id) << "q " << i;
+      EXPECT_EQ((*sr)[i].dist, (*pr)[i].dist) << "q " << i;
+      EXPECT_EQ((*sr)[i].point, (*pr)[i].point) << "q " << i;
+    }
+
+    auto pstats = pc->StatsJson();
+    auto sstats = sc->StatsJson();
+    ASSERT_TRUE(pstats.ok() && sstats.ok());
+    EXPECT_EQ(pstats->find("\"shard\":"), std::string::npos);
+    EXPECT_NE(sstats->find("\"shard\":{\"count\":4,"), std::string::npos)
+        << *sstats;
+  }
+  ASSERT_TRUE(plain_server.Stop().ok());
+  ASSERT_TRUE(shard_server.Stop().ok());
+  EXPECT_EQ(shard_server.accepted(),
+            shard_server.completed() + shard_server.rejected());
+}
 
 // --- SIGTERM-checkpoint-restart mid-workload ------------------------------
 

@@ -71,6 +71,20 @@ print("  stats ok: accepted=%d completed=%d rejected=%d open=%d"
 '
 }
 
+# Bad queue limits are rejected up front: exit 2 with the usage line, and
+# no index directory is created.
+for bad in --max-queue=0 --max-batch=0 --max-queue=abc --max-batch=-1; do
+  set +e
+  "$SERVER_BIN" "$SCRATCH/badflag" --socket="$SCRATCH/bad.sock" --dim=2 \
+    "$bad" >"$SRV_LOG" 2>&1
+  rc=$?
+  set -e
+  [[ $rc -eq 2 ]] || fail "$bad: exit $rc, want 2"
+  grep -q "^usage: nncell_server" "$SRV_LOG" || fail "$bad: no usage line"
+  [[ ! -e "$SCRATCH/badflag" ]] || fail "$bad: index directory was created"
+done
+echo "  bad queue flags rejected with exit 2"
+
 start_server
 
 # 8 connections, mixed closed-loop workload. The op count keeps the soak

@@ -102,19 +102,19 @@ void DifferentialQueries(const ShardedIndex& sharded,
     for (double& v : q) v = rng.NextDouble();
     const std::string tag = "query " + std::to_string(i);
 
-    auto got = sharded.Query(q);
-    auto want = oracle.Query(q);
+    auto got = sharded.Query(q.data());
+    auto want = oracle.Query(q.data());
     ASSERT_EQ(got.ok(), want.ok()) << tag;
     if (want.ok()) ExpectSameResult(*got, *want, tag);
 
-    auto got_knn = sharded.KnnQuery(q, 5);
-    auto want_knn = oracle.KnnQuery(q, 5);
+    auto got_knn = sharded.KnnQuery(q.data(), 5);
+    auto want_knn = oracle.KnnQuery(q.data(), 5);
     ASSERT_EQ(got_knn.ok(), want_knn.ok()) << tag;
     if (want_knn.ok()) ExpectSameResults(*got_knn, *want_knn, tag + " knn");
 
     const double radius = 0.05 + 0.3 * rng.NextDouble();
-    auto got_rs = sharded.RangeSearch(q, radius);
-    auto want_rs = oracle.RangeSearch(q, radius);
+    auto got_rs = sharded.RangeSearch(q.data(), radius);
+    auto want_rs = oracle.RangeSearch(q.data(), radius);
     ASSERT_EQ(got_rs.ok(), want_rs.ok()) << tag;
     if (want_rs.ok()) ExpectSameResults(*got_rs, *want_rs, tag + " range");
   }
@@ -204,9 +204,10 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
 
   // Empty-index queries.
   const std::vector<double> q{0.5, 0.5};
-  EXPECT_EQ(idx.Query(q).status().message(), "index is empty");
-  EXPECT_EQ(idx.KnnQuery(q, 3).status().message(), "index is empty");
-  EXPECT_EQ(idx.RangeSearch(q, 0.1).status().message(), "index is empty");
+  EXPECT_EQ(idx.Query(q.data()).status().message(), "index is empty");
+  EXPECT_EQ(idx.KnnQuery(q.data(), 3).status().message(), "index is empty");
+  EXPECT_EQ(idx.RangeSearch(q.data(), 0.1).status().message(),
+            "index is empty");
 
   ASSERT_TRUE(idx.Insert({0.25, 0.5}).ok());
 
@@ -218,7 +219,8 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
   // Out of space.
   EXPECT_EQ(idx.Insert({1.5, 0.5}).status().code(), StatusCode::kOutOfRange);
   // Negative radius (after the empty check, as in the oracle).
-  EXPECT_EQ(idx.RangeSearch(q, -1.0).status().message(), "negative radius");
+  EXPECT_EQ(idx.RangeSearch(q.data(), -1.0).status().message(),
+            "negative radius");
   // Unknown / dead ids.
   EXPECT_EQ(idx.Delete(99).message(), "no live point with this id");
   ASSERT_TRUE(idx.Delete(0).ok());
@@ -554,7 +556,7 @@ TEST_F(ShardDurableTest, SingleShardCorruptionDegradesOnlyThatShard) {
         best_id = i;
       }
     }
-    auto got = (*reopened)->Query(q);
+    auto got = (*reopened)->Query(q.data());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->id, best_id) << "degraded query " << t;
   }

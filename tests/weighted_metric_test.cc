@@ -62,7 +62,7 @@ TEST_P(WeightedMetricTest, QueryMatchesWeightedBruteForce) {
   for (int t = 0; t < 120; ++t) {
     std::vector<double> q(dim);
     for (auto& v : q) v = rng.NextDouble();
-    auto r = fx.index->Query(q);
+    auto r = fx.index->Query(q.data());
     ASSERT_TRUE(r.ok());
     double best = 1e300;
     size_t best_id = 0;
@@ -102,7 +102,7 @@ TEST(WeightedMetricTest, KnnMatchesWeightedBruteForce) {
   for (int t = 0; t < 40; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
-    auto r = fx.index->KnnQuery(q, 7);
+    auto r = fx.index->KnnQuery(q.data(), 7);
     ASSERT_TRUE(r.ok());
     std::vector<double> dists;
     for (const auto& p : raw) dists.push_back(std::sqrt(WeightedDistSq(p, q, w)));
@@ -125,11 +125,11 @@ TEST(WeightedMetricTest, WeightsChangeTheAnswer) {
   ASSERT_TRUE(fx_y.index->BulkBuild(pts).ok());
   std::vector<double> q = {0.45, 0.45};
   // With x dominating, prefer the point closer in x: (0.50, 0.30).
-  auto rx = fx_x.index->Query(q);
+  auto rx = fx_x.index->Query(q.data());
   ASSERT_TRUE(rx.ok());
   EXPECT_EQ(rx->id, 0u);
   // With y dominating, prefer the point closer in y: (0.30, 0.50).
-  auto ry = fx_y.index->Query(q);
+  auto ry = fx_y.index->Query(q.data());
   ASSERT_TRUE(ry.ok());
   EXPECT_EQ(ry->id, 1u);
 }
@@ -156,7 +156,7 @@ TEST(WeightedMetricTest, DynamicInsertAndDeleteUnderWeights) {
   }
   for (int t = 0; t < 60; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble()};
-    auto r = fx.index->Query(q);
+    auto r = fx.index->Query(q.data());
     ASSERT_TRUE(r.ok());
     double best = 1e300;
     for (size_t i = 0; i < raw.size(); ++i) {

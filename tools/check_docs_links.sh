@@ -7,30 +7,17 @@
 #  2. docs/METRICS.md and src/common/metrics_names.h must agree exactly:
 #     every registered metric name is documented, and every documented
 #     metric name exists in the header (the single source of truth).
-#  3. docs/PERSISTENCE.md and src/storage/durable_format.h must agree:
-#     every on-disk format constant (magic, version, size, op code, file
-#     name) is documented with its exact value, and every constant the
-#     document names still exists in the persistence-layer headers.
-#  4. docs/SERVING.md and src/server/protocol.h must agree the same way
-#     PERSISTENCE.md does with durable_format.h: every wire-protocol
-#     constant is documented with its exact value, and every constant the
-#     document names still exists.
-#  5. docs/STATIC_ANALYSIS.md's lint-check table and
+#  3. docs/STATIC_ANALYSIS.md's lint-check table and
 #     `tools/nncell_lint.py --list-checks` must agree exactly: every
 #     registered check is documented and every documented check exists.
-#  6. docs/KERNELS.md and src/common/kernels/kernels.h must agree: every
-#     layout constant in the kernel header (`kLaneWidth = 4`) is
-#     documented with its exact value, and every constant the document
-#     names still exists in the kernel headers.
-#  7. docs/SHARDING.md and src/shard/shard_format.h must agree the same
-#     way PERSISTENCE.md does with durable_format.h: every sharded-index
-#     format constant (magic, version, size, op code, file/dir name) is
-#     documented with its exact value, and every constant the document
-#     names still exists.
-#  8. docs/APPROXIMATE.md and src/common/approx.h must agree: every
-#     approximate-tier constant (default epsilon, budget sentinel) is
-#     documented with its exact value, and every constant the document
-#     names still exists.
+#  4. Each format document and the header that defines its constants must
+#     agree: every `kName = value` constant in the header is documented
+#     with its exact value, and every constant the document names still
+#     exists in the header (or the row's extra headers). One row per pair:
+#     PERSISTENCE.md / durable_format.h (on-disk format), SERVING.md /
+#     protocol.h (wire protocol), KERNELS.md / kernels.h (kernel layout),
+#     SHARDING.md / shard_format.h (sharded-index format), APPROXIMATE.md /
+#     approx.h (approximate-tier defaults).
 #
 # Usage: check_docs_links.sh [repo-root]
 
@@ -107,104 +94,7 @@ if [ -n "$stale" ]; then
   fail=1
 fi
 
-# --- 3. PERSISTENCE.md <-> durable_format.h --------------------------------
-
-fmt_header="src/storage/durable_format.h"
-fmt_doc="docs/PERSISTENCE.md"
-fp_header="src/common/failpoint.h"
-
-for required in "$fmt_header" "$fmt_doc" "$fp_header"; do
-  if [ ! -f "$required" ]; then
-    echo "MISSING FILE: $required"
-    exit 1
-  fi
-done
-
-# Forward: every `kName = value` constant in the format header must appear
-# in the document with its exact value (integer suffixes and quotes are
-# normalized away; the doc's backticks are stripped before matching).
-doc_flat=$(tr -d '`' < "$fmt_doc")
-n_consts=0
-while read -r name value; do
-  [ -z "$name" ] && continue
-  n_consts=$((n_consts + 1))
-  case "$value" in
-    \"*\")
-      value="${value%\"}"
-      value="${value#\"}"
-      if ! printf '%s' "$doc_flat" | grep -qF "$name" ||
-         ! printf '%s' "$doc_flat" | grep -qF "$value"; then
-        echo "UNDOCUMENTED FORMAT CONSTANT: $name = \"$value\"" \
-             "(missing from $fmt_doc)"
-        fail=1
-      fi
-      ;;
-    *)
-      value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
-      if ! printf '%s' "$doc_flat" | grep -qF "$name = $value"; then
-        echo "FORMAT CONSTANT DRIFT: $fmt_doc must state \"$name = $value\"" \
-             "(from $fmt_header)"
-        fail=1
-      fi
-      ;;
-  esac
-done <<EOF
-$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$fmt_header")
-EOF
-
-# Reverse: every backticked kConstant the document names must still be
-# defined in the persistence-layer headers.
-doc_consts=$(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$fmt_doc" | tr -d '`' | sort -u)
-for c in $doc_consts; do
-  if ! grep -qE "\b$c\b" "$fmt_header" "$fp_header"; then
-    echo "STALE DOC CONSTANT: $c (in $fmt_doc, not defined in" \
-         "$fmt_header or $fp_header)"
-    fail=1
-  fi
-done
-
-# --- 4. SERVING.md <-> protocol.h ------------------------------------------
-
-wire_header="src/server/protocol.h"
-wire_doc="docs/SERVING.md"
-
-for required in "$wire_header" "$wire_doc"; do
-  if [ ! -f "$required" ]; then
-    echo "MISSING FILE: $required"
-    exit 1
-  fi
-done
-
-# Forward: every `kName = value` constant in the protocol header must
-# appear in the document with its exact value.
-wire_doc_flat=$(tr -d '`' < "$wire_doc")
-n_wire_consts=0
-while read -r name value; do
-  [ -z "$name" ] && continue
-  n_wire_consts=$((n_wire_consts + 1))
-  value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
-  if ! printf '%s' "$wire_doc_flat" | grep -qF "$name = $value"; then
-    echo "WIRE CONSTANT DRIFT: $wire_doc must state \"$name = $value\"" \
-         "(from $wire_header)"
-    fail=1
-  fi
-done <<EOF
-$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$wire_header")
-EOF
-
-# Reverse: every backticked kConstant the document names must still be
-# defined in the protocol or failpoint headers.
-wire_doc_consts=$(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$wire_doc" \
-                  | tr -d '`' | sort -u)
-for c in $wire_doc_consts; do
-  if ! grep -qE "\b$c\b" "$wire_header" "$fp_header"; then
-    echo "STALE DOC CONSTANT: $c (in $wire_doc, not defined in" \
-         "$wire_header or $fp_header)"
-    fail=1
-  fi
-done
-
-# --- 5. STATIC_ANALYSIS.md <-> nncell_lint.py ------------------------------
+# --- 3. STATIC_ANALYSIS.md <-> nncell_lint.py ------------------------------
 
 lint_tool="tools/nncell_lint.py"
 sa_doc="docs/STATIC_ANALYSIS.md"
@@ -245,152 +135,85 @@ else
   echo "note: python3 not found; skipping lint-check table drift check"
 fi
 
-# --- 6. KERNELS.md <-> kernels.h -------------------------------------------
+# --- 4. format documents <-> constant headers ------------------------------
 
-kern_header="src/common/kernels/kernels.h"
-kern_doc="docs/KERNELS.md"
-
-for required in "$kern_header" "$kern_doc"; do
-  if [ ! -f "$required" ]; then
-    echo "MISSING FILE: $required"
-    exit 1
-  fi
-done
-
-# Forward: every `kName = value` layout constant in the kernel header must
-# appear in the document with its exact value.
-kern_doc_flat=$(tr -d '`' < "$kern_doc")
-n_kern_consts=0
-while read -r name value; do
-  [ -z "$name" ] && continue
-  n_kern_consts=$((n_kern_consts + 1))
-  value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
-  if ! printf '%s' "$kern_doc_flat" | grep -qF "$name = $value"; then
-    echo "KERNEL CONSTANT DRIFT: $kern_doc must state \"$name = $value\"" \
-         "(from $kern_header)"
-    fail=1
-  fi
-done <<EOF
-$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$kern_header")
-EOF
-
-# Reverse: every backticked kConstant the document names must still be
-# defined in the kernel headers.
-kern_doc_consts=$(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$kern_doc" \
-                  | tr -d '`' | sort -u)
-for c in $kern_doc_consts; do
-  if ! grep -qE "\b$c\b" "$kern_header" "src/common/kernels/soa_store.h"; then
-    echo "STALE DOC CONSTANT: $c (in $kern_doc, not defined in" \
-         "$kern_header or soa_store.h)"
-    fail=1
-  fi
-done
-
-# --- 7. SHARDING.md <-> shard_format.h -------------------------------------
-
-shard_header="src/shard/shard_format.h"
-shard_doc="docs/SHARDING.md"
-
-for required in "$shard_header" "$shard_doc"; do
-  if [ ! -f "$required" ]; then
-    echo "MISSING FILE: $required"
-    exit 1
-  fi
-done
-
-# Forward: every `kName = value` constant in the shard format header must
-# appear in the document with its exact value (same normalization as the
-# PERSISTENCE.md check: integer suffixes and quotes stripped).
-shard_doc_flat=$(tr -d '`' < "$shard_doc")
-n_shard_consts=0
-while read -r name value; do
-  [ -z "$name" ] && continue
-  n_shard_consts=$((n_shard_consts + 1))
-  case "$value" in
-    \"*\")
+# check_constants LABEL DOC HEADER [EXTRA_HEADER...]
+#
+# Forward: every `inline constexpr ... kName = value;` constant in HEADER
+# must appear in DOC as "kName = value" (the doc's backticks are stripped,
+# integer suffixes normalized away). A string constant (quoted value) only
+# needs its name and its unquoted value to appear somewhere in the doc.
+# Reverse: every backticked kConstant DOC names must still be defined in
+# HEADER or one of the EXTRA_HEADERs. Sets n_consts[LABEL] to the number of
+# header constants checked.
+declare -A n_consts
+check_constants() {
+  local label=$1 doc=$2 header=$3
+  shift 3
+  local f name value c doc_flat n=0
+  for f in "$doc" "$header" "$@"; do
+    if [ ! -f "$f" ]; then
+      echo "MISSING FILE: $f"
+      exit 1
+    fi
+  done
+  doc_flat=$(tr -d '`' < "$doc")
+  while read -r name value; do
+    [ -z "$name" ] && continue
+    n=$((n + 1))
+    if [[ "$value" == \"*\" ]]; then
       value="${value%\"}"
       value="${value#\"}"
-      if ! printf '%s' "$shard_doc_flat" | grep -qF "$name" ||
-         ! printf '%s' "$shard_doc_flat" | grep -qF "$value"; then
-        echo "UNDOCUMENTED SHARD CONSTANT: $name = \"$value\"" \
-             "(missing from $shard_doc)"
+      if ! printf '%s' "$doc_flat" | grep -qF "$name" ||
+         ! printf '%s' "$doc_flat" | grep -qF "$value"; then
+        echo "UNDOCUMENTED $label CONSTANT: $name = \"$value\"" \
+             "(missing from $doc)"
         fail=1
       fi
-      ;;
-    *)
-      value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
-      if ! printf '%s' "$shard_doc_flat" | grep -qF "$name = $value"; then
-        echo "SHARD CONSTANT DRIFT: $shard_doc must state \"$name = $value\"" \
-             "(from $shard_header)"
-        fail=1
-      fi
-      ;;
-  esac
-done <<EOF
-$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$shard_header")
+      continue
+    fi
+    value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
+    if ! printf '%s' "$doc_flat" | grep -qF "$name = $value"; then
+      echo "$label CONSTANT DRIFT: $doc must state \"$name = $value\"" \
+           "(from $header)"
+      fail=1
+    fi
+  done <<EOF
+$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$header")
 EOF
+  n_consts[$label]=$n
 
-# Reverse: every backticked kConstant the document names must still be
-# defined in the shard format or failpoint headers.
-shard_doc_consts=$(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$shard_doc" \
-                   | tr -d '`' | sort -u)
-for c in $shard_doc_consts; do
-  if ! grep -qE "\b$c\b" "$shard_header" "$fp_header"; then
-    echo "STALE DOC CONSTANT: $c (in $shard_doc, not defined in" \
-         "$shard_header or $fp_header)"
-    fail=1
-  fi
-done
+  for c in $(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$doc" | tr -d '`' | sort -u); do
+    if ! grep -qE "\b$c\b" "$header" "$@"; then
+      echo "STALE DOC CONSTANT: $c (in $doc, not defined in $header $*)"
+      fail=1
+    fi
+  done
+}
 
-# --- 8. APPROXIMATE.md <-> approx.h ----------------------------------------
-
-approx_header="src/common/approx.h"
-approx_doc="docs/APPROXIMATE.md"
-
-for required in "$approx_header" "$approx_doc"; do
-  if [ ! -f "$required" ]; then
-    echo "MISSING FILE: $required"
-    exit 1
-  fi
-done
-
-# Forward: every `kName = value` constant in the approx header must appear
-# in the document with its exact value.
-approx_doc_flat=$(tr -d '`' < "$approx_doc")
-n_approx_consts=0
-while read -r name value; do
-  [ -z "$name" ] && continue
-  n_approx_consts=$((n_approx_consts + 1))
-  value=$(printf '%s' "$value" | sed -E 's/U?L?L?$//')
-  if ! printf '%s' "$approx_doc_flat" | grep -qF "$name = $value"; then
-    echo "APPROX CONSTANT DRIFT: $approx_doc must state \"$name = $value\"" \
-         "(from $approx_header)"
-    fail=1
-  fi
+fp_header="src/common/failpoint.h"
+wire_header="src/server/protocol.h"
+# One row per document: label, document, header, then the extra headers
+# the document may also name.
+while read -r label doc header extra; do
+  # shellcheck disable=SC2086  # $extra is a list of header paths
+  check_constants "$label" "$doc" "$header" $extra
 done <<EOF
-$(sed -nE 's/^inline constexpr [A-Za-z0-9_]+ (k[A-Za-z0-9]+)(\[\])? = ([^;]+);.*/\1 \3/p' "$approx_header")
+FORMAT  docs/PERSISTENCE.md   src/storage/durable_format.h  $fp_header
+WIRE    docs/SERVING.md       $wire_header                  $fp_header
+KERNEL  docs/KERNELS.md       src/common/kernels/kernels.h  src/common/kernels/soa_store.h
+SHARD   docs/SHARDING.md      src/shard/shard_format.h      $fp_header
+APPROX  docs/APPROXIMATE.md   src/common/approx.h           $wire_header $fp_header
 EOF
-
-# Reverse: every backticked kConstant the document names must still be
-# defined in the approx, protocol, or failpoint headers (APPROXIMATE.md
-# also describes the wire blocks, so protocol constants are legal there).
-approx_doc_consts=$(grep -oE '`k[A-Z][A-Za-z0-9]*`' "$approx_doc" \
-                    | tr -d '`' | sort -u)
-for c in $approx_doc_consts; do
-  if ! grep -qE "\b$c\b" "$approx_header" "$wire_header" "$fp_header"; then
-    echo "STALE DOC CONSTANT: $c (in $approx_doc, not defined in" \
-         "$approx_header, $wire_header, or $fp_header)"
-    fail=1
-  fi
-done
 
 if [ "$fail" -eq 0 ]; then
   n_links=$(printf '%s\n' "$md_files" | wc -l | tr -d ' ')
   n_names=$(printf '%s\n' "$src_names" | wc -l | tr -d ' ')
   echo "docs check OK: $n_links markdown files, $n_names metrics," \
-       "$n_consts format constants, $n_wire_consts wire constants," \
-       "$n_lint_checks lint checks, $n_kern_consts kernel constants," \
-       "$n_shard_consts shard constants, $n_approx_consts approx" \
+       "${n_consts[FORMAT]} format constants," \
+       "${n_consts[WIRE]} wire constants," \
+       "$n_lint_checks lint checks, ${n_consts[KERNEL]} kernel constants," \
+       "${n_consts[SHARD]} shard constants, ${n_consts[APPROX]} approx" \
        "constants in sync"
 fi
 exit "$fail"

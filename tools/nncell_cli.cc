@@ -119,6 +119,19 @@ StatusOr<OpenedIndex> OpenAnyIndex(const std::string& path) {
   return o;
 }
 
+// Opens `path` like OpenAnyIndex and runs `fn` on whichever index kind it
+// holds -- the one place a subcommand forks on plain vs sharded.
+template <typename Fn>
+int WithAnyIndex(const std::string& path, Fn&& fn) {
+  auto opened = OpenAnyIndex(path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  if (opened->sharded) return fn(*opened->sharded);
+  return fn(*opened->index);
+}
+
 StatusOr<PointSet> ReadCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
@@ -318,60 +331,6 @@ void PrintNnLine(size_t i, const NNCellIndex::QueryResult& r,
   std::printf("\n");
 }
 
-// The batch/serial/knn answer paths, shared verbatim between the plain and
-// the sharded index (whose query API mirrors NNCellIndex and answers
-// bit-identically; docs/SHARDING.md).
-template <typename Index>
-int RunQueries(Index& index, const PointSet& queries, size_t k,
-               size_t threads, const ApproxOptions& approx) {
-  if (k == 1 && (threads == 0 || threads > 1)) {
-    // Batched answer path: results are identical to the serial loop below,
-    // computed by concurrent readers.
-    auto results = approx.enabled() ? index.QueryBatch(queries, approx)
-                                    : index.QueryBatch(queries);
-    if (!results.ok()) {
-      std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t i = 0; i < results->size(); ++i) {
-      PrintNnLine(i, (*results)[i], approx);
-    }
-    return 0;
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (k == 1) {
-      auto r = approx.enabled() ? index.Query(queries[i], approx)
-                                : index.Query(queries[i]);
-      if (!r.ok()) {
-        std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
-        continue;
-      }
-      PrintNnLine(i, *r, approx);
-    } else {
-      auto r = approx.enabled() ? index.KnnQuery(queries[i], k, approx)
-                                : index.KnnQuery(queries[i], k);
-      if (!r.ok()) {
-        std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
-        continue;
-      }
-      std::printf("query %zu:", i);
-      for (const auto& hit : *r) {
-        std::printf(" (%llu, %.6f)", static_cast<unsigned long long>(hit.id),
-                    hit.dist);
-      }
-      if (approx.enabled() && !r->empty()) {
-        const auto& cert = r->front().approx;
-        std::printf(" approx=%d visits=%llu bound=%.6f",
-                    cert.approximate ? 1 : 0,
-                    static_cast<unsigned long long>(cert.leaf_visits),
-                    cert.bound);
-      }
-      std::printf("\n");
-    }
-  }
-  return 0;
-}
-
 // Parses --epsilon / --max-visits into ApproxOptions; returns false (after
 // printing the reason) on a malformed value.
 bool ParseApproxFlags(int argc, char** argv, ApproxOptions* approx) {
@@ -394,26 +353,47 @@ bool ParseApproxFlags(int argc, char** argv, ApproxOptions* approx) {
   return true;
 }
 
-int Query(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr, "usage: nncell_cli query <index> <queries.csv>\n");
-    return 2;
+// `query --trace`: per-stage timelines of the exact single-index pipeline.
+// Traced queries run serially: the per-query buffer-pool deltas in the
+// trace are only exact when queries do not overlap.
+int RunTraced(const NNCellIndex& index, const PointSet& queries) {
+  metrics::Registry::SetEnabled(true);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryTrace trace;
+    auto r = index.Query(queries[i], &trace);
+    if (!r.ok()) {
+      std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
+      continue;
+    }
+    std::printf("query %zu: nn id=%llu dist=%.6f candidates=%zu\n", i,
+                static_cast<unsigned long long>(r->id), r->dist,
+                r->candidates);
+    std::printf("trace %zu: %s\n", i, trace.ToJson().c_str());
   }
-  auto opened = OpenAnyIndex(argv[2]);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+  return 0;
+}
+// Per-stage timelines are a single-index diagnostic; a sharded query is a
+// merge of several of them. Point the operator at the shards.
+int RunTraced(const ShardedIndex&, const PointSet&) {
+  std::fprintf(stderr,
+               "--trace is not supported on a sharded index; trace a "
+               "single shard directory instead (docs/SHARDING.md)\n");
+  return 2;
+}
+
+// `query` on either index kind: one body for both (the sharded index
+// answers bit-identically to the plain one; docs/SHARDING.md).
+template <typename Index>
+int RunQuery(Index& index, int argc, char** argv) {
+  auto csv = ReadCsv(argv[3]);
+  if (!csv.ok()) {
+    std::fprintf(stderr, "%s\n", csv.status().ToString().c_str());
     return 1;
   }
-  const size_t index_dim =
-      opened->sharded ? opened->sharded->dim() : opened->index->dim();
-  auto queries = ReadCsv(argv[3]);
-  if (!queries.ok()) {
-    std::fprintf(stderr, "%s\n", queries.status().ToString().c_str());
-    return 1;
-  }
-  if (queries->dim() != index_dim) {
-    std::fprintf(stderr, "query dim %zu != index dim %zu\n", queries->dim(),
-                 index_dim);
+  const PointSet& queries = *csv;
+  if (queries.dim() != index.dim()) {
+    std::fprintf(stderr, "query dim %zu != index dim %zu\n", queries.dim(),
+                 index.dim());
     return 1;
   }
   size_t k = 1;
@@ -423,11 +403,7 @@ int Query(int argc, char** argv) {
   size_t threads = 1;
   if (const char* t = FlagValue(argc, argv, "--threads")) {
     threads = std::strtoul(t, nullptr, 10);
-    if (opened->sharded) {
-      opened->sharded->SetNumThreads(threads);
-    } else {
-      opened->index->SetNumThreads(threads);
-    }
+    index.SetNumThreads(threads);
   }
   ApproxOptions approx;
   if (!ParseApproxFlags(argc, argv, &approx)) return 2;
@@ -439,37 +415,60 @@ int Query(int argc, char** argv) {
                  "--trace cannot be combined with --epsilon/--max-visits\n");
     return 2;
   }
-  if (trace_mode && k == 1) {
-    if (opened->sharded) {
-      // Per-stage timelines are a single-index diagnostic; a sharded query
-      // is a merge of several of them. Point the operator at the shards.
-      std::fprintf(stderr,
-                   "--trace is not supported on a sharded index; trace a "
-                   "single shard directory instead (docs/SHARDING.md)\n");
-      return 2;
+  if (trace_mode && k == 1) return RunTraced(index, queries);
+  if (k == 1 && (threads == 0 || threads > 1)) {
+    // Batched answer path: results are identical to the serial loop below,
+    // computed by concurrent readers.
+    auto results = index.QueryBatch(queries, approx);
+    if (!results.ok()) {
+      std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
+      return 1;
     }
-    // Traced queries run serially: the per-query buffer-pool deltas in the
-    // trace are only exact when queries do not overlap.
-    metrics::Registry::SetEnabled(true);
-    auto& index = opened->index;
-    for (size_t i = 0; i < queries->size(); ++i) {
-      QueryTrace trace;
-      auto r = index->Query((*queries)[i], &trace);
+    for (size_t i = 0; i < results->size(); ++i) {
+      PrintNnLine(i, (*results)[i], approx);
+    }
+    return 0;
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (k == 1) {
+      auto r = index.Query(queries[i], approx);
       if (!r.ok()) {
         std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
         continue;
       }
-      std::printf("query %zu: nn id=%llu dist=%.6f candidates=%zu\n", i,
-                  static_cast<unsigned long long>(r->id), r->dist,
-                  r->candidates);
-      std::printf("trace %zu: %s\n", i, trace.ToJson().c_str());
+      PrintNnLine(i, *r, approx);
+    } else {
+      auto r = index.KnnQuery(queries[i], k, approx);
+      if (!r.ok()) {
+        std::printf("query %zu: error %s\n", i, r.status().ToString().c_str());
+        continue;
+      }
+      std::printf("query %zu:", i);
+      for (const auto& hit : *r) {
+        std::printf(" (%llu, %.6f)", static_cast<unsigned long long>(hit.id),
+                    hit.dist);
+      }
+      if (approx.enabled() && !r->empty()) {
+        const auto& cert = r->front().approx;
+        std::printf(" approx=%d visits=%llu bound=%.6f",
+                    cert.approximate ? 1 : 0,
+                    static_cast<unsigned long long>(cert.leaf_visits),
+                    cert.bound);
+      }
+      std::printf("\n");
     }
-    return 0;
   }
-  if (opened->sharded) {
-    return RunQueries(*opened->sharded, *queries, k, threads, approx);
+  return 0;
+}
+
+int Query(int argc, char** argv) {
+  if (argc < 4) {
+    std::fprintf(stderr, "usage: nncell_cli query <index> <queries.csv>\n");
+    return 2;
   }
-  return RunQueries(*opened->index, *queries, k, threads, approx);
+  return WithAnyIndex(argv[2], [&](auto& index) {
+    return RunQuery(index, argc, argv);
+  });
 }
 
 // LP-effort probe for the stats workload: the sharded index has no
@@ -479,12 +478,30 @@ void ProbeLpEffort(NNCellIndex& index, size_t lp_sample, uint64_t seed) {
 }
 void ProbeLpEffort(ShardedIndex&, size_t, uint64_t) {}
 
-// Stats over either index kind; `sharded` is null for a plain index, and
-// its presence only *adds* output (the unsharded text and JSON stay
-// byte-identical to what they were before sharding existed).
+// The per-shard lines of the text stats; a plain index has none.
+void PrintShardLines(const NNCellIndex&) {}
+void PrintShardLines(const ShardedIndex& sharded) {
+  ShardedIndex::ShardStats s = sharded.Stats();
+  std::printf("shards:             %zu (epoch %llu, route dim %u, "
+              "%zu degraded)\n",
+              sharded.num_shards(), static_cast<unsigned long long>(s.epoch),
+              s.route_dim, sharded.degraded_shards());
+  for (size_t i = 0; i < s.live.size(); ++i) {
+    std::printf("  shard %-2zu          %llu live / %llu total, "
+                "%llu probes%s\n",
+                i, static_cast<unsigned long long>(s.live[i]),
+                static_cast<unsigned long long>(s.total[i]),
+                static_cast<unsigned long long>(s.probes[i]),
+                s.healthy[i] ? "" : " [DEGRADED]");
+  }
+}
+
+// Stats over either index kind. The sharded index only *adds* output (the
+// shard lines, and the "shard" JSON object from ShardStatsJson exactly as
+// the server builds it), so the unsharded text and JSON stay
+// byte-identical to what they were before sharding existed.
 template <typename Index>
-int RunStats(Index& index, const ShardedIndex* sharded, int argc,
-             char** argv) {
+int RunStats(Index& index, int argc, char** argv) {
   auto info = index.TreeInfo();
   if (!HasFlag(argc, argv, "--json")) {
     std::printf("points:             %zu (dim %zu)\n", index.size(),
@@ -500,22 +517,7 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
     std::printf("validation:         %s\n",
                 index.ValidateTree().empty() ? "OK"
                                              : index.ValidateTree().c_str());
-    if (sharded != nullptr) {
-      ShardedIndex::ShardStats s = sharded->Stats();
-      std::printf("shards:             %zu (epoch %llu, route dim %u, "
-                  "%zu degraded)\n",
-                  sharded->num_shards(),
-                  static_cast<unsigned long long>(s.epoch), s.route_dim,
-                  sharded->degraded_shards());
-      for (size_t i = 0; i < s.live.size(); ++i) {
-        std::printf("  shard %-2zu          %llu live / %llu total, "
-                    "%llu probes%s\n",
-                    i, static_cast<unsigned long long>(s.live[i]),
-                    static_cast<unsigned long long>(s.total[i]),
-                    static_cast<unsigned long long>(s.probes[i]),
-                    s.healthy[i] ? "" : " [DEGRADED]");
-      }
-    }
+    PrintShardLines(index);
     std::printf("(run with --json for the full metrics snapshot)\n");
     return 0;
   }
@@ -550,7 +552,7 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
   uint64_t approx_leaf_visits = 0;
   for (size_t t = 0; t < probe_queries; ++t) {
     for (auto& v : q) v = rng.NextDouble();
-    auto r = approx.enabled() ? index.Query(q, approx) : index.Query(q);
+    auto r = index.Query(q.data(), approx);
     if (!r.ok()) {
       std::fprintf(stderr, "probe query failed: %s\n",
                    r.status().ToString().c_str());
@@ -603,9 +605,10 @@ int RunStats(Index& index, const ShardedIndex* sharded, int argc,
   } else {
     out += ",\"approx\":{\"enabled\":0}";
   }
-  if (sharded != nullptr) {
+  const std::string shard = index.ShardStatsJson();
+  if (!shard.empty()) {
     out += ",\"shard\":";
-    out += sharded->StatsJson();
+    out += shard;
   }
   out += ",\"metrics\":";
   out += registry.SnapshotJson();
@@ -618,18 +621,13 @@ int Stats(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: nncell_cli stats <index> [--json]"
-                 " [--probe-queries=N] [--lp-sample=N] [--seed=S]\n");
+                 " [--probe-queries=N] [--lp-sample=N] [--seed=S]"
+                 " [--epsilon=E] [--max-visits=N]\n");
     return 2;
   }
-  auto opened = OpenAnyIndex(argv[2]);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    return 1;
-  }
-  if (opened->sharded) {
-    return RunStats(*opened->sharded, opened->sharded.get(), argc, argv);
-  }
-  return RunStats(*opened->index, nullptr, argc, argv);
+  return WithAnyIndex(argv[2], [&](auto& index) {
+    return RunStats(index, argc, argv);
+  });
 }
 
 int Checkpoint(int argc, char** argv) {
@@ -822,9 +820,10 @@ int main(int argc, char** argv) {
                  " [--decompose=K] [--xtree=0|1] [--threads=N] [--durable]"
                  " [--shards=K]\n"
                  "  query <index.nncell|dir> <queries.csv> [--k=N]"
-                 " [--threads=N] [--trace]\n"
+                 " [--threads=N] [--trace] [--epsilon=E] [--max-visits=N]\n"
                  "  stats <index.nncell|dir> [--json] [--probe-queries=N]"
-                 " [--lp-sample=N] [--seed=S]\n"
+                 " [--lp-sample=N] [--seed=S] [--epsilon=E]"
+                 " [--max-visits=N]\n"
                  "  checkpoint <dir>\n"
                  "  recover <dir> [--dim=N]\n"
                  "  rebalance <dir>\n");

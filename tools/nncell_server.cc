@@ -23,8 +23,11 @@
 #include <signal.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "nncell/nncell_index.h"
@@ -47,60 +50,25 @@ const char* FlagValue(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
-// server::IndexBackend over a plain NNCellIndex (the daemon always talks
-// to the server through a backend so the two index kinds share one code
-// path below).
-class PlainBackend : public server::IndexBackend {
- public:
-  explicit PlainBackend(NNCellIndex* index) : index_(index) {}
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
+// Parses a strictly positive decimal integer; false on anything else.
+bool ParsePositive(const char* v, size_t* out) {
+  if (*v == '\0' || std::strspn(v, "0123456789") != std::strlen(v)) {
+    return false;
   }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-
- private:
-  NNCellIndex* const index_;
-};
-
-// server::IndexBackend over a ShardedIndex: scatter-gather queries,
-// routed writes, checkpoint across every shard, and the STATS_JSON
-// "shard" object.
-class ShardedBackend : public server::IndexBackend {
- public:
-  explicit ShardedBackend(ShardedIndex* index) : index_(index) {}
-  size_t dim() const override { return index_->dim(); }
-  bool durable() const override { return index_->durable(); }
-  StatusOr<std::vector<NNCellIndex::QueryResult>> QueryBatch(
-      const PointSet& queries, const ApproxOptions& approx) const override {
-    return index_->QueryBatch(queries, approx);
-  }
-  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
-    return index_->Insert(point);
-  }
-  Status Delete(uint64_t id) override { return index_->Delete(id); }
-  Status Checkpoint() override { return index_->Checkpoint(); }
-  std::string ShardStatsJson() const override { return index_->StatsJson(); }
-
- private:
-  ShardedIndex* const index_;
-};
+  *out = std::strtoull(v, nullptr, 10);
+  return *out > 0;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* const usage =
+      "usage: nncell_server <index-dir> --socket=PATH"
+      " [--tcp-port=N] [--dim=N] [--threads=N]"
+      " [--max-queue=N] [--max-batch=N] [--metrics=0|1]"
+      " [--shards=K]\n";
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: nncell_server <index-dir> --socket=PATH"
-                 " [--tcp-port=N] [--dim=N] [--threads=N]"
-                 " [--max-queue=N] [--max-batch=N] [--metrics=0|1]"
-                 " [--shards=K]\n");
+    std::fprintf(stderr, "%s", usage);
     return 2;
   }
   const std::string dir = argv[1];
@@ -109,11 +77,17 @@ int main(int argc, char** argv) {
   if (const char* v = FlagValue(argc, argv, "--tcp-port")) {
     sopt.tcp_port = std::atoi(v);
   }
-  if (const char* v = FlagValue(argc, argv, "--max-queue")) {
-    sopt.max_queue = std::strtoul(v, nullptr, 10);
-  }
-  if (const char* v = FlagValue(argc, argv, "--max-batch")) {
-    sopt.max_batch = std::strtoul(v, nullptr, 10);
+  // Both limits are validated before anything is opened or created: the
+  // server requires them positive, and a typo must not leave a fresh
+  // index directory behind.
+  for (auto [flag, field] : {std::pair{"--max-queue", &sopt.max_queue},
+                             std::pair{"--max-batch", &sopt.max_batch}}) {
+    const char* v = FlagValue(argc, argv, flag);
+    if (v != nullptr && !ParsePositive(v, field)) {
+      std::fprintf(stderr, "nncell_server: %s must be a positive integer\n%s",
+                   flag, usage);
+      return 2;
+    }
   }
   size_t dim = 0;
   if (const char* v = FlagValue(argc, argv, "--dim")) {
@@ -155,15 +129,15 @@ int main(int argc, char** argv) {
   }
 
   // A shard.manifest in the directory (or an explicit --shards when
-  // creating fresh) selects the sharded backend; either way the wire
+  // creating fresh) selects the sharded index; either way the wire
   // protocol and drain behavior are identical.
   const bool sharded =
       shards > 0 ||
       fs::PathExists(shard::JoinPath(dir, shard::kShardManifestFileName));
 
-  std::unique_ptr<NNCellIndex> plain_index;
-  std::unique_ptr<ShardedIndex> sharded_index;
-  std::unique_ptr<server::IndexBackend> backend;
+  std::unique_ptr<server::IndexBackend> index;
+  size_t recovered_points = 0;
+  size_t num_shards = 0;
   uint64_t wal_replayed = 0;
   if (sharded) {
     ShardedOptions shopt;
@@ -176,21 +150,22 @@ int main(int argc, char** argv) {
                    idx.status().ToString().c_str());
       return 1;
     }
-    sharded_index = std::move(*idx);
-    if (sharded_index->degraded()) {
+    if ((*idx)->degraded()) {
       // Serving would silently answer from a subset of the data; make the
       // operator run the recovery runbook (docs/SHARDING.md) instead.
       std::fprintf(stderr,
                    "nncell_server: %zu of %zu shards failed to open; "
                    "run `nncell_cli recover %s` and restore the damaged "
                    "shard(s) before serving\n",
-                   sharded_index->degraded_shards(),
-                   sharded_index->num_shards(), dir.c_str());
+                   (*idx)->degraded_shards(), (*idx)->num_shards(),
+                   dir.c_str());
       return 1;
     }
     wal_replayed = info.router_records_replayed;
-    if (threads != 1) sharded_index->SetNumThreads(threads);
-    backend = std::make_unique<ShardedBackend>(sharded_index.get());
+    if (threads != 1) (*idx)->SetNumThreads(threads);
+    recovered_points = (*idx)->size();
+    num_shards = (*idx)->num_shards();
+    index = std::move(*idx);
   } else {
     NNCellIndex::RecoveryInfo info;
     auto idx = NNCellIndex::Open(dir, dim, NNCellOptions(),
@@ -200,21 +175,17 @@ int main(int argc, char** argv) {
                    idx.status().ToString().c_str());
       return 1;
     }
-    plain_index = std::move(*idx);
     wal_replayed = info.wal_records_replayed;
-    if (threads != 1) plain_index->SetNumThreads(threads);
-    backend = std::make_unique<PlainBackend>(plain_index.get());
+    if (threads != 1) (*idx)->SetNumThreads(threads);
+    recovered_points = (*idx)->size();
+    index = std::move(*idx);
   }
   metrics::Registry::SetEnabled(metrics_on);
 
-  // Snapshot recovered state before Start(): once the dispatcher runs,
-  // the index belongs to it and main must not touch it until Stop().
-  const size_t recovered_points =
-      sharded ? sharded_index->size() : plain_index->size();
-  const size_t recovered_dim =
-      sharded ? sharded_index->dim() : plain_index->dim();
-
-  server::NNCellServer srv(backend.get(), sopt);
+  // Recovered state is read before Start(): once the dispatcher runs, the
+  // index belongs to it and main must not touch it until Stop().
+  const size_t recovered_dim = index->dim();
+  server::NNCellServer srv(index.get(), sopt);
   Status st = srv.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "nncell_server: start failed: %s\n",
@@ -224,8 +195,7 @@ int main(int argc, char** argv) {
   std::printf(
       "READY dir=%s points=%zu dim=%zu shards=%zu wal_replayed=%llu "
       "socket=%s tcp_port=%d\n",
-      dir.c_str(), recovered_points, recovered_dim,
-      sharded ? sharded_index->num_shards() : size_t{0},
+      dir.c_str(), recovered_points, recovered_dim, num_shards,
       static_cast<unsigned long long>(wal_replayed),
       sopt.socket_path.empty() ? "-" : sopt.socket_path.c_str(),
       sopt.tcp_port);
