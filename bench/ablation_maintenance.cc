@@ -24,7 +24,10 @@ void Run(const BenchConfig& config) {
   std::printf(
       "Ablation: dynamic maintenance modes, d=%zu, N=%zu uniform points\n\n",
       dim, n);
-  Table table({"mode", "build[s]", "recomputed", "overlap", "query[ms]"});
+  // recomputed = cells whose LPs were re-solved; rewritten = those whose
+  // approximation changed and was written back to the cell tree.
+  Table table({"mode", "build[s]", "recomputed", "rewritten", "overlap",
+               "query[ms]"});
   struct Case {
     MaintenanceMode mode;
     const char* name;
@@ -54,6 +57,7 @@ void Run(const BenchConfig& config) {
     QueryCost cost = MeasureNNCellQueries(setup, queries, config);
     table.AddRow({c.name, Table::Num(setup.build_seconds, 2),
                   Table::Int(setup.index->build_stats().cells_recomputed),
+                  Table::Int(setup.index->build_stats().cells_rewritten),
                   Table::Num(setup.index->ExpectedCandidates(), 2),
                   Table::Num(cost.total_ms, 2)});
   }

@@ -55,6 +55,10 @@ inline constexpr char kIndexNodeVisits[] = "index.tree.node_visits";
 inline constexpr char kIndexLeafVisits[] = "index.tree.leaf_visits";
 inline constexpr char kIndexNodeSplits[] = "index.tree.node_splits";
 inline constexpr char kIndexSupernodeEvents[] = "index.tree.supernode_events";
+inline constexpr char kIndexCellsRecomputed[] =
+    "index.maintenance.cells_recomputed";
+inline constexpr char kIndexCellsRewritten[] =
+    "index.maintenance.cells_rewritten";
 
 // --- lp (cell-approximation build pipeline) ------------------------------
 inline constexpr char kLpRuns[] = "lp.solver.runs";
@@ -161,6 +165,10 @@ inline constexpr MetricDef kMetricDefs[] = {
      "node splits executed on the insert path"},
     {kIndexSupernodeEvents, Kind::kCounter, "events",
      "X-tree supernode-growth decisions (split avoided)"},
+    {kIndexCellsRecomputed, Kind::kCounter, "cells",
+     "cell approximations recomputed by Insert/Delete maintenance"},
+    {kIndexCellsRewritten, Kind::kCounter, "cells",
+     "recomputed cells whose approximation changed (rewritten in the tree)"},
     {kLpRuns, Kind::kCounter, "solves",
      "LP face solves attempted (2d per cell minus certified skips)"},
     {kLpIterations, Kind::kCounter, "iterations",

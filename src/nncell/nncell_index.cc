@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 
@@ -72,6 +73,37 @@ struct ApproxQueryMetrics {
           metrics::kApproxLeafVisitsPerQuery),
   };
   return m;
+}
+
+// Registry handles for dynamic maintenance.
+struct MaintenanceMetrics {
+  metrics::Counter* cells_recomputed;
+  metrics::Counter* cells_rewritten;
+};
+
+[[maybe_unused]] const MaintenanceMetrics& MaintMetrics() {
+  static const MaintenanceMetrics m = {
+      metrics::Registry::Global().counter(metrics::kIndexCellsRecomputed),
+      metrics::Registry::Global().counter(metrics::kIndexCellsRewritten),
+  };
+  return m;
+}
+
+// Bit-for-bit equality of two cell approximations. HyperRect::operator==
+// compares doubles, under which -0.0 == +0.0: keeping an old rectangle on
+// that test would leave a different sign bit than rewriting it.
+bool SameBits(const std::vector<HyperRect>& a,
+              const std::vector<HyperRect>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const size_t bytes = a[i].dim() * sizeof(double);
+    if (a[i].dim() != b[i].dim() ||
+        std::memcmp(a[i].lo().data(), b[i].lo().data(), bytes) != 0 ||
+        std::memcmp(a[i].hi().data(), b[i].hi().data(), bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -155,9 +187,8 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
       // "All points of which the rectangle in the index contains the
       // point": every point stored on a leaf page of the point index whose
       // page region contains `point`.
-      auto matches = point_tree_->LeafPageQuery(point);
-      for (const auto& m : matches) {
-        if (m.id != self) candidates.push_back(points_[m.id]);
+      for (uint64_t id : point_tree_->LeafPageQuery(point)) {
+        if (id != self) candidates.push_back(points_[id]);
       }
       break;
     }
@@ -168,15 +199,14 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
       // the sphere, which caps the LP constraint count at the expected
       // ~2^d near neighbors instead of everything sharing a page region.
       double r = SphereRadius();
-      auto matches = point_tree_->LeafPageSphereQuery(point, r);
       const double r_sq = r * r;
-      for (const auto& m : matches) {
-        if (m.id == self) continue;
+      for (uint64_t id : point_tree_->LeafPageSphereQuery(point, r)) {
+        if (id == self) continue;
         if (options_.sphere_point_filter &&
-            L2DistSq(points_[m.id], point, dim_) > r_sq) {
+            L2DistSq(points_[id], point, dim_) > r_sq) {
           continue;
         }
-        candidates.push_back(points_[m.id]);
+        candidates.push_back(points_[id]);
       }
       break;
     }
@@ -334,10 +364,7 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   cell_rects_[id] = std::move(rects);
 
   // 3. Maintenance: shrink the affected approximations.
-  for (uint64_t aff : affected) {
-    RecomputeCell(aff);
-    ++build_stats_.cells_recomputed;
-  }
+  for (uint64_t aff : affected) RecomputeCell(aff);
   return id;
 }
 
@@ -380,10 +407,7 @@ Status NNCellIndex::Delete(uint64_t id) {
   --live_count_;
   ++build_stats_.deletions;
 
-  for (uint64_t aff : affected) {
-    RecomputeCell(aff);
-    ++build_stats_.cells_recomputed;
-  }
+  for (uint64_t aff : affected) RecomputeCell(aff);
   return Status::OK();
 }
 
@@ -490,12 +514,19 @@ bool NNCellIndex::CellAffectedBy(uint64_t id, const double* p) const {
 }
 
 void NNCellIndex::RecomputeCell(uint64_t id) {
+  std::vector<HyperRect> rects =
+      ComputeCellRects(points_[id], id, &build_stats_.approx);
+  ++build_stats_.cells_recomputed;
+  NNCELL_METRIC_COUNT(MaintMetrics().cells_recomputed, 1);
+  // Most recomputed cells come out unchanged (only the new or deleted
+  // point's Voronoi neighbors really move); leave their tree entries be.
+  if (SameBits(rects, cell_rects_[id])) return;
   for (const HyperRect& rect : cell_rects_[id]) {
     bool removed = tree_->Delete(rect, id);
     NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
   }
-  std::vector<HyperRect> rects =
-      ComputeCellRects(points_[id], id, &build_stats_.approx);
+  ++build_stats_.cells_rewritten;
+  NNCELL_METRIC_COUNT(MaintMetrics().cells_rewritten, 1);
   for (const HyperRect& rect : rects) {
     tree_->Insert(rect, id, points_[id]);
     ++build_stats_.entries_inserted;

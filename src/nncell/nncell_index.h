@@ -102,6 +102,7 @@ struct NNCellOptions {
 struct NNCellBuildStats {
   ApproxStats approx;
   size_t cells_recomputed = 0;  // dynamic-maintenance recomputations
+  size_t cells_rewritten = 0;   // recomputations that changed the cell
   size_t entries_inserted = 0;  // tree entries written (incl. decomposition)
   size_t deletions = 0;
 };
@@ -327,7 +328,8 @@ class NNCellIndex final : public IndexBackend {
   std::vector<HyperRect> ComputeCellRects(const double* owner, uint64_t self,
                                           ApproxStats* stats) const;
 
-  // Replaces the indexed rectangles of `id` with freshly computed ones.
+  // Recomputes the approximation of `id` and, unless it is bit-identical
+  // to the current one, replaces the indexed rectangles with it.
   void RecomputeCell(uint64_t id);
 
   // True when the cell of `id` can shrink due to the new point `p`.

@@ -369,50 +369,46 @@ void RTreeCore::CollectMatches(PageId pid, const HyperRect& range,
   }
 }
 
-std::vector<RTreeCore::Match> RTreeCore::LeafPageQuery(const double* q) const {
-  std::vector<Match> out;
-  CollectLeafPages(root_, q, 0.0, &out);
+std::vector<uint64_t> RTreeCore::LeafPageQuery(const double* q) const {
+  std::vector<uint64_t> out;
+  CollectLeafPages(q, 0.0, &out);
   return out;
 }
 
-std::vector<RTreeCore::Match> RTreeCore::LeafPageSphereQuery(
-    const double* q, double radius) const {
-  std::vector<Match> out;
-  CollectLeafPages(root_, q, radius * radius, &out);
+std::vector<uint64_t> RTreeCore::LeafPageSphereQuery(const double* q,
+                                                     double radius) const {
+  std::vector<uint64_t> out;
+  CollectLeafPages(q, radius * radius, &out);
   return out;
 }
 
-void RTreeCore::CollectLeafPages(PageId pid, const double* q, double radius_sq,
-                                 std::vector<Match>* out) const {
+void RTreeCore::CollectLeafPages(const double* q, double radius_sq,
+                                 std::vector<uint64_t>* out) const {
   const size_t d = options_.dim;
-  const size_t aux = options_.aux_per_entry;
-  std::vector<PageId> stack = {pid};
+  std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
     PageId cur = stack.back();
     stack.pop_back();
-    HyperRect root_mbr = HyperRect::Empty(d);
+    // A root leaf has no parent region; accumulate its MBR to test it.
+    const bool at_root = cur == root_;
+    HyperRect root_mbr;
+    if (at_root) root_mbr = HyperRect::Empty(d);
     bool is_leaf = store_.VisitNode(cur, [&](const EntryView& e,
                                              bool leaf) {
       if (leaf) {
-        if (cur == root_) {
-          // Root leaf has no parent region; accumulate its MBR to test it.
+        if (at_root) {
           root_mbr.ExpandToPoint(e.lo);
           root_mbr.ExpandToPoint(e.hi);
         }
         // The parent region qualified: take everything on this page.
-        Match m;
-        m.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
-                           std::vector<double>(e.hi, e.hi + d));
-        m.id = e.id;
-        if (e.aux != nullptr) m.aux.assign(e.aux, e.aux + aux);
-        out->push_back(std::move(m));
+        out->push_back(e.id);
       } else if (RawMinDistSq(e.lo, e.hi, q, d) <= radius_sq) {
         stack.push_back(static_cast<PageId>(e.id));
       }
     });
     NNCELL_METRIC_COUNT(Metrics().node_visits, 1);
     if (is_leaf) NNCELL_METRIC_COUNT(Metrics().leaf_visits, 1);
-    if (is_leaf && cur == root_ && !root_mbr.IsEmpty() &&
+    if (is_leaf && at_root && !root_mbr.IsEmpty() &&
         root_mbr.MinDistSq(q) > radius_sq) {
       out->clear();  // the sole (root) page does not qualify after all
     }

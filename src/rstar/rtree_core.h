@@ -79,12 +79,12 @@ class RTreeCore {
   std::vector<Match> RangeQuery(const HyperRect& range) const;
 
   // Page-granular queries used by the paper's Point/Sphere candidate
-  // selection: return ALL entries of every leaf node whose page region
-  // contains q (LeafPageQuery) or lies within `radius` of q
-  // (LeafPageSphereQuery).
-  std::vector<Match> LeafPageQuery(const double* q) const;
-  std::vector<Match> LeafPageSphereQuery(const double* q,
-                                         double radius) const;
+  // selection: return the ids of ALL entries of every leaf node whose page
+  // region contains q (LeafPageQuery) or lies within `radius` of q
+  // (LeafPageSphereQuery), in depth-first traversal order.
+  std::vector<uint64_t> LeafPageQuery(const double* q) const;
+  std::vector<uint64_t> LeafPageSphereQuery(const double* q,
+                                            double radius) const;
 
   // k nearest entry rectangles to q by MINDIST (exact NN for point data).
   // Best-first search [HS 95]: optimal in page accesses.
@@ -198,8 +198,8 @@ class RTreeCore {
   void CollectMatches(PageId pid, const HyperRect& range, bool containment,
                       const double* q, std::vector<Match>* out) const;
 
-  void CollectLeafPages(PageId pid, const double* q, double radius_sq,
-                        std::vector<Match>* out) const;
+  void CollectLeafPages(const double* q, double radius_sq,
+                        std::vector<uint64_t>* out) const;
 
   void BranchAndBoundRec(PageId pid, const double* q, double* best_dist_sq,
                          KnnResult* best) const;

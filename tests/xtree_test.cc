@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -260,6 +262,113 @@ TEST(XTreeTest, FewerPageAccessesThanRStarOnHighDimRects) {
     ASSERT_EQ(ra, xa);
   }
   EXPECT_LE(x_reads, r_reads);
+}
+
+// An X-tree that lists the ids stored on each of its leaf pages, so the
+// page granularity of the leaf-page queries can be checked from outside.
+class LeafListingXTree : public XTree {
+ public:
+  using XTree::XTree;
+
+  std::vector<std::vector<uint64_t>> LeafPages() const {
+    std::vector<std::vector<uint64_t>> pages;
+    std::vector<PageId> stack = {SaveState().root};
+    while (!stack.empty()) {
+      PageId pid = stack.back();
+      stack.pop_back();
+      std::vector<uint64_t> ids;
+      bool leaf =
+          store().VisitNode(pid, [&](const EntryView& e, bool is_leaf) {
+            if (is_leaf) {
+              ids.push_back(e.id);
+            } else {
+              stack.push_back(static_cast<PageId>(e.id));
+            }
+          });
+      if (leaf) pages.push_back(std::move(ids));
+    }
+    return pages;
+  }
+};
+
+struct LeafPageFixture {
+  LeafPageFixture(size_t dim, size_t n) : file(1024), pool(&file, 1024) {
+    TreeOptions opts;
+    opts.dim = dim;
+    tree = std::make_unique<LeafListingXTree>(&pool, opts);
+    Rng rng(dim * 7 + n);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> p(dim);
+      for (auto& v : p) v = rng.NextDouble();
+      pts.push_back(p);
+      tree->Insert(PointRect(p), i);
+    }
+  }
+  PageFile file;
+  BufferPool pool;
+  std::unique_ptr<LeafListingXTree> tree;
+  std::vector<std::vector<double>> pts;
+};
+
+bool HasDuplicates(std::vector<uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return std::adjacent_find(ids.begin(), ids.end()) != ids.end();
+}
+
+TEST(LeafPageQueryTest, SphereQueryCoversBallWithoutDuplicates) {
+  const size_t dim = 4;
+  LeafPageFixture fx(dim, 1500);
+  ASSERT_GT(fx.tree->height(), 2u);
+  Rng rng(5);
+  for (double radius : {0.0, 0.05, 0.15, 0.4}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> q(dim);
+      for (auto& v : q) v = rng.NextDouble();
+      std::vector<uint64_t> got =
+          fx.tree->LeafPageSphereQuery(q.data(), radius);
+      EXPECT_FALSE(HasDuplicates(got)) << "radius " << radius;
+      std::set<uint64_t> got_set(got.begin(), got.end());
+      for (uint64_t i = 0; i < fx.pts.size(); ++i) {
+        if (L2DistSq(fx.pts[i].data(), q.data(), dim) <= radius * radius) {
+          EXPECT_TRUE(got_set.count(i)) << "in-sphere id " << i << " missing";
+        }
+      }
+    }
+  }
+}
+
+TEST(LeafPageQueryTest, PointQueryReturnsWholePageHoldingQ) {
+  const size_t dim = 4;
+  LeafPageFixture fx(dim, 1500);
+  const std::vector<std::vector<uint64_t>> pages = fx.tree->LeafPages();
+  ASSERT_GT(pages.size(), 10u);
+  // Probe at stored points: the page holding the point contains it, so
+  // the whole page must come back.
+  for (size_t p = 0; p < pages.size(); p += 7) {
+    const uint64_t probe = pages[p].front();
+    std::vector<uint64_t> got = fx.tree->LeafPageQuery(fx.pts[probe].data());
+    EXPECT_FALSE(HasDuplicates(got));
+    std::set<uint64_t> got_set(got.begin(), got.end());
+    for (uint64_t id : pages[p]) {
+      EXPECT_TRUE(got_set.count(id)) << "page " << p << " id " << id;
+    }
+  }
+}
+
+TEST(LeafPageQueryTest, RootLeafPageQualifiesByItsMbr) {
+  const size_t dim = 2;
+  XFixture fx(dim);
+  for (uint64_t i = 0; i < 5; ++i) {
+    double x = 0.2 + 0.02 * static_cast<double>(i);
+    fx.tree->Insert(PointRect({x, x}), i);
+  }
+  ASSERT_EQ(fx.tree->height(), 1u);
+  const double far[2] = {0.9, 0.9};
+  EXPECT_TRUE(fx.tree->LeafPageSphereQuery(far, 0.1).empty());
+  EXPECT_TRUE(fx.tree->LeafPageQuery(far).empty());
+  EXPECT_EQ(fx.tree->LeafPageSphereQuery(far, 1.0).size(), 5u);
+  const double inside[2] = {0.25, 0.21};  // inside the MBR, on no point
+  EXPECT_EQ(fx.tree->LeafPageQuery(inside).size(), 5u);
 }
 
 }  // namespace
