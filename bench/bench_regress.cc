@@ -2,7 +2,7 @@
 // pre-PR solver configuration ("baseline": cold face solves over the
 // unpruned constraint system) against the optimized pipeline ("optimized":
 // bisector pre-pruning + ray-shoot warm starts). Emits one JSON document
-// with wall-clock and the deterministic LP counters; tools/bench_regress.sh
+// with wall-clock and the deterministic LP counters; `tools/bench_gate.py lp`
 // gates pull requests on the committed BENCH_lp.json baseline.
 //
 // The counters (lp_runs, lp_iterations, constraint_rows, pruned_rows and

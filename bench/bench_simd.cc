@@ -2,7 +2,7 @@
 // store and the LP panel kernels, scalar table vs the dispatched table.
 // Emits one JSON document with wall-clock, the active dispatch level, and
 // deterministic counters (distance evaluations + a bit-fold checksum of
-// every computed double); tools/bench_simd.sh gates pull requests on the
+// every computed double); `tools/bench_gate.py simd` gates pull requests on the
 // committed BENCH_simd.json baseline.
 //
 // The checksum and eval counts are a pure function of dim/n/seed and the

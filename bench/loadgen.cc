@@ -27,7 +27,7 @@
 // Determinism: with --connections=1 the request stream and every response
 // are a pure function of the flags, and `checksum` (a hash over the
 // integer fields of query responses: result id and candidate count) is
-// byte-stable across runs -- tools/bench_serve.sh gates on it. Floating
+// byte-stable across runs -- `tools/bench_gate.py serve` gates on it. Floating
 // point fields deliberately stay out of the checksum.
 //
 // Approximate tier (docs/APPROXIMATE.md): --epsilon / --max-visits send
@@ -82,7 +82,7 @@ struct Config {
   // Shard count of the server under test. Sharding is entirely server-side
   // (the wire protocol is identical); this is recorded in the output's
   // config object so sharded bench runs are self-describing
-  // (tools/bench_shard.sh sweeps it).
+  // (`tools/bench_gate.py shard` sweeps it).
   size_t shards = 0;
   // Approximate-tier knobs; default-constructed (disabled) keeps the
   // request stream and the output schema byte-identical to the exact tier.
@@ -134,7 +134,7 @@ struct WorkerStats {
   uint64_t checksum = 0;     // integer-field hash of query responses
   // Hash over result ids alone. Candidate counts legitimately differ
   // between shard counts (a scatter-gather query sums the probed shards'
-  // candidate sets), ids never do -- tools/bench_shard.sh gates on this
+  // candidate sets), ids never do -- `tools/bench_gate.py shard` gates on this
   // being identical across its whole K sweep.
   uint64_t id_checksum = 0;
   // Approximate-tier certificate aggregates (only touched when the approx
@@ -512,7 +512,7 @@ int main(int argc, char** argv) {
 
   // The "approx" results object only exists when an approximate-tier or
   // recall flag was given, so default runs emit the pre-existing schema
-  // byte-for-byte (tools/bench_serve.sh diffs against it).
+  // byte-for-byte (`tools/bench_gate.py serve` diffs against it).
   std::string approx_json;
   if (cfg.approx.enabled() || !oracle_points.empty()) {
     char buf[512];

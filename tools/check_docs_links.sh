@@ -18,6 +18,14 @@
 #     protocol.h (wire protocol), KERNELS.md / kernels.h (kernel layout),
 #     SHARDING.md / shard_format.h (sharded-index format), APPROXIMATE.md /
 #     approx.h (approximate-tier defaults).
+#  5. Every backticked repo path (`tools/...`, `bench/...`, `src/...`,
+#     `tests/...`, `docs/...`, `examples/...`) in the documentation must
+#     exist, or name a built binary whose <path>.cc exists. The
+#     documentation is every tracked *.md file below the root plus
+#     README.md, DESIGN.md, EXPERIMENTS.md and ROADMAP.md; the other
+#     root-level files are change history and reference notes about past
+#     or foreign trees. Globs, {a,b} sets, <placeholders> and elisions are
+#     skipped, and a :line suffix is stripped.
 #
 # Usage: check_docs_links.sh [repo-root]
 
@@ -206,10 +214,32 @@ SHARD   docs/SHARDING.md      src/shard/shard_format.h      $fp_header
 APPROX  docs/APPROXIMATE.md   src/common/approx.h           $wire_header $fp_header
 EOF
 
+# --- 5. stale repo paths ---------------------------------------------------
+
+n_paths=0
+for f in $md_files; do
+  case "$f" in
+    */*|README.md|DESIGN.md|EXPERIMENTS.md|ROADMAP.md) ;;
+    *) continue ;;
+  esac
+  while read -r path; do
+    case "$path" in ''|*'*'*|*'{'*|*'<'*|*...*) continue ;; esac
+    path="${path%%:*}"
+    n_paths=$((n_paths + 1))
+    if [ ! -e "$path" ] && [ ! -e "$path.cc" ]; then
+      echo "STALE PATH: $f -> $path"
+      fail=1
+    fi
+  done <<EOF
+$(grep -oE '`(tools|bench|src|tests|docs|examples)/[^` ]*' "$f" | tr -d '`')
+EOF
+done
+
 if [ "$fail" -eq 0 ]; then
   n_links=$(printf '%s\n' "$md_files" | wc -l | tr -d ' ')
   n_names=$(printf '%s\n' "$src_names" | wc -l | tr -d ' ')
-  echo "docs check OK: $n_links markdown files, $n_names metrics," \
+  echo "docs check OK: $n_links markdown files, $n_paths repo paths," \
+       "$n_names metrics," \
        "${n_consts[FORMAT]} format constants," \
        "${n_consts[WIRE]} wire constants," \
        "$n_lint_checks lint checks, ${n_consts[KERNEL]} kernel constants," \
