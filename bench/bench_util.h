@@ -72,7 +72,8 @@ struct QueryCost {
   double distance_calcs = 0.0; // query.nn.distance_computations
 };
 
-// A fully assembled NN-cell index with its own paged storage.
+// A fully assembled NN-cell index with its own paged storage; exact
+// queries are pinned to the cell-probe plan.
 struct NNCellSetup {
   std::unique_ptr<PageFile> file;
   std::unique_ptr<BufferPool> pool;

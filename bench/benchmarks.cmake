@@ -34,6 +34,7 @@ nncell_add_fig(extension_parallel)
 nncell_add_fig(bench_regress)
 nncell_add_fig(bench_recall)
 nncell_add_fig(bench_simd)
+nncell_add_fig(exact_plan_sweep)
 target_link_libraries(model_vs_measured PRIVATE nncell_model)
 
 add_executable(loadgen ${CMAKE_SOURCE_DIR}/bench/loadgen.cc)

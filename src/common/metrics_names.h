@@ -78,6 +78,8 @@ inline constexpr char kQueryDistanceComputations[] =
 inline constexpr char kQueryFallbacks[] = "query.nn.fallbacks";
 inline constexpr char kQueryCandidatesPerQuery[] =
     "query.nn.candidates_per_query";
+inline constexpr char kQueryPlanCellProbe[] = "query.plan.cell_probe";
+inline constexpr char kQueryPlanScan[] = "query.plan.scan";
 
 // --- kernels (dispatched SIMD layer) ---------------------------------------
 inline constexpr char kKernelsDispatch[] = "kernels.dispatch";
@@ -196,6 +198,10 @@ inline constexpr MetricDef kMetricDefs[] = {
      "queries that fell back to a sequential scan (numeric edge)"},
     {kQueryCandidatesPerQuery, Kind::kHistogram, "candidates",
      "distribution of the candidate-set size per NN query"},
+    {kQueryPlanCellProbe, Kind::kCounter, "queries",
+     "exact queries (NN, kNN, range) answered by the cell probe"},
+    {kQueryPlanScan, Kind::kCounter, "queries",
+     "exact queries (NN, kNN, range) answered by the point-table scan"},
     {kKernelsDispatch, Kind::kGauge, "level",
      "active SIMD dispatch level (0 = scalar, 1 = avx2, 2 = neon); "
      "process-constant, restored across ResetAll"},

@@ -76,13 +76,13 @@ Status NNCellIndex::ReplayWalRecord(const std::vector<uint8_t>& payload) {
             " but the index would assign " + std::to_string(points_.size()) +
             " (snapshot and log disagree)");
       }
-      StatusOr<uint64_t> id = Insert(rec.point);
+      StatusOr<uint64_t> id = ApplyInsert(rec.point);
       if (!id.ok()) return id.status();
       NNCELL_CHECK(*id == rec.id);
       return Status::OK();
     }
     case durable::kWalOpDelete:
-      return Delete(rec.id);
+      return ApplyDelete(rec.id);
     default:
       return Status::InvalidArgument("unknown wal record op " +
                                      std::to_string(rec.op));
@@ -171,6 +171,7 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::Open(
     }
     ++ri.wal_records_replayed;
   }
+  index->UpdatePlan();
   NNCELL_METRIC_COUNT(Metrics().replayed, ri.wal_records_replayed);
   NNCELL_METRIC_COUNT(Metrics().skipped, ri.wal_records_skipped);
 

@@ -17,7 +17,9 @@ struct QueryResult {
   uint64_t id = 0;              // index of the nearest neighbor
   double dist = 0.0;            // Euclidean distance
   std::vector<double> point;    // its coordinates
-  size_t candidates = 0;        // candidate cells inspected
+  size_t candidates = 0;        // owners distance-checked: the candidate
+                                // cells under the cell-probe plan, the
+                                // live points under the scan plan
   bool used_fallback = false;   // numeric edge case: fell back to scan
   ApproxCertificate approx;     // default (exact) unless ApproxOptions
                                 // requested the approximate tier
@@ -44,6 +46,12 @@ class IndexBackend {
   // The "shard" object of STATS_JSON, or empty for a plain index (the
   // key is omitted entirely so the unsharded schema is unchanged).
   virtual std::string ShardStatsJson() const { return std::string(); }
+  // The exact-path facts of STATS_JSON's "index" object: the plan exact
+  // queries take ("cell_probe", "scan", or "mixed" across shards; empty
+  // omits the object), live points and ExpectedCandidates().
+  virtual const char* ExactPlanName() const { return ""; }
+  virtual size_t size() const { return 0; }
+  virtual double ExpectedCandidates() const { return 0.0; }
 };
 
 }  // namespace nncell

@@ -41,6 +41,8 @@ struct QueryMetrics {
   metrics::Counter* distance_computations;
   metrics::Counter* fallbacks;
   metrics::Histogram* candidates_per_query;
+  metrics::Counter* plan_cell_probe;
+  metrics::Counter* plan_scan;
 };
 
 [[maybe_unused]] const QueryMetrics& Metrics() {
@@ -50,8 +52,17 @@ struct QueryMetrics {
       metrics::Registry::Global().counter(metrics::kQueryDistanceComputations),
       metrics::Registry::Global().counter(metrics::kQueryFallbacks),
       metrics::Registry::Global().histogram(metrics::kQueryCandidatesPerQuery),
+      metrics::Registry::Global().counter(metrics::kQueryPlanCellProbe),
+      metrics::Registry::Global().counter(metrics::kQueryPlanScan),
   };
   return m;
+}
+
+// One exact query (any kind) answered by `plan`'s executor.
+void CountPlan([[maybe_unused]] ExactPlan plan) {
+  NNCELL_METRIC_COUNT(plan == ExactPlan::kScan ? Metrics().plan_scan
+                                               : Metrics().plan_cell_probe,
+                      1);
 }
 
 // Registry handles for the approximate query tier.
@@ -152,6 +163,7 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
   point_tree_ = std::make_unique<XTree>(point_pool_.get(), point_opts);
 
   SetNumThreads(options_.parallel.num_threads);
+  UpdatePlan();
 }
 
 void NNCellIndex::SetNumThreads(size_t num_threads) {
@@ -317,6 +329,34 @@ StatusOr<uint64_t> NNCellIndex::RegisterPoint(
   return id;
 }
 
+const char* ExactPlanName(ExactPlan plan) {
+  switch (plan) {
+    case ExactPlan::kAuto:
+      return "auto";
+    case ExactPlan::kCellProbe:
+      return "cell_probe";
+    case ExactPlan::kScan:
+      return "scan";
+  }
+  return "?";
+}
+
+void NNCellIndex::SetExactPlan(ExactPlan plan) {
+  forced_plan_ = plan;
+  UpdatePlan();
+}
+
+void NNCellIndex::UpdatePlan() {
+  if (forced_plan_ != ExactPlan::kAuto) {
+    plan_ = forced_plan_;
+    return;
+  }
+  plan_ = ExpectedCandidates() * kScanCoverage >=
+                  static_cast<double>(live_count_)
+              ? ExactPlan::kScan
+              : ExactPlan::kCellProbe;
+}
+
 StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   if (original.size() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
@@ -327,6 +367,13 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   if (wal_ != nullptr) {
     NNCELL_RETURN_IF_ERROR(LogInsert(original));
   }
+  StatusOr<uint64_t> id = ApplyInsert(original);
+  if (id.ok()) UpdatePlan();
+  return id;
+}
+
+StatusOr<uint64_t> NNCellIndex::ApplyInsert(
+    const std::vector<double>& original) {
   std::vector<double> point = ToMetricSpace(original.data());
   // 1. Find the cells the new point will shrink. Stale approximations
   // remain correct supersets of the shrunk cells, so maintenance is a
@@ -373,7 +420,13 @@ Status NNCellIndex::Delete(uint64_t id) {
   if (wal_ != nullptr) {
     NNCELL_RETURN_IF_ERROR(LogDelete(id));
   }
+  NNCELL_RETURN_IF_ERROR(ApplyDelete(id));
+  UpdatePlan();
+  return Status::OK();
+}
 
+Status NNCellIndex::ApplyDelete(uint64_t id) {
+  if (!IsAlive(id)) return Status::NotFound("no live point with this id");
   // Cells adjacent to the deleted cell may grow into the freed region,
   // which is contained in the deleted cell and hence in its MBR union:
   // recompute every live cell whose approximation intersects it.
@@ -475,20 +528,20 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
       }
       cell_rects_[id] = std::move(computed[i]);
     }
-    // Durable mode: the bulk load becomes durable via one checkpoint
-    // instead of one WAL record per point.
-    if (wal_ != nullptr) return Checkpoint();
-    return Status::OK();
-  }
-  for (uint64_t id : ids) {
-    std::vector<HyperRect> rects =
-        ComputeCellRects(points_[id], id, &build_stats_.approx);
-    for (const HyperRect& rect : rects) {
-      tree_->Insert(rect, id, points_[id]);
-      ++build_stats_.entries_inserted;
+  } else {
+    for (uint64_t id : ids) {
+      std::vector<HyperRect> rects =
+          ComputeCellRects(points_[id], id, &build_stats_.approx);
+      for (const HyperRect& rect : rects) {
+        tree_->Insert(rect, id, points_[id]);
+        ++build_stats_.entries_inserted;
+      }
+      cell_rects_[id] = std::move(rects);
     }
-    cell_rects_[id] = std::move(rects);
   }
+  UpdatePlan();
+  // Durable mode: the bulk load becomes durable via one checkpoint instead
+  // of one WAL record per point.
   if (wal_ != nullptr) return Checkpoint();
   return Status::OK();
 }
@@ -545,6 +598,32 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
     const double* q_original, QueryTrace* trace) const {
+  return ExactQuery(q_original, plan_, trace);
+}
+
+template <class Visit>
+void NNCellIndex::ScanLive(const double* q, Visit visit) const {
+  uint64_t id4[4];
+  const double* ptr4[4];
+  double d4[4];
+  size_t fill = 0;
+  for (uint64_t id = 0; id < points_.size(); ++id) {
+    if (!alive_[id]) continue;
+    id4[fill] = id;
+    ptr4[fill] = points_[id];
+    if (++fill == 4) {
+      kernels::L2DistSqBatch4(q, ptr4, dim_, d4);
+      for (size_t t = 0; t < 4; ++t) visit(id4[t], d4[t]);
+      fill = 0;
+    }
+  }
+  for (size_t t = 0; t < fill; ++t) {
+    visit(id4[t], L2DistSq(ptr4[t], q, dim_));
+  }
+}
+
+StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
+    const double* q_original, ExactPlan plan, QueryTrace* trace) const {
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
 
   BufferStats pool_before;
@@ -555,122 +634,85 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
 
   std::vector<double> q_vec = ToMetricSpace(q_original);
   const double* q = q_vec.data();
-  QueryResult result;
-
-  // Stage 1: point query on the cell index (Lemma 2: the true NN's cell
-  // approximation contains q, so its owner is among the matches).
-  TraceTimer probe_timer;
-  auto matches = tree_->PointQuery(q);
-  if (trace != nullptr) {
-    trace->stages.push_back(
-        {"index_probe", probe_timer.ElapsedMicros(), matches.size()});
-  }
-  result.candidates = matches.size();
-
-  // Stage 2: exact distance scan over the candidate owners, four at a
-  // time through the batched gather kernel. Results are compared in match
-  // order with distances bit-equal to the pair kernel, so the winner (and
-  // the id tie-break) is exactly the old scalar scan's.
-  TraceTimer scan_timer;
-  uint64_t distance_computations = matches.size();
+  size_t candidates = 0;
+  uint64_t distance_computations = 0;
+  bool used_fallback = false;
   double best = std::numeric_limits<double>::infinity();
   uint64_t best_id = kInvalidId;
-  const double* best_point = nullptr;
-  {
-    const size_t nm = matches.size();
-    const double* ptrs[4];
-    double d4[4];
-    size_t i = 0;
-    for (; i + 4 <= nm; i += 4) {
-      for (size_t t = 0; t < 4; ++t) ptrs[t] = points_[matches[i + t].id];
-      kernels::L2DistSqBatch4(q, ptrs, dim_, d4);
-      for (size_t t = 0; t < 4; ++t) {
-        const uint64_t id = matches[i + t].id;
-        if (d4[t] < best || (d4[t] == best && id < best_id)) {
-          best = d4[t];
-          best_id = id;
-          best_point = ptrs[t];
-        }
-      }
+  auto keep_nearest = [&](uint64_t id, double d2) {
+    if (d2 < best || (d2 == best && id < best_id)) {
+      best = d2;
+      best_id = id;
     }
-    for (; i < nm; ++i) {
-      const uint64_t id = matches[i].id;
-      const double* owner = points_[id];
-      double d2 = L2DistSq(owner, q, dim_);
-      if (d2 < best || (d2 == best && id < best_id)) {
-        best = d2;
-        best_id = id;
-        best_point = owner;
-      }
-    }
-  }
-  if (trace != nullptr) {
-    trace->stages.push_back(
-        {"distance_scan", scan_timer.ElapsedMicros(), matches.size()});
-  }
+  };
 
-  if (best_id == kInvalidId) {
-    // Numeric edge (query on a cell face lost to LP tolerance) or query
-    // outside the data space: fall back to an exact scan. Lemma 2 makes
-    // this rare; the flag lets benchmarks count it.
-    result.used_fallback = true;
-    TraceTimer fallback_timer;
-    uint64_t scanned = 0;
-    uint64_t id4[4];
-    const double* ptr4[4];
-    double d4[4];
-    size_t fill = 0;
-    auto flush = [&](size_t count) {
-      for (size_t t = 0; t < count; ++t) {
-        if (d4[t] < best) {
-          best = d4[t];
-          best_id = id4[t];
-          best_point = ptr4[t];
-        }
-      }
-    };
-    for (uint64_t id = 0; id < points_.size(); ++id) {
-      if (!alive_[id]) continue;
-      ++scanned;
-      id4[fill] = id;
-      ptr4[fill] = points_[id];
-      if (++fill == 4) {
-        kernels::L2DistSqBatch4(q, ptr4, dim_, d4);
-        flush(4);
-        fill = 0;
-      }
-    }
-    for (size_t t = 0; t < fill; ++t) {
-      d4[t] = L2DistSq(ptr4[t], q, dim_);
-    }
-    flush(fill);
-    distance_computations += scanned;
+  if (plan == ExactPlan::kScan) {
+    // The cell MBRs cannot prune: skip the probe and distance-check every
+    // live point.
+    TraceTimer scan_timer;
+    ScanLive(q, keep_nearest);
+    candidates = distance_computations = live_count_;
     if (trace != nullptr) {
       trace->stages.push_back(
-          {"fallback_scan", fallback_timer.ElapsedMicros(), scanned});
+          {"distance_scan", scan_timer.ElapsedMicros(), live_count_});
+    }
+  } else {
+    // Stage 1: point query on the cell index (Lemma 2: the true NN's cell
+    // approximation contains q, so its owner is among the matches).
+    TraceTimer probe_timer;
+    std::vector<uint64_t> owners = tree_->PointQuery(q);
+    if (trace != nullptr) {
+      trace->stages.push_back(
+          {"index_probe", probe_timer.ElapsedMicros(), owners.size()});
+    }
+    candidates = distance_computations = owners.size();
+
+    // Stage 2: exact distance checks on the candidate owners, four at a
+    // time through the batched gather kernel.
+    TraceTimer scan_timer;
+    std::vector<double> d2s(owners.size());
+    BatchOwnerDistSq(points_, owners.data(), owners.size(), q, dim_,
+                     d2s.data());
+    for (size_t i = 0; i < owners.size(); ++i) keep_nearest(owners[i], d2s[i]);
+    if (trace != nullptr) {
+      trace->stages.push_back(
+          {"distance_scan", scan_timer.ElapsedMicros(), owners.size()});
+    }
+
+    if (best_id == kInvalidId) {
+      // Numeric edge (query on a cell face lost to LP tolerance) or query
+      // outside the data space: fall back to the scan executor. Lemma 2
+      // makes this rare; the flag lets benchmarks count it.
+      used_fallback = true;
+      TraceTimer fallback_timer;
+      ScanLive(q, keep_nearest);
+      distance_computations += live_count_;
+      if (trace != nullptr) {
+        trace->stages.push_back(
+            {"fallback_scan", fallback_timer.ElapsedMicros(), live_count_});
+      }
     }
   }
 
+  CountPlan(plan);
   NNCELL_METRIC_COUNT(Metrics().count, 1);
-  NNCELL_METRIC_COUNT(Metrics().candidates, result.candidates);
+  NNCELL_METRIC_COUNT(Metrics().candidates, candidates);
   NNCELL_METRIC_COUNT(Metrics().distance_computations, distance_computations);
-  NNCELL_METRIC_COUNT(Metrics().fallbacks, result.used_fallback ? 1 : 0);
-  NNCELL_METRIC_RECORD(Metrics().candidates_per_query, result.candidates);
+  NNCELL_METRIC_COUNT(Metrics().fallbacks, used_fallback ? 1 : 0);
+  NNCELL_METRIC_RECORD(Metrics().candidates_per_query, candidates);
 
   if (trace != nullptr) {
-    trace->candidates = result.candidates;
+    trace->candidates = candidates;
     trace->distance_computations = distance_computations;
-    trace->used_fallback = result.used_fallback;
+    trace->used_fallback = used_fallback;
     BufferStats pool_after = tree_->pool()->stats();
     trace->logical_reads = pool_after.logical_reads - pool_before.logical_reads;
     trace->physical_reads =
         pool_after.physical_reads - pool_before.physical_reads;
   }
 
-  result.id = best_id;
-  result.dist = std::sqrt(best);
-  result.point = FromMetricSpace(
-      std::vector<double>(best_point, best_point + dim_));
+  QueryResult result = MakeResult(best_id, best, candidates);
+  result.used_fallback = used_fallback;
   return result;
 }
 
@@ -763,25 +805,33 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   return results;
 }
 
-std::vector<std::pair<double, uint64_t>> NNCellIndex::BallScan(
-    const double* q, double r, double r_sq, size_t* candidates) const {
-  HyperRect ball_box = HyperRect::Empty(dim_);
-  for (size_t i = 0; i < dim_; ++i) {
-    ball_box.lo(i) = q[i] - r;
-    ball_box.hi(i) = q[i] + r;
-  }
-  auto in_box = tree_->RangeQuery(ball_box);
-  std::vector<uint64_t> ids;
-  for (const auto& m : in_box) ids.push_back(m.id);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  *candidates = ids.size();
-
-  std::vector<double> d2s(ids.size());
-  BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
+std::vector<std::pair<double, uint64_t>> NNCellIndex::Within(
+    const double* q, double r, double r_sq, ExactPlan plan,
+    size_t* candidates) const {
   std::vector<std::pair<double, uint64_t>> within;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (d2s[i] <= r_sq) within.emplace_back(d2s[i], ids[i]);
+  if (plan == ExactPlan::kScan) {
+    ScanLive(q, [&](uint64_t id, double d2) {
+      if (d2 <= r_sq) within.emplace_back(d2, id);
+    });
+    *candidates = live_count_;
+  } else {
+    HyperRect ball_box = HyperRect::Empty(dim_);
+    for (size_t i = 0; i < dim_; ++i) {
+      ball_box.lo(i) = q[i] - r;
+      ball_box.hi(i) = q[i] + r;
+    }
+    auto in_box = tree_->RangeQuery(ball_box);
+    std::vector<uint64_t> ids;
+    for (const auto& m : in_box) ids.push_back(m.id);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    *candidates = ids.size();
+
+    std::vector<double> d2s(ids.size());
+    BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (d2s[i] <= r_sq) within.emplace_back(d2s[i], ids[i]);
+    }
   }
   std::sort(within.begin(), within.end());
   return within;
@@ -796,20 +846,29 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
   std::vector<QueryResult> results;
   if (k == 0) return results;
   k = std::min(k, live_count_);
+  CountPlan(plan_);
+
+  if (plan_ == ExactPlan::kScan) {
+    std::vector<std::pair<double, uint64_t>> all;
+    all.reserve(live_count_);
+    ScanLive(q, [&](uint64_t id, double d2) { all.emplace_back(d2, id); });
+    std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(k),
+                      all.end());
+    results.reserve(k);
+    for (size_t i = 0; i < k; ++i) {
+      results.push_back(MakeResult(all[i].second, all[i].first, live_count_));
+    }
+    return results;
+  }
 
   // Seed radius from the point-query candidates: if they already cover k
   // distinct owners, the k-th smallest owner distance bounds the k-NN
   // radius from above.
-  auto matches = tree_->PointQuery(q);
-  std::vector<double> dists;
-  {
-    std::vector<uint64_t> ids;
-    for (const auto& m : matches) ids.push_back(m.id);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    dists.resize(ids.size());
-    BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, dists.data());
-  }
+  std::vector<uint64_t> ids = tree_->PointQuery(q);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<double> dists(ids.size());
+  BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, dists.data());
   std::sort(dists.begin(), dists.end());
 
   double radius_sq;
@@ -827,7 +886,8 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
   for (int attempt = 0; attempt < 64; ++attempt) {
     size_t candidates = 0;
     std::vector<std::pair<double, uint64_t>> within =
-        BallScan(q, std::sqrt(radius_sq), radius_sq, &candidates);
+        Within(q, std::sqrt(radius_sq), radius_sq, ExactPlan::kCellProbe,
+               &candidates);
     if (within.size() >= k) {
       results.reserve(k);
       for (size_t i = 0; i < k; ++i) {
@@ -846,10 +906,11 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   if (radius < 0.0) return Status::InvalidArgument("negative radius");
   std::vector<double> q_vec = ToMetricSpace(q_original);
+  CountPlan(plan_);
 
   size_t candidates = 0;
   std::vector<std::pair<double, uint64_t>> within =
-      BallScan(q_vec.data(), radius, radius * radius, &candidates);
+      Within(q_vec.data(), radius, radius * radius, plan_, &candidates);
   std::vector<QueryResult> results;
   results.reserve(within.size());
   for (const auto& [d2, id] : within) {
@@ -884,7 +945,7 @@ double NNCellIndex::ExpectedCandidates() const {
   double total = 0.0;
   for (const auto& rects : cell_rects_) {
     for (const HyperRect& rect : rects) {
-      total += HyperRect::Intersection(rect, space_).Volume();
+      total += HyperRect::OverlapVolume(rect, space_);
     }
   }
   return total / space_.Volume();
@@ -990,21 +1051,22 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
     }
   }
 
-  // Sampled end-to-end exactness against a brute-force scan.
+  // Sampled end-to-end exactness (Lemma 2): the cell probe, whatever the
+  // plan, against the scan. Samples are drawn in metric space.
   if (live > 0) {
     Rng rng(seed);
     std::vector<double> q(dim_);
     for (size_t t = 0; t < sample_queries; ++t) {
       for (auto& v : q) v = rng.NextDouble();
-      // Query() transforms into metric space itself; scan in metric space.
-      StatusOr<QueryResult> r = Query(FromMetricSpace(q).data());
-      if (!r.ok()) return r.status();
-      double best = std::numeric_limits<double>::infinity();
-      for (uint64_t id = 0; id < points_.size(); ++id) {
-        if (!alive_[id]) continue;
-        best = std::min(best, L2DistSq(points_[id], q.data(), dim_));
-      }
-      if (std::abs(r->dist * r->dist - best) > 1e-9) {
+      const std::vector<double> q_original = FromMetricSpace(q);
+      StatusOr<QueryResult> probe =
+          ExactQuery(q_original.data(), ExactPlan::kCellProbe, nullptr);
+      if (!probe.ok()) return probe.status();
+      StatusOr<QueryResult> scan =
+          ExactQuery(q_original.data(), ExactPlan::kScan, nullptr);
+      if (!scan.ok()) return scan.status();
+      if (std::abs(probe->dist * probe->dist - scan->dist * scan->dist) >
+          1e-9) {
         return Status::Internal("sampled query returned a non-NN");
       }
     }

@@ -52,6 +52,20 @@ struct ParallelOptions {
   }
 };
 
+// Which executor answers the exact queries (Query / QueryBatch, KnnQuery,
+// RangeSearch). Every executor returns the same ids, distance bits and
+// result order: ties resolve ascending by (squared distance, id).
+enum class ExactPlan {
+  kAuto,       // the index chooses from its cell MBRs
+               // (NNCellIndex::kScanCoverage)
+  kCellProbe,  // the paper's method: point / ball query on the cell index,
+               // then distance checks on the candidate owners
+  kScan,       // distance checks on every live point of the point table
+};
+
+// "auto", "cell_probe" or "scan".
+const char* ExactPlanName(ExactPlan plan);
+
 struct NNCellOptions {
   // Which points contribute LP constraints (Section 2's four algorithms).
   ApproxAlgorithm algorithm = ApproxAlgorithm::kSphere;
@@ -125,7 +139,7 @@ class NNCellIndex final : public IndexBackend {
 
   size_t dim() const override { return dim_; }
   // Number of live points.
-  size_t size() const { return live_count_; }
+  size_t size() const override { return live_count_; }
   // Internal point table in *metric-transformed* coordinates (identical to
   // the input coordinates unless options().weights is set). Includes
   // tombstoned points; check IsAlive().
@@ -221,6 +235,27 @@ class NNCellIndex final : public IndexBackend {
   // only while no other thread uses the index.
   void SetNumThreads(size_t num_threads);
 
+  // The exact plan under kAuto. The cell probe pays a tree traversal to
+  // prune, then checks ExpectedCandidates() owners; once that is at least
+  // 1/kScanCoverage of the live points, scanning all of them is cheaper
+  // (the crossover sweep is in EXPERIMENTS.md).
+  static constexpr double kScanCoverage = 64.0;
+
+  // The executor exact queries take (kCellProbe or kScan, never kAuto):
+  // the SetExactPlan value when forced, else kScan iff
+  // ExpectedCandidates() * kScanCoverage >= size(). Worked out after every
+  // BulkBuild / Insert / Delete and on Load / Open; queries only read it.
+  ExactPlan exact_plan() const { return plan_; }
+  const char* ExactPlanName() const override {
+    return nncell::ExactPlanName(plan_);
+  }
+
+  // Forces the exact executor (kAuto: let the index choose again).
+  // Runtime-only: every executor gives the same answers, so the forced
+  // plan is not part of the persisted image and Load / Open start at
+  // kAuto. Not thread-safe, like SetNumThreads.
+  void SetExactPlan(ExactPlan plan);
+
   // Re-runs the cell-approximation pipeline (candidate selection + LP
   // solves) for `sample` deterministically chosen live points and returns
   // the aggregated effort counters; the computed rectangles are discarded
@@ -231,8 +266,9 @@ class NNCellIndex final : public IndexBackend {
 
   // The paper's quality measure: the expected number of approximations
   // containing a uniform query point (sum of MBR volumes over the data
-  // space volume). 1.0 = perfect (no overlap).
-  double ExpectedCandidates() const;
+  // space volume). 1.0 = perfect (no overlap). Allocation-free: it runs
+  // after every mutation to work out the exact plan.
+  double ExpectedCandidates() const override;
 
   // The current approximation rectangles of one point (>= 1 entries).
   const std::vector<HyperRect>& CellRects(uint64_t id) const;
@@ -244,7 +280,8 @@ class NNCellIndex final : public IndexBackend {
   // Deep self-check: validates the underlying tree, verifies that every
   // live point lies inside (one of) its own approximation rectangles,
   // that the indexed entries match the bookkeeping exactly, and that
-  // `sample_queries` random queries return the true nearest neighbor.
+  // `sample_queries` random queries answered by the cell probe (whatever
+  // the plan) return the scan's nearest neighbor (Lemma 2).
   // Returns OK or a description of the first violation.
   Status CheckInvariants(size_t sample_queries = 100,
                          uint64_t seed = 0x5eed) const;
@@ -341,6 +378,34 @@ class NNCellIndex final : public IndexBackend {
   std::vector<double> ToMetricSpace(const double* x) const;
   std::vector<double> FromMetricSpace(const std::vector<double>& x) const;
 
+  // Insert / Delete without the WAL append and without working out the
+  // plan again: the public calls add both, WAL replay neither (Open works
+  // out the plan once after the last record).
+  StatusOr<uint64_t> ApplyInsert(const std::vector<double>& original);
+  Status ApplyDelete(uint64_t id);
+
+  // Sets plan_ from forced_plan_ and the live cells.
+  void UpdatePlan();
+
+  // The exact nearest neighbor through `plan`'s executor (not kAuto).
+  StatusOr<QueryResult> ExactQuery(const double* q_original, ExactPlan plan,
+                                   QueryTrace* trace) const;
+
+  // The scan executor: calls visit(id, squared distance to q) for every
+  // live point in ascending id order, four points per gather-kernel call
+  // (bit-equal to the pair kernel). q is in metric space.
+  template <class Visit>
+  void ScanLive(const double* q, Visit visit) const;
+
+  // The (squared distance, id) pairs of every live point within
+  // Ball(q, r), r_sq = r * r, q in metric space, ascending; shared by
+  // KnnQuery and RangeSearch. The cell probe distance-checks each owner
+  // whose cell approximation meets the ball's bounding box (every owner in
+  // the ball has one). *candidates receives the owners checked.
+  std::vector<std::pair<double, uint64_t>> Within(const double* q, double r,
+                                                  double r_sq, ExactPlan plan,
+                                                  size_t* candidates) const;
+
   // Registers the point in points_ / lookup (and, unless deferred for a
   // bulk load, the point tree); returns its id or an error (duplicate,
   // out of space, wrong dimension).
@@ -400,15 +465,6 @@ class NNCellIndex final : public IndexBackend {
   StatusOr<std::vector<QueryResult>> ApproxTraversalQuery(
       const double* q_original, size_t k, const ApproxOptions& approx) const;
 
-  // Ball scan shared by KnnQuery and RangeSearch: distance-checks every
-  // owner whose cell approximation meets the bounding box of Ball(q, r)
-  // (q in metric space) and returns the (squared distance, id) pairs with
-  // d2 <= r_sq, ascending. *candidates receives the number of distinct
-  // owners checked.
-  std::vector<std::pair<double, uint64_t>> BallScan(const double* q, double r,
-                                                    double r_sq,
-                                                    size_t* candidates) const;
-
   // The answer for owner `id` at squared distance `d2`, its point mapped
   // back to the original coordinates.
   QueryResult MakeResult(uint64_t id, double d2, size_t candidates) const;
@@ -416,6 +472,8 @@ class NNCellIndex final : public IndexBackend {
   std::vector<std::vector<HyperRect>> cell_rects_;  // per point id
   std::vector<bool> alive_;                          // tombstones
   size_t live_count_ = 0;
+  ExactPlan forced_plan_ = ExactPlan::kAuto;  // SetExactPlan
+  ExactPlan plan_ = ExactPlan::kCellProbe;
   std::map<std::vector<double>, uint64_t> point_lookup_;  // duplicate check
   NNCellBuildStats build_stats_;
 

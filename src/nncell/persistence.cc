@@ -416,6 +416,7 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
   index->point_file_->Swap(point_scratch);
   index->point_pool_->Invalidate();
   index->point_tree_->RestoreState(point_state);
+  index->UpdatePlan();
 
   if (wal_lsn != nullptr) *wal_lsn = hdr.wal_lsn;
   NNCELL_METRIC_COUNT(Metrics().loads, 1);

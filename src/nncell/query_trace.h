@@ -12,10 +12,12 @@ namespace nncell {
 // NNCellIndex::Query and gets back the stage-by-stage breakdown of that one
 // query: the index probe (point query on the cell tree), the exact distance
 // scan over the candidates, and -- in the rare numeric edge case -- the
-// sequential fallback scan. Tracing is independent of the global metrics
-// registry: it costs nothing unless a trace object is supplied, works even
-// when metrics are compiled out, and never touches shared state beyond the
-// buffer pool's (relaxed atomic) access counters.
+// sequential fallback scan. Under the scan plan (NNCellIndex::exact_plan)
+// the timeline is a single distance_scan over every live point. Tracing is
+// independent of the global metrics registry: it costs nothing unless a
+// trace object is supplied, works even when metrics are compiled out, and
+// never touches shared state beyond the buffer pool's (relaxed atomic)
+// access counters.
 //
 // See docs/OPERATIONS.md for how to read a trace.
 struct QueryTrace {
@@ -28,7 +30,7 @@ struct QueryTrace {
   std::vector<Stage> stages;
 
   // Totals, mirrored from the stage list for convenience.
-  uint64_t candidates = 0;             // candidate cells from the probe
+  uint64_t candidates = 0;             // owners distance-checked
   uint64_t distance_computations = 0;  // exact L2 evaluations
   bool used_fallback = false;
 

@@ -322,44 +322,23 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
   }
 }
 
-std::vector<RTreeCore::Match> RTreeCore::PointQuery(const double* q) const {
-  std::vector<Match> out;
-  HyperRect dummy = HyperRect::Empty(options_.dim);
-  CollectMatches(root_, dummy, /*containment=*/true, q, &out);
-  return out;
-}
-
-std::vector<RTreeCore::Match> RTreeCore::RangeQuery(
-    const HyperRect& range) const {
-  NNCELL_CHECK(range.dim() == options_.dim);
-  std::vector<Match> out;
-  CollectMatches(root_, range, /*containment=*/false, nullptr, &out);
-  return out;
-}
-
-void RTreeCore::CollectMatches(PageId pid, const HyperRect& range,
-                               bool containment, const double* q,
-                               std::vector<Match>* out) const {
+template <class Emit>
+void RTreeCore::CollectMatches(const HyperRect* range, const double* q,
+                               Emit emit) const {
   const size_t d = options_.dim;
-  const size_t aux = options_.aux_per_entry;
-  std::vector<PageId> stack = {pid};
+  std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
     PageId cur = stack.back();
     stack.pop_back();
     bool visited_leaf = store_.VisitNode(cur, [&](const EntryView& e,
                                                   bool is_leaf) {
-      bool hit = containment
+      bool hit = q != nullptr
                      ? RawContainsPoint(e.lo, e.hi, q, d)
-                     : RawIntersects(e.lo, e.hi, range.lo().data(),
-                                     range.hi().data(), d);
+                     : RawIntersects(e.lo, e.hi, range->lo().data(),
+                                     range->hi().data(), d);
       if (!hit) return;
       if (is_leaf) {
-        Match m;
-        m.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
-                           std::vector<double>(e.hi, e.hi + d));
-        m.id = e.id;
-        if (e.aux != nullptr) m.aux.assign(e.aux, e.aux + aux);
-        out->push_back(std::move(m));
+        emit(e);
       } else {
         stack.push_back(static_cast<PageId>(e.id));
       }
@@ -367,6 +346,29 @@ void RTreeCore::CollectMatches(PageId pid, const HyperRect& range,
     NNCELL_METRIC_COUNT(Metrics().node_visits, 1);
     if (visited_leaf) NNCELL_METRIC_COUNT(Metrics().leaf_visits, 1);
   }
+}
+
+std::vector<uint64_t> RTreeCore::PointQuery(const double* q) const {
+  std::vector<uint64_t> out;
+  CollectMatches(nullptr, q, [&](const EntryView& e) { out.push_back(e.id); });
+  return out;
+}
+
+std::vector<RTreeCore::Match> RTreeCore::RangeQuery(
+    const HyperRect& range) const {
+  NNCELL_CHECK(range.dim() == options_.dim);
+  const size_t d = options_.dim;
+  const size_t aux = options_.aux_per_entry;
+  std::vector<Match> out;
+  CollectMatches(&range, nullptr, [&](const EntryView& e) {
+    Match m;
+    m.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
+                       std::vector<double>(e.hi, e.hi + d));
+    m.id = e.id;
+    if (e.aux != nullptr) m.aux.assign(e.aux, e.aux + aux);
+    out.push_back(std::move(m));
+  });
+  return out;
 }
 
 std::vector<uint64_t> RTreeCore::LeafPageQuery(const double* q) const {

@@ -72,8 +72,9 @@ class RTreeCore {
   // no such entry exists.
   bool Delete(const HyperRect& rect, uint64_t id);
 
-  // All leaf entries whose rectangle contains q (the paper's point query).
-  std::vector<Match> PointQuery(const double* q) const;
+  // Ids of all leaf entries whose rectangle contains q (the paper's point
+  // query), in depth-first traversal order.
+  std::vector<uint64_t> PointQuery(const double* q) const;
 
   // All leaf entries whose rectangle intersects `range`.
   std::vector<Match> RangeQuery(const HyperRect& range) const;
@@ -195,8 +196,11 @@ class RTreeCore {
   // Writes updated child MBRs up the path.
   void PropagateMbrs(std::vector<PathStep>& path, const HyperRect& child_mbr);
 
-  void CollectMatches(PageId pid, const HyperRect& range, bool containment,
-                      const double* q, std::vector<Match>* out) const;
+  // Depth-first over the tree: `emit` receives every leaf entry whose
+  // rectangle contains q (q != nullptr) or else intersects *range.
+  template <class Emit>
+  void CollectMatches(const HyperRect* range, const double* q,
+                      Emit emit) const;
 
   void CollectLeafPages(const double* q, double radius_sq,
                         std::vector<uint64_t>* out) const;

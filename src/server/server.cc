@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
@@ -596,6 +597,21 @@ std::string NNCellServer::StatsJson() const {
   out += ",\"queue_depth\":" + std::to_string(depth);
   out += ",\"rejected\":" + std::to_string(rejected());
   out += "}";
+  const char* plan = backend_->ExactPlanName();
+  if (*plan != '\0') {
+    // The index facts: the exact plan, and E/N, the fraction of the live
+    // points the cell probe is expected to distance-check.
+    const double points = static_cast<double>(backend_->size());
+    const double expected = backend_->ExpectedCandidates();
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  ",\"index\":{\"exact_plan\":\"%s\","
+                  "\"expected_candidates\":%.4f,\"expected_fraction\":%.6f,"
+                  "\"points\":%zu}",
+                  plan, expected, points > 0 ? expected / points : 0.0,
+                  backend_->size());
+    out += buf;
+  }
   std::string shard = backend_->ShardStatsJson();
   if (!shard.empty()) {
     out += ",\"shard\":";

@@ -997,6 +997,7 @@ ShardedIndex::ShardStats ShardedIndex::Stats() const {
     const Shard& s = shards_[i];
     st.healthy.push_back(s.index != nullptr);
     st.live.push_back(s.index != nullptr ? s.index->size() : 0);
+    st.plans.push_back(s.index != nullptr ? s.index->ExactPlanName() : "");
     st.total.push_back(s.index != nullptr ? s.index->points().size() : 0);
     st.probes.push_back(
         // nncell-lint: allow(relaxed-atomics) stats snapshot of a monotonic counter; staleness is acceptable, no ordering needed
@@ -1020,7 +1021,9 @@ std::string ShardedIndex::ShardStatsJson() const {
   out += ",\"shards\":[";
   for (size_t i = 0; i < s.live.size(); ++i) {
     if (i) out += ",";
-    out += "{\"healthy\":";
+    out += "{\"exact_plan\":\"";
+    out += s.plans[i];
+    out += "\",\"healthy\":";
     out += s.healthy[i] ? "true" : "false";
     out += ",\"live\":" + std::to_string(s.live[i]);
     out += ",\"probes\":" + std::to_string(s.probes[i]);
@@ -1069,6 +1072,18 @@ double ShardedIndex::ExpectedCandidates() const {
     }
   }
   return sum;
+}
+
+const char* ShardedIndex::ExactPlanName() const {
+  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
+  const char* plan = "";
+  for (const Shard& s : shards_) {
+    if (s.index == nullptr) continue;
+    const char* shard_plan = s.index->ExactPlanName();
+    if (*plan != '\0' && std::strcmp(plan, shard_plan) != 0) return "mixed";
+    plan = shard_plan;
+  }
+  return plan;
 }
 
 Status ShardedIndex::CheckInvariants(size_t sample_queries,

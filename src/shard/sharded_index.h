@@ -115,7 +115,7 @@ class ShardedIndex final : public IndexBackend {
   const NNCellOptions& options() const { return options_; }
   const ShardedOptions& sharded_options() const { return sopts_; }
   bool durable() const override { return !dir_.empty(); }
-  size_t size() const;  // live points across healthy shards
+  size_t size() const override;  // live points across healthy shards
 
   bool degraded() const { return degraded_count_ > 0; }
   size_t degraded_shards() const { return degraded_count_; }
@@ -180,6 +180,7 @@ class ShardedIndex final : public IndexBackend {
     std::vector<uint64_t> live;        // live points per shard
     std::vector<uint64_t> total;       // registered incl. tombstones
     std::vector<uint64_t> probes;      // queries that probed the shard
+    std::vector<const char*> plans;    // exact plan ("" when degraded)
     std::vector<bool> healthy;
     std::vector<double> cuts;
     uint32_t route_dim = 0;
@@ -188,7 +189,8 @@ class ShardedIndex final : public IndexBackend {
 
   // Stats() rendered as one stable JSON object (sorted keys):
   // {"count":K,"cuts":[...],"degraded":D,"epoch":E,"route_dim":R,
-  //  "shards":[{"healthy":b,"live":n,"probes":n,"total":n},...]}.
+  //  "shards":[{"exact_plan":p,"healthy":b,"live":n,"probes":n,
+  //  "total":n},...]}.
   // The "shard" member of `nncell_cli stats --json` and the server's
   // STATS_JSON response.
   std::string ShardStatsJson() const override;
@@ -196,7 +198,9 @@ class ShardedIndex final : public IndexBackend {
   // Aggregates over the healthy shards (test / CLI support).
   RTreeCore::TreeInfo TreeInfo() const;
   std::string ValidateTree() const;
-  double ExpectedCandidates() const;
+  double ExpectedCandidates() const override;  // sum over the shards
+  // Every healthy shard's plan, or "mixed" when they differ.
+  const char* ExactPlanName() const override;
 
   // Deep self-check: every shard's own invariants, the router map
   // (bijective onto shard points, aliveness agrees, locals dense and

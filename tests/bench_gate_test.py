@@ -92,6 +92,12 @@ MUST_FAIL = [
     ("recall", "recall@10 below the floor in both documents", below_floor),
     ("serve", "det checksum drift", results("det", checksum=1)),
     ("serve", "det insert count drift", results("det", inserts=0)),
+    ("serve", "det-probe checksum drift", results("det-probe", checksum=1)),
+    ("serve", "det-probe answered by a scan",
+     lambda f, r: scenario(f, "det-probe").update(exact_plan="scan")),
+    ("serve", "det-probe conservation_ok false",
+     lambda f, r: scenario(f, "det-probe")["server"].update(
+         conservation_ok=False)),
     ("serve", "load errors", results("load", errors=1)),
     ("shard", "errors", results("shard2", errors=1)),
     ("serve", "load completed nothing", results("load", ok=0)),
@@ -114,6 +120,8 @@ MUST_FAIL = [
      [s["results"].update(id_checksum=1) for s in f["scenarios"]]),
     ("shard", "id_checksum differs across K",
      results("shard4", both=True, id_checksum=1)),
+    ("shard", "plan drift",
+     lambda f, r: scenario(f, "shard2").update(exact_plan="mixed")),
     ("shard", "unknown label",
      lambda f, r: scenario(f, "shard8").update(label="shard3")),
 ]

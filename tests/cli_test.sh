@@ -44,10 +44,35 @@ assert m["query.nn.count"] > 0 and m["query.nn.candidates"] > 0, m
 assert m["index.tree.node_visits"] > 0 and m["lp.solver.runs"] > 0, m
 assert m["query.nn.candidates_per_query"]["count"] == m["query.nn.count"], m
 assert snap["approx"] == {"enabled": 0}, snap["approx"]
+# the exact plan (DESIGN.md): scan iff E * 64 >= N; at d=3 the 200 cells
+# are expected to hold ~3.6 candidates, 1/55 of the points
+idx = snap["index"]
+assert idx["exact_plan"] == ("scan" if idx["expected_candidates"] * 64 >=
+                             idx["points"] else "cell_probe"), idx
+assert abs(idx["expected_fraction"] -
+           idx["expected_candidates"] / idx["points"]) < 1e-6, idx
+assert m["query.plan." + idx["exact_plan"]] == m["query.nn.count"], m
 PY
+"$CLI" stats "$DIR/idx.nncell" | grep -qE "^exact plan: +(scan|cell_probe) \(E/N 0\.[0-9]{4}\)$"
 "$CLI" query "$DIR/idx.nncell" "$DIR/q.csv" --trace > "$DIR/trace.out"
 grep -c '^trace [0-9]*: {' "$DIR/trace.out" | grep -qx 5
-grep -q '"name":"index_probe"' "$DIR/trace.out"
+# a trace shows the executor that answered: the cell probe's two stages,
+# or the scan's single distance_scan stage over every live point
+python3 - "$DIR/trace.out" "$DIR/stats1.json" <<'PY'
+import json, sys
+plan = json.load(open(sys.argv[2]))["index"]["exact_plan"]
+for line in open(sys.argv[1]):
+    if not line.startswith("trace "):
+        continue
+    t = json.loads(line.split(": ", 1)[1])
+    names = [s["name"] for s in t["stages"]]
+    if plan == "scan":
+        assert names == ["distance_scan"], t
+        assert t["stages"][0]["items"] == t["candidates"] == 200, t
+        assert t["logical_reads"] == 0 and not t["used_fallback"], t
+    else:
+        assert names[:2] == ["index_probe", "distance_scan"], t
+PY
 # approximate tier (docs/APPROXIMATE.md): with the knobs at their exact
 # defaults the output stays byte-identical to a plain query; enabling a
 # knob appends the certificate suffix to every line
@@ -128,6 +153,9 @@ assert s["count"] == 4 and s["degraded"] == 0, s
 assert len(s["cuts"]) == 3 and len(s["shards"]) == 4, s
 assert sum(sh["live"] for sh in s["shards"]) == snap["index"]["points"], s
 assert all(sh["healthy"] for sh in s["shards"]), s
+# each shard works out its own plan; 50 d=3 points per shard all scan
+assert all(sh["exact_plan"] == "scan" for sh in s["shards"]), s
+assert snap["index"]["exact_plan"] == "scan", snap["index"]
 assert snap["metrics"]["shard.query.probes"] > 0, snap["metrics"]
 PY
 # online rebalance installs the next routing epoch; answers are unchanged

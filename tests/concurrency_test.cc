@@ -198,6 +198,9 @@ SharedIndex MakeSharedIndex(size_t n, size_t dim, size_t pool_capacity) {
   NNCellOptions options;
   options.algorithm = ApproxAlgorithm::kSphere;
   s.index = std::make_unique<NNCellIndex>(s.pool.get(), dim, options);
+  // These few hundred points would plan a scan of the point table; the
+  // cell probe keeps the readers traversing the tree through the pool.
+  s.index->SetExactPlan(ExactPlan::kCellProbe);
   PointSet pts = GenerateUniform(n, dim, 11);
   Status built = s.index->BulkBuild(pts);
   EXPECT_TRUE(built.ok()) << built.ToString();

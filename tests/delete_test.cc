@@ -162,6 +162,7 @@ TEST(DeleteTest, NeighborsGrowAfterDelete) {
   // Delete the center of a 3x3 grid: the neighbors' recomputed cells must
   // cover the vacated center region (no false dismissals there).
   Fixture fx(2);
+  fx.index->SetExactPlan(ExactPlan::kCellProbe);  // query the cells
   PointSet pts = GenerateGrid(3, 2, 0.0, 1);
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
   // Center point of the grid is at (0.5, 0.5).

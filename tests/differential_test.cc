@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +87,60 @@ void ExpectSameNearest(const NNCellIndex& index, const SequentialScan& scan,
   EXPECT_TRUE(index.IsAlive(got->id));
 }
 
+// One answer row of ExpectExecutorsAgree: (query kind, id, distance bits).
+using AnswerRow = std::tuple<int, uint64_t, uint64_t>;
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Every exact executor must give the cell probe's answers bit for bit, in
+// the same order: the nearest neighbor, the 5 nearest, and every point
+// within the 3rd-nearest distance (a radius on a point, so the boundary
+// test d2 <= r_sq is exercised). The forced plans and kAuto are tried in
+// turn, so the index is left choosing its own plan (kAuto).
+void ExpectExecutorsAgree(NNCellIndex* index, size_t n_queries,
+                          uint64_t seed) {
+  PointSet queries = GenerateQueries(n_queries, index->dim(), seed);
+  std::vector<AnswerRow> want;
+  for (ExactPlan plan :
+       {ExactPlan::kCellProbe, ExactPlan::kScan, ExactPlan::kAuto}) {
+    index->SetExactPlan(plan);
+    ASSERT_NE(index->exact_plan(), ExactPlan::kAuto);
+    const bool scan = index->exact_plan() == ExactPlan::kScan;
+    std::vector<AnswerRow> got;
+    for (size_t t = 0; t < queries.size(); ++t) {
+      auto nn = index->Query(queries[t]);
+      ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+      got.emplace_back(0, nn->id, Bits(nn->dist));
+      if (scan) {
+        EXPECT_EQ(nn->candidates, index->size());
+        EXPECT_FALSE(nn->used_fallback);
+      }
+      auto knn = index->KnnQuery(queries[t], 5);
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      ASSERT_FALSE(knn->empty());
+      for (const auto& r : *knn) got.emplace_back(1, r.id, Bits(r.dist));
+      const double radius = (*knn)[std::min<size_t>(2, knn->size() - 1)].dist;
+      auto in_range = index->RangeSearch(queries[t], radius);
+      ASSERT_TRUE(in_range.ok()) << in_range.status().ToString();
+      for (const auto& r : *in_range) {
+        got.emplace_back(2, r.id, Bits(r.dist));
+        if (scan) {
+          EXPECT_EQ(r.candidates, index->size());
+        }
+      }
+    }
+    if (plan == ExactPlan::kCellProbe) {
+      want = std::move(got);
+    } else {
+      EXPECT_EQ(got, want) << "plan " << ExactPlanName(plan);
+    }
+  }
+}
+
 struct DiffCase {
   ApproxAlgorithm algorithm;
   size_t dim;
@@ -120,6 +177,7 @@ TEST_P(DifferentialTest, QueryMatchesSequentialScan) {
     for (auto& v : q) v = rng.NextDouble();
     ExpectSameNearest(*t.index, *oracle.scan, q);
   }
+  ExpectExecutorsAgree(t.index.get(), 30, c.seed);
 }
 
 TEST_P(DifferentialTest, StaysExactAcrossInsertsAndDeletes) {
@@ -152,6 +210,7 @@ TEST_P(DifferentialTest, StaysExactAcrossInsertsAndDeletes) {
     for (auto& v : q) v = rng.NextDouble();
     ExpectSameNearest(*t.index, *oracle.scan, q);
   }
+  ExpectExecutorsAgree(t.index.get(), 30, c.seed + 1);
 }
 
 std::vector<DiffCase> AllCases() {
@@ -182,6 +241,7 @@ TEST(DifferentialCandidateCountTest, CorrectStrategyMatchesContainmentOracle) {
   NNCellOptions options;
   options.algorithm = ApproxAlgorithm::kCorrect;
   IndexUnderTest t = MakeIndex(4, options);
+  t.index->SetExactPlan(ExactPlan::kCellProbe);  // the paper's candidates
   PointSet pts = GenerateUniform(80, 4, 321);
   ASSERT_TRUE(t.index->BulkBuild(pts).ok());
 
@@ -242,6 +302,7 @@ TEST(DifferentialWeightedTest, WeightedQueryMatchesScaledScan) {
       for (auto& v : q) v = rng.NextDouble();
       ExpectSameNearest(*t.index, *oracle.scan, q);
     }
+    ExpectExecutorsAgree(t.index.get(), 30, dim);
   }
 }
 
@@ -261,6 +322,7 @@ TEST(DifferentialDecompositionTest, DecomposedCellsStayExact) {
     for (auto& v : q) v = rng.NextDouble();
     ExpectSameNearest(*t.index, *oracle.scan, q);
   }
+  ExpectExecutorsAgree(t.index.get(), 30, 0xdec1);
 }
 
 // QueryBatch is defined as "identical to a serial loop of Query calls";
@@ -270,6 +332,9 @@ TEST(DifferentialBatchTest, BatchEqualsSerialAndOracle) {
   options.algorithm = ApproxAlgorithm::kSphere;
   options.parallel.num_threads = 4;
   IndexUnderTest t = MakeIndex(8, options);
+  // 200 points at d=8 would plan a scan; the cell probe keeps the
+  // concurrent tree traversal under test (ExactPlanBatchTest covers kScan).
+  t.index->SetExactPlan(ExactPlan::kCellProbe);
   PointSet pts = GenerateUniform(200, 8, 5);
   ASSERT_TRUE(t.index->BulkBuild(pts).ok());
 
@@ -286,6 +351,87 @@ TEST(DifferentialBatchTest, BatchEqualsSerialAndOracle) {
     EXPECT_EQ((*batch)[i].dist, serial->dist);
     SequentialScan::Result want = oracle.scan->NearestNeighbor(queries[i]);
     EXPECT_NEAR((*batch)[i].dist, want.dist, 1e-9);
+  }
+}
+
+// The plan is the documented rule over the live cells, worked out again
+// after every live Insert and Delete: at fixed d the expected candidates
+// stay roughly constant, so the cell probe takes over as N grows and the
+// scan comes back as N shrinks. A forced plan ignores the rule.
+TEST(DifferentialExactPlanTest, PlanFlipsWithNAtFixedDim) {
+  IndexUnderTest t = MakeIndex(2, NNCellOptions{});
+  NNCellIndex& index = *t.index;
+  auto rule = [&] {
+    return index.ExpectedCandidates() * NNCellIndex::kScanCoverage >=
+                   static_cast<double>(index.size())
+               ? ExactPlan::kScan
+               : ExactPlan::kCellProbe;
+  };
+  ASSERT_TRUE(index.BulkBuild(GenerateUniform(60, 2, 31)).ok());
+  EXPECT_EQ(index.exact_plan(), ExactPlan::kScan);
+
+  Rng rng(0x9a1);
+  std::vector<uint64_t> ids;
+  std::vector<double> p(2);
+  while (index.exact_plan() == ExactPlan::kScan && index.size() < 2000) {
+    for (auto& v : p) v = rng.NextDouble();
+    auto id = index.Insert(p);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+    ASSERT_EQ(index.exact_plan(), rule()) << index.size() << " points";
+  }
+  EXPECT_EQ(index.exact_plan(), ExactPlan::kCellProbe);
+  EXPECT_GT(index.size(), 100u);
+  ExpectExecutorsAgree(&index, 20, 0x9a2);
+
+  index.SetExactPlan(ExactPlan::kScan);
+  EXPECT_EQ(index.exact_plan(), ExactPlan::kScan);
+  index.SetExactPlan(ExactPlan::kAuto);
+  EXPECT_EQ(index.exact_plan(), ExactPlan::kCellProbe);
+
+  while (index.exact_plan() == ExactPlan::kCellProbe && !ids.empty()) {
+    ASSERT_TRUE(index.Delete(ids.back()).ok());
+    ids.pop_back();
+    ASSERT_EQ(index.exact_plan(), rule()) << index.size() << " points";
+  }
+  EXPECT_EQ(index.exact_plan(), ExactPlan::kScan);
+  ASSERT_TRUE(index.CheckInvariants(25).ok());
+}
+
+// QueryBatch under the scan plan from several threads at once, each batch
+// fanned over the index's own pool: N readers of the point table, with
+// answers equal to the serial cell probe's.
+TEST(ExactPlanBatchTest, ConcurrentScanBatchesEqualCellProbe) {
+  NNCellOptions options;
+  options.parallel.num_threads = 4;
+  IndexUnderTest t = MakeIndex(16, options);
+  ASSERT_TRUE(t.index->BulkBuild(GenerateUniform(150, 16, 41)).ok());
+  PointSet queries = GenerateQueries(40, 16, 42);
+
+  t.index->SetExactPlan(ExactPlan::kCellProbe);
+  std::vector<NNCellIndex::QueryResult> want;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto r = t.index->Query(queries[i]);
+    ASSERT_TRUE(r.ok());
+    want.push_back(*r);
+  }
+
+  t.index->SetExactPlan(ExactPlan::kScan);
+  std::vector<StatusOr<std::vector<NNCellIndex::QueryResult>>> got(
+      3, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < got.size(); ++k) {
+    threads.emplace_back([&, k] { got[k] = t.index->QueryBatch(queries); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const auto& batch : got) {
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*batch)[i].id, want[i].id) << i;
+      EXPECT_EQ(Bits((*batch)[i].dist), Bits(want[i].dist)) << i;
+      EXPECT_EQ((*batch)[i].candidates, t.index->size()) << i;
+    }
   }
 }
 

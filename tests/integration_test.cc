@@ -149,6 +149,7 @@ TEST(IntegrationTest, PageAccountingIsConsistent) {
   const size_t dim = 6;
   PointSet pts = GenerateUniform(400, dim, 13);
   Stack stack(dim, pts);
+  stack.nncell->SetExactPlan(ExactPlan::kCellProbe);  // reads cell pages
   PointSet queries = GenerateQueries(20, dim, 14);
   stack.cell_pool->DropCache();
   stack.cell_file->ResetStats();
@@ -168,6 +169,8 @@ TEST(IntegrationTest, NNCellBeatsScanOnPageAccessesUniformMidDim) {
   const size_t dim = 6;
   PointSet pts = GenerateUniform(1500, dim, 17);
   Stack stack(dim, pts);
+  // The paper's executor; at E/N ~ 1/60 the index itself would scan.
+  stack.nncell->SetExactPlan(ExactPlan::kCellProbe);
   PointSet queries = GenerateQueries(25, dim, 18);
   uint64_t cell_pages = 0, scan_pages = 0;
   for (size_t t = 0; t < queries.size(); ++t) {

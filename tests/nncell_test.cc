@@ -1,10 +1,14 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/distance.h"
+#include "common/metrics.h"
+#include "common/metrics_names.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
@@ -149,10 +153,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(NNCellIndexTest, GridDataIsPerfectlyApproximated) {
   // Fig. 2c/d: regular grid => MBRs == cells, exactly one candidate per
-  // query, ExpectedCandidates == 1.
+  // query, ExpectedCandidates == 1. Pinned to the paper's executor: 16
+  // points are few enough that the index would plan a scan.
   NNCellOptions opts;
   opts.algorithm = ApproxAlgorithm::kCorrect;
   IndexFixture fx(2, opts);
+  fx.index->SetExactPlan(ExactPlan::kCellProbe);
   PointSet pts = GenerateGrid(4, 2, 0.0, 1);
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
   EXPECT_NEAR(fx.index->ExpectedCandidates(), 1.0, 1e-6);
@@ -313,6 +319,7 @@ TEST(NNCellIndexTest, QueryPointQueryUsesFewPages) {
   NNCellOptions opts;
   opts.algorithm = ApproxAlgorithm::kSphere;
   IndexFixture fx(4, opts, /*page_size=*/2048, /*pool_pages=*/65536);
+  fx.index->SetExactPlan(ExactPlan::kCellProbe);
   PointSet pts = GenerateUniform(800, 4, 8);
   ASSERT_TRUE(fx.index->BulkBuild(pts).ok());
   auto info = fx.index->TreeInfo();
@@ -430,6 +437,96 @@ TEST(NNCellIndexTest, BuildStatsArepopulated) {
   EXPECT_GT(stats.approx.lp_iterations, stats.approx.lp_runs);
   EXPECT_GE(stats.entries_inserted, pts.size());
   EXPECT_EQ(stats.approx.lp_failures, 0u);
+}
+
+// ExpectedCandidates() clips each rect to the data space in place; the
+// value must stay bit-identical to the formula it replaced, summed over
+// Intersection(rect, space) volumes, on a churned, decomposed, weighted
+// index (rects crossing the weighted space box included).
+TEST(NNCellIndexTest, ExpectedCandidatesBitIdenticalToIntersectionFormula) {
+  NNCellOptions opts;
+  opts.decomposition.max_partitions = 4;
+  opts.weights = {2.0, 0.5, 1.0, 3.0};
+  IndexFixture fx(4, opts);
+  ASSERT_TRUE(fx.index->BulkBuild(GenerateUniform(120, 4, 77)).ok());
+  Rng rng(78);
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(fx.index
+                    ->Insert({rng.NextDouble(), rng.NextDouble(),
+                              rng.NextDouble(), rng.NextDouble()})
+                    .ok());
+  }
+  for (uint64_t id = 0; id < 120; id += 5) {
+    ASSERT_TRUE(fx.index->Delete(id).ok());
+  }
+  HyperRect space = HyperRect::UnitCube(4);
+  for (size_t i = 0; i < 4; ++i) space.hi(i) = std::sqrt(opts.weights[i]);
+  double total = 0.0;
+  for (uint64_t id = 0; id < fx.index->points().size(); ++id) {
+    for (const HyperRect& rect : fx.index->CellRects(id)) {
+      total += HyperRect::Intersection(rect, space).Volume();
+    }
+  }
+  const double want = total / space.Volume();
+  const double got = fx.index->ExpectedCandidates();
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+      << got << " vs " << want;
+}
+
+// A trace shows the executor that answered: the cell probe's index_probe
+// + distance_scan stages, or the scan's single distance_scan stage over
+// every live point with no cell-tree reads. Both answer alike, and each
+// exact query counts once under its plan's metric.
+TEST(NNCellIndexTest, TraceAndMetricsShowTheExactPlan) {
+  IndexFixture fx(8, NNCellOptions{});
+  ASSERT_TRUE(fx.index->BulkBuild(GenerateUniform(200, 8, 61)).ok());
+  EXPECT_EQ(fx.index->exact_plan(), ExactPlan::kScan);  // d=8, N=200
+  metrics::Registry& registry = metrics::Registry::Global();
+  metrics::Counter* probe_counter =
+      registry.counter(metrics::kQueryPlanCellProbe);
+  metrics::Counter* scan_counter = registry.counter(metrics::kQueryPlanScan);
+  const bool was_enabled = metrics::Registry::Enabled();
+  metrics::Registry::SetEnabled(true);
+  const uint64_t probe_before = probe_counter->Value();
+  const uint64_t scan_before = scan_counter->Value();
+
+  PointSet queries = GenerateQueries(20, 8, 62);
+  for (size_t t = 0; t < queries.size(); ++t) {
+    QueryTrace probe, scan;
+    fx.index->SetExactPlan(ExactPlan::kCellProbe);
+    auto a = fx.index->Query(queries[t], &probe);
+    fx.index->SetExactPlan(ExactPlan::kScan);
+    auto b = fx.index->Query(queries[t], &scan);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->id, b->id);
+    EXPECT_EQ(a->dist, b->dist);
+
+    ASSERT_GE(probe.stages.size(), 2u);
+    EXPECT_EQ(probe.stages[0].name, "index_probe");
+    EXPECT_EQ(probe.stages[0].items, a->candidates);
+    EXPECT_EQ(probe.stages[1].name, "distance_scan");
+    EXPECT_GT(probe.logical_reads, 0u);
+
+    ASSERT_EQ(scan.stages.size(), 1u);
+    EXPECT_EQ(scan.stages[0].name, "distance_scan");
+    EXPECT_EQ(scan.stages[0].items, fx.index->size());
+    EXPECT_EQ(scan.candidates, fx.index->size());
+    EXPECT_EQ(scan.distance_computations, fx.index->size());
+    EXPECT_EQ(b->candidates, fx.index->size());
+    EXPECT_FALSE(scan.used_fallback);
+    EXPECT_EQ(scan.logical_reads, 0u);
+  }
+  ASSERT_TRUE(fx.index->KnnQuery(queries[0], 3).ok());
+  ASSERT_TRUE(fx.index->RangeSearch(queries[0], 0.5).ok());
+
+  metrics::Registry::SetEnabled(was_enabled);
+#if NNCELL_METRICS
+  EXPECT_EQ(probe_counter->Value() - probe_before, queries.size());
+  EXPECT_EQ(scan_counter->Value() - scan_before, queries.size() + 2);
+#else
+  (void)probe_before;
+  (void)scan_before;
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // answer every query identically and remain fully mutable.
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -98,6 +100,75 @@ TEST(IndexPersistenceTest, RoundTripQueriesIdentical) {
     EXPECT_DOUBLE_EQ(a->dist, b->dist);
     EXPECT_EQ(a->candidates, b->candidates);
   }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The exact plan is not persisted: Load works it out again from the
+// restored cells, so it equals the saved index's own plan (for a scan and
+// for a cell-probe index), and a forced plan does not survive the image.
+TEST(IndexPersistenceTest, ExactPlanIdenticalAfterLoad) {
+  for (size_t dim : {2u, 8u}) {
+    SavedIndex original = BuildSample(dim, dim == 2 ? 600 : 100,
+                                      NNCellOptions{}, 5);
+    const ExactPlan plan = original.index->exact_plan();
+    EXPECT_EQ(plan, dim == 2 ? ExactPlan::kCellProbe : ExactPlan::kScan);
+    original.index->SetExactPlan(plan == ExactPlan::kScan
+                                     ? ExactPlan::kCellProbe
+                                     : ExactPlan::kScan);
+    std::stringstream stream;
+    ASSERT_TRUE(original.index->Save(stream).ok());
+
+    PageFile file(2048);
+    BufferPool pool(&file, 8192);
+    auto loaded = NNCellIndex::Load(stream, &file, &pool);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->exact_plan(), plan) << "d=" << dim;
+    EXPECT_TRUE(SameBits((*loaded)->ExpectedCandidates(),
+                         original.index->ExpectedCandidates()));
+  }
+}
+
+// WAL replay re-applies the logged writes without working out the plan
+// per record; Open works it out once at the end, and it must equal the
+// plan the live index had when it stopped. The writes cross the flip.
+TEST(IndexPersistenceTest, ExactPlanIdenticalAfterWalReplay) {
+  const std::string dir = ::testing::TempDir() + "exact_plan_wal_replay";
+  std::filesystem::remove_all(dir);
+  NNCellIndex::DurableOptions dopts;
+  dopts.page_size = 2048;
+  dopts.wal_group_sync = 64;
+  ExactPlan before = ExactPlan::kAuto;
+  double expected_before = 0.0;
+  {
+    auto idx = NNCellIndex::Open(dir, 2, NNCellOptions{}, dopts);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    ASSERT_TRUE((*idx)->BulkBuild(GenerateUniform(80, 2, 6)).ok());
+    EXPECT_EQ((*idx)->exact_plan(), ExactPlan::kScan);
+    Rng rng(7);
+    while ((*idx)->exact_plan() == ExactPlan::kScan &&
+           (*idx)->size() < 2000) {
+      ASSERT_TRUE((*idx)->Insert({rng.NextDouble(), rng.NextDouble()}).ok());
+    }
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE((*idx)->Insert({rng.NextDouble(), rng.NextDouble()}).ok());
+    }
+    for (uint64_t id = 0; id < 20; ++id) {
+      ASSERT_TRUE((*idx)->Delete(id).ok());
+    }
+    before = (*idx)->exact_plan();
+    expected_before = (*idx)->ExpectedCandidates();
+  }
+  EXPECT_EQ(before, ExactPlan::kCellProbe);
+  NNCellIndex::RecoveryInfo info;
+  auto reopened = NNCellIndex::Open(dir, 2, NNCellOptions{}, dopts, &info);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_GT(info.wal_records_replayed, 100u);
+  EXPECT_EQ((*reopened)->exact_plan(), before);
+  EXPECT_TRUE(SameBits((*reopened)->ExpectedCandidates(), expected_before));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IndexPersistenceTest, LoadedIndexIsMutable) {

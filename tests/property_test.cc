@@ -113,7 +113,7 @@ void MixedWorkloadInvariants(uint64_t seed) {
   for (size_t i = 0; i < live.size(); i += 13) {
     auto hits = tree.PointQuery(live[i].p.data());
     bool found = false;
-    for (const auto& h : hits) found |= h.id == live[i].id;
+    for (uint64_t h : hits) found |= h == live[i].id;
     EXPECT_TRUE(found);
   }
   for (int t = 0; t < 20; ++t) {

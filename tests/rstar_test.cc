@@ -242,7 +242,7 @@ TEST(RStarTreeTest, SingleInsertAndQueries) {
   double q[2] = {0.5, 0.5};
   auto hits = fx.tree->PointQuery(q);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 1u);
+  EXPECT_EQ(hits[0], 1u);
   auto knn = fx.tree->KnnQuery(q, 1);
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_EQ(knn[0].id, 1u);
@@ -391,8 +391,7 @@ TEST(RStarTreeTest, PointQueryOnRectangles) {
   fx.tree->Insert(HyperRect({0.8, 0.8}, {0.9, 0.9}), 4);
   double q[2] = {0.5, 0.5};
   auto hits = fx.tree->PointQuery(q);
-  std::set<uint64_t> ids;
-  for (const auto& h : hits) ids.insert(h.id);
+  std::set<uint64_t> ids(hits.begin(), hits.end());
   EXPECT_EQ(ids, (std::set<uint64_t>{1, 2, 3}));
 }
 
@@ -401,7 +400,7 @@ TEST(RStarTreeTest, AuxPayloadRoundTrip) {
   std::vector<double> p = {0.1, 0.2, 0.3};
   std::vector<double> aux = {9.0, 8.0, 7.0};
   fx.tree->Insert(PointRect(p), 42, aux.data());
-  auto hits = fx.tree->PointQuery(p.data());
+  auto hits = fx.tree->RangeQuery(PointRect(p));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].aux, aux);
   auto knn = fx.tree->KnnQuery(p.data(), 1);
@@ -433,7 +432,7 @@ TEST(RStarTreeTest, DeleteAndValidate) {
   for (size_t i = 0; i < n; ++i) {
     auto hits = fx.tree->PointQuery(pts[i]);
     bool found = false;
-    for (const auto& h : hits) found |= (h.id == i);
+    for (uint64_t h : hits) found |= (h == i);
     EXPECT_EQ(found, i % 2 == 1) << i;
   }
   // Double-delete fails.

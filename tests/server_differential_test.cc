@@ -46,6 +46,10 @@ struct Oracle {
     file = std::make_unique<PageFile>(4096);
     pool = std::make_unique<BufferPool>(file.get(), 2048);
     index = std::make_unique<NNCellIndex>(pool.get(), dim, Options(alg));
+    // A few dozen points would plan a scan; the cell probe keeps the
+    // served queries traversing the cell tree (and the candidate counts
+    // compared below are the paper's).
+    index->SetExactPlan(ExactPlan::kCellProbe);
   }
 };
 

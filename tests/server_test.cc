@@ -214,6 +214,9 @@ class ServerTest : public ::testing::Test {
     NNCellOptions opts;
     opts.algorithm = ApproxAlgorithm::kSphere;
     index_ = std::make_unique<NNCellIndex>(pool_.get(), 2, opts);
+    // 20 points would plan a scan; the cell probe keeps the server's
+    // concurrent queries traversing the cell tree.
+    index_->SetExactPlan(ExactPlan::kCellProbe);
     Rng rng(0x5e1);
     for (int i = 0; i < 20; ++i) {
       auto id = index_->Insert({rng.NextDouble(), rng.NextDouble()});
@@ -271,6 +274,14 @@ TEST_F(ServerTest, PingQueryInsertDeleteStats) {
   EXPECT_NE(stats->find("\"accepted\":"), std::string::npos);
   EXPECT_NE(stats->find("\"metrics\":"), std::string::npos);
   EXPECT_NE(stats->find("server.requests.accepted"), std::string::npos);
+  // The index's exact plan and E/N (the index is quiescent between
+  // requests, so reading it here races with nothing).
+  const std::string plan = std::string("\"index\":{\"exact_plan\":\"") +
+                           index_->ExactPlanName() + "\",";
+  EXPECT_NE(stats->find(plan), std::string::npos) << *stats;
+  EXPECT_NE(stats->find("\"points\":" + std::to_string(index_->size()) + "}"),
+            std::string::npos)
+      << *stats;
 }
 
 TEST_F(ServerTest, QueryBatchMatchesSingles) {

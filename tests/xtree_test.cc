@@ -209,7 +209,7 @@ TEST(XTreeTest, DeleteWorks) {
   for (size_t i = 0; i < 400; ++i) {
     auto hits = fx.tree->PointQuery(pts[i].data());
     bool found = false;
-    for (const auto& h : hits) found |= h.id == i;
+    for (uint64_t h : hits) found |= h == i;
     EXPECT_EQ(found, i % 3 != 0);
   }
 }
@@ -256,9 +256,7 @@ TEST(XTreeTest, FewerPageAccessesThanRStarOnHighDimRects) {
     auto xh = xtree.PointQuery(q.data());
     x_reads += xpool.stats().physical_reads;
     // Same answers.
-    std::set<uint64_t> ra, xa;
-    for (const auto& h : rh) ra.insert(h.id);
-    for (const auto& h : xh) xa.insert(h.id);
+    std::set<uint64_t> ra(rh.begin(), rh.end()), xa(xh.begin(), xh.end());
     ASSERT_EQ(ra, xa);
   }
   EXPECT_LE(x_reads, r_reads);

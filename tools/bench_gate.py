@@ -99,15 +99,26 @@ def serve_once(build, work, dim, shards, runs):
 
 
 def produce_serve(build, quick, out):
-    runs = [DET + ["--preload=100", "--label=det"]]
+    runs = [DET + ["--preload=100", "--label=det"], ["--stats"]]
     if not quick:
         runs.append(["--connections=4", "--ops=2000", "--preload=100",
                      "--mix=80:15:5", "--zipf=0.99", "--seed=11",
                      "--label=load"])
     with tempfile.TemporaryDirectory() as work:
-        scenarios, server = serve_once(build, Path(work), 4, 0, runs)
-    out.write_text(json.dumps({"scenarios": scenarios, "server": server},
-                              indent=1, sort_keys=True))
+        (det, stats, *load), server = serve_once(build, Path(work), 4, 0,
+                                                 runs)
+        det["exact_plan"] = stats["index"]["exact_plan"]
+        # ~100 points at d=4 plan a scan of the point table; on its own
+        # server, 500 points put E/N near 1/90, so det-probe answers
+        # through the cell probe (Lemma 2 end to end).
+        probe_dir = Path(work) / "probe"
+        probe_dir.mkdir()
+        (probe, stats), probe["server"] = serve_once(
+            build, probe_dir, 4, 0,
+            [DET + ["--preload=500", "--label=det-probe"], ["--stats"]])
+        probe["exact_plan"] = stats["index"]["exact_plan"]
+    out.write_text(json.dumps({"scenarios": [det, probe] + load,
+                               "server": server}, indent=1, sort_keys=True))
 
 
 def produce_shard(build, quick, out):
@@ -118,6 +129,7 @@ def produce_shard(build, quick, out):
                            f"--shards={k}"], ["--stats"]]
             (row, stats), server = serve_once(build, Path(work), 16, k, runs)
             row["server"] = server
+            row["exact_plan"] = stats["index"]["exact_plan"]
             row["shard_metrics"] = {
                 m: int(stats["metrics"].get(f"shard.query.{m}", 0))
                 for m in ("probes", "pruned")}
@@ -167,8 +179,16 @@ def results_equal(*fields):
 
 
 def server_of(row, doc):
-    """The drain counters: per scenario (shard) or per document (serve)."""
+    """The drain counters: per scenario (shard, serve det-probe) or per
+    document (the other serve scenarios)."""
     return row.get("server") or doc["server"]
+
+
+# Which executor answered the scenario's queries ("scan", "cell_probe"; a
+# sharded index whose shards differ reports "mixed"): the checksums pin
+# that executor's answers, so a change of plan is a gate failure.
+PLAN_EQUAL = ("exact_plan equals the committed row",
+              lambda c, r: c.get("exact_plan") == r.get("exact_plan"))
 
 
 SERVE_FIELDS = ("checksum", "queries", "inserts", "deletes", "sent")
@@ -216,12 +236,13 @@ SUITES = {
         "exact_match {exact_match}, exact_checksum {exact_checksum}"),
     "serve": Suite(
         ["tools/nncell_server", "bench/loadgen"], produce_serve,
-        ("scenarios", "label"), [results_equal(*SERVE_FIELDS)], SERVE_IN_RUN,
-        SERVE_REPORT),
+        ("scenarios", "label"), [results_equal(*SERVE_FIELDS), PLAN_EQUAL],
+        SERVE_IN_RUN, SERVE_REPORT),
     # Cross-K: the shard count changes fan-out, never which point answers.
     "shard": Suite(
         ["tools/nncell_server", "bench/loadgen"], produce_shard,
-        ("scenarios", "label"), [results_equal(*SERVE_FIELDS, "id_checksum")],
+        ("scenarios", "label"),
+        [results_equal(*SERVE_FIELDS, "id_checksum"), PLAN_EQUAL],
         SERVE_IN_RUN + [("id_checksum identical across every K",
                          lambda row, doc: row["results"]["id_checksum"] ==
                          doc["scenarios"][0]["results"]["id_checksum"])],

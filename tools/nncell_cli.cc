@@ -503,12 +503,21 @@ void PrintShardLines(const ShardedIndex& sharded) {
 template <typename Index>
 int RunStats(Index& index, int argc, char** argv) {
   auto info = index.TreeInfo();
+  // E/N: the share of the live points the cell probe is expected to
+  // distance-check. Under kAuto the index scans instead once it reaches
+  // 1 / NNCellIndex::kScanCoverage.
+  const double expected_fraction =
+      index.size() > 0
+          ? index.ExpectedCandidates() / static_cast<double>(index.size())
+          : 0.0;
   if (!HasFlag(argc, argv, "--json")) {
     std::printf("points:             %zu (dim %zu)\n", index.size(),
                 index.dim());
     std::printf("algorithm:          %s\n",
                 ApproxAlgorithmName(index.options().algorithm));
     std::printf("expected candidates:%.2f\n", index.ExpectedCandidates());
+    std::printf("exact plan:         %s (E/N %.4f)\n", index.ExactPlanName(),
+                expected_fraction);
     std::printf("tree height:        %zu\n", info.height);
     std::printf("tree nodes:         %zu (%zu leaves, %zu supernodes)\n",
                 info.num_nodes, info.num_leaves, info.num_supernodes);
@@ -574,13 +583,15 @@ int RunStats(Index& index, int argc, char** argv) {
   std::string out = "{\"index\":{";
   std::snprintf(
       buf, sizeof(buf),
-      "\"algorithm\":\"%s\",\"dim\":%zu,\"expected_candidates\":%.4f,"
+      "\"algorithm\":\"%s\",\"dim\":%zu,\"exact_plan\":\"%s\","
+      "\"expected_candidates\":%.4f,\"expected_fraction\":%.6f,"
       "\"kernel_dispatch\":\"%s\",\"lp_sample\":%zu,\"points\":%zu,"
       "\"probe_queries\":%zu,\"tree_height\":%zu,\"tree_leaves\":%zu,"
       "\"tree_nodes\":%zu,\"tree_pages\":%zu,\"tree_supernodes\":%zu,"
       "\"validation\":\"%s\"",
       ApproxAlgorithmName(index.options().algorithm), index.dim(),
-      index.ExpectedCandidates(), kernels::ActiveLevelName(), lp_sample,
+      index.ExactPlanName(), index.ExpectedCandidates(), expected_fraction,
+      kernels::ActiveLevelName(), lp_sample,
       index.size(), probe_queries, info.height, info.num_leaves,
       info.num_nodes, info.total_pages, info.num_supernodes,
       index.ValidateTree().empty() ? "OK" : "FAILED");
