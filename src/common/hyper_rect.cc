@@ -153,12 +153,17 @@ HyperRect HyperRect::Intersection(const HyperRect& a, const HyperRect& b) {
 
 double HyperRect::OverlapVolume(const HyperRect& a, const HyperRect& b) {
   NNCELL_DCHECK(a.dim() == b.dim());
+  return RawOverlapVolume(a.lo_.data(), a.hi_.data(), b);
+}
+
+double RawOverlapVolume(const double* lo, const double* hi,
+                        const HyperRect& r) {
   double v = 1.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    double lo = std::max(a.lo_[i], b.lo_[i]);
-    double hi = std::min(a.hi_[i], b.hi_[i]);
-    if (lo >= hi) return 0.0;
-    v *= (hi - lo);
+  for (size_t i = 0; i < r.dim(); ++i) {
+    double l = std::max(lo[i], r.lo(i));
+    double h = std::min(hi[i], r.hi(i));
+    if (l >= h) return 0.0;
+    v *= (h - l);
   }
   return v;
 }

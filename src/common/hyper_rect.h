@@ -110,6 +110,10 @@ inline bool RawIntersects(const double* lo, const double* hi,
   return true;
 }
 
+// HyperRect::OverlapVolume of the rectangle [lo, hi] (r's dimension) and r.
+double RawOverlapVolume(const double* lo, const double* hi,
+                        const HyperRect& r);
+
 // MINDIST over raw bounds: the scalar reference kernel (branchless form,
 // bit-equal to the classic branchy loop; see kernels_scalar.cc). Batched
 // traversal loops should prefer kernels::MinDistSqBatch4.

@@ -59,6 +59,10 @@ inline constexpr char kIndexCellsRecomputed[] =
     "index.maintenance.cells_recomputed";
 inline constexpr char kIndexCellsRewritten[] =
     "index.maintenance.cells_rewritten";
+inline constexpr char kIndexCellsCertified[] =
+    "index.maintenance.cells_certified";
+inline constexpr char kIndexCellsUpdatedInPlace[] =
+    "index.maintenance.cells_updated_in_place";
 
 // --- lp (cell-approximation build pipeline) ------------------------------
 inline constexpr char kLpRuns[] = "lp.solver.runs";
@@ -171,6 +175,10 @@ inline constexpr MetricDef kMetricDefs[] = {
      "cell approximations recomputed by Insert/Delete maintenance"},
     {kIndexCellsRewritten, Kind::kCounter, "cells",
      "recomputed cells whose approximation changed (rewritten in the tree)"},
+    {kIndexCellsCertified, Kind::kCounter, "cells",
+     "affected cells kept without LP solves: their witness survived the write"},
+    {kIndexCellsUpdatedInPlace, Kind::kCounter, "cells",
+     "rewritten cells that shrank, overwritten in their cell-tree leaf"},
     {kLpRuns, Kind::kCounter, "solves",
      "LP face solves attempted (2d per cell minus certified skips)"},
     {kLpIterations, Kind::kCounter, "iterations",

@@ -82,8 +82,11 @@ CellApproximator::CellApproximator(size_t dim, HyperRect space,
 HyperRect CellApproximator::SolveFaces(FaceSolveSession& session,
                                        const LpProblem& problem,
                                        const std::vector<double>& start,
-                                       ApproxStats* stats) const {
+                                       ApproxStats* stats,
+                                       std::vector<double>* optima) const {
   HyperRect mbr = HyperRect::Empty(dim_);
+  bool optima_ok = true;
+  if (optima != nullptr) optima->resize(2 * dim_ * dim_);
   std::vector<double>& c = LocalScratch().c;
   c.assign(dim_, 0.0);
   // Local tallies; flushed to `stats` and the metrics registry once per MBR.
@@ -115,16 +118,27 @@ HyperRect CellApproximator::SolveFaces(FaceSolveSession& session,
     } else {
       mbr.hi(i) = space_.hi(i);  // conservative fallback
       ++failures;
+      optima_ok = false;
     }
     if (dn.status == LpStatus::kOptimal) {
       mbr.lo(i) = dn.objective;
     } else {
       mbr.lo(i) = space_.lo(i);
       ++failures;
+      optima_ok = false;
     }
     // Guard against numerical inversion on degenerate (flat) cells.
-    if (mbr.lo(i) > mbr.hi(i)) std::swap(mbr.lo(i), mbr.hi(i));
+    if (mbr.lo(i) > mbr.hi(i)) {
+      std::swap(mbr.lo(i), mbr.hi(i));
+      optima_ok = false;
+    }
+    if (optima != nullptr && optima_ok) {
+      std::copy(up.x.begin(), up.x.end(), optima->begin() + 2 * i * dim_);
+      std::copy(dn.x.begin(), dn.x.end(),
+                optima->begin() + (2 * i + 1) * dim_);
+    }
   }
+  if (optima != nullptr && !optima_ok) optima->clear();
   if (stats) {
     stats->skipped_faces += skipped;
     stats->warm_faces += warm;
@@ -144,17 +158,18 @@ HyperRect CellApproximator::SolveFaces(FaceSolveSession& session,
 
 HyperRect CellApproximator::SolveMbr(const LpProblem& problem,
                                      const std::vector<double>& start,
-                                     ApproxStats* stats) const {
+                                     ApproxStats* stats,
+                                     std::vector<double>* optima) const {
   FaceSolveSession& session = LocalScratch().session;
   session.set_options(lp_opts_);
   session.BeginCell(approx_opts_.warm_start);
   session.PrepareFaces(problem, start);  // no-op when warm starts are off
-  return SolveFaces(session, problem, start, stats);
+  return SolveFaces(session, problem, start, stats, optima);
 }
 
 HyperRect CellApproximator::ApproximateMbr(
     const double* owner, const std::vector<const double*>& candidates,
-    ApproxStats* stats) const {
+    ApproxStats* stats, std::vector<double>* optima) const {
   ApproxScratch& sc = LocalScratch();
   LpProblem& problem = sc.session.problem();
   problem.Reset(dim_);
@@ -172,7 +187,7 @@ HyperRect CellApproximator::ApproximateMbr(
   NNCELL_METRIC_COUNT(Metrics().rows_pruned, pruned);
   std::vector<double>& start = sc.session.start_buffer();
   start.assign(owner, owner + dim_);
-  return SolveMbr(problem, start, stats);
+  return SolveMbr(problem, start, stats, optima);
 }
 
 HyperRect CellApproximator::ApproximateClippedMbr(

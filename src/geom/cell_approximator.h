@@ -67,9 +67,13 @@ class CellApproximator {
   // MBR of the cell of `owner` induced by the candidate constraint points.
   // `owner` must be distinct from every candidate. Faces whose LP fails
   // fall back to the data-space bound (conservative, keeps Lemma 1).
+  // `optima`, when given, receives the 2d face optima as 2d rows of dim()
+  // coordinates (row 2i maximizes x_i, row 2i+1 minimizes it), or is left
+  // empty when a face failed or inverted.
   HyperRect ApproximateMbr(const double* owner,
                            const std::vector<const double*>& candidates,
-                           ApproxStats* stats = nullptr) const;
+                           ApproxStats* stats = nullptr,
+                           std::vector<double>* optima = nullptr) const;
 
   // Same, but for the cell clipped to `clip` (used by the decomposition:
   // MBR(cell ∩ slice)). Returns Empty(dim) when the clipped cell is empty.
@@ -80,14 +84,16 @@ class CellApproximator {
 
   // MBR faces for a prebuilt constraint system with a known feasible start.
   HyperRect SolveMbr(const LpProblem& problem, const std::vector<double>& start,
-                     ApproxStats* stats) const;
+                     ApproxStats* stats,
+                     std::vector<double>* optima = nullptr) const;
 
  private:
   // Runs the 2d face solves over `problem` on a session that BeginCell()
-  // was already called on, assembling the MBR.
+  // was already called on, assembling the MBR (and `optima`, as for
+  // ApproximateMbr).
   HyperRect SolveFaces(FaceSolveSession& session, const LpProblem& problem,
-                       const std::vector<double>& start,
-                       ApproxStats* stats) const;
+                       const std::vector<double>& start, ApproxStats* stats,
+                       std::vector<double>* optima) const;
 
   size_t dim_;
   HyperRect space_;

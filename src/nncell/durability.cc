@@ -46,13 +46,7 @@ Status NNCellIndex::LogInsert(const std::vector<double>& original) {
   if (original.size() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
   }
-  std::vector<double> point = ToMetricSpace(original.data());
-  if (!space_.ContainsPoint(point)) {
-    return Status::OutOfRange("point outside the data space [0,1]^d");
-  }
-  if (point_lookup_.find(point) != point_lookup_.end()) {
-    return Status::AlreadyExists("exact duplicate point");
-  }
+  NNCELL_RETURN_IF_ERROR(CheckNewPoint(ToMetricSpace(original.data())));
   return wal_->Append(walrec::EncodeInsert(points_.size(), original));
 }
 

@@ -11,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/metrics_names.h"
 #include "common/rng.h"
+#include "lp/audit.h"
 #include "rstar/rstar_tree.h"
 #include "storage/wal.h"
 #include "xtree/xtree.h"
@@ -88,38 +89,38 @@ struct ApproxQueryMetrics {
 
 // Registry handles for dynamic maintenance.
 struct MaintenanceMetrics {
+  metrics::Counter* cells_certified;
   metrics::Counter* cells_recomputed;
   metrics::Counter* cells_rewritten;
+  metrics::Counter* cells_updated_in_place;
 };
 
 [[maybe_unused]] const MaintenanceMetrics& MaintMetrics() {
   static const MaintenanceMetrics m = {
+      metrics::Registry::Global().counter(metrics::kIndexCellsCertified),
       metrics::Registry::Global().counter(metrics::kIndexCellsRecomputed),
       metrics::Registry::Global().counter(metrics::kIndexCellsRewritten),
+      metrics::Registry::Global().counter(metrics::kIndexCellsUpdatedInPlace),
   };
   return m;
 }
 
-// Bit-for-bit equality of two cell approximations. HyperRect::operator==
-// compares doubles, under which -0.0 == +0.0: keeping an old rectangle on
-// that test would leave a different sign bit than rewriting it.
-bool SameBits(const std::vector<HyperRect>& a,
-              const std::vector<HyperRect>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const size_t bytes = a[i].dim() * sizeof(double);
-    if (a[i].dim() != b[i].dim() ||
-        std::memcmp(a[i].lo().data(), b[i].lo().data(), bytes) != 0 ||
-        std::memcmp(a[i].hi().data(), b[i].hi().data(), bytes) != 0) {
-      return false;
-    }
-  }
-  return true;
+// Bit-for-bit equality of a rectangle and stored bounds (lo, then hi).
+// HyperRect::operator== compares doubles, under which -0.0 == +0.0:
+// keeping an old rectangle on that test would leave a different sign bit
+// than rewriting it.
+bool SameBits(const HyperRect& rect, const double* bounds) {
+  const size_t bytes = rect.dim() * sizeof(double);
+  return std::memcmp(rect.lo().data(), bounds, bytes) == 0 &&
+         std::memcmp(rect.hi().data(), bounds + rect.dim(), bytes) == 0;
 }
 
-}  // namespace
+// Witness codes: 8 bits per coordinate within the cell's MBR.
+constexpr double kCodeLevels = 255.0;
 
-namespace {
+// Up to this many certified cells per write are re-solved against every
+// live point in debug builds (AuditCertifiedCell).
+[[maybe_unused]] constexpr size_t kAuditedCertificatesPerWrite = 4;
 
 // Data space under the sqrt(weight) isometry: [0, sqrt(w_i)] per dim.
 HyperRect MetricSpaceBox(size_t dim, const std::vector<double>& weights) {
@@ -141,7 +142,8 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
       options_(options),
       space_(MetricSpaceBox(dim, options.weights)),
       points_(dim),
-      approximator_(dim, space_, options.lp, options.approx) {
+      approximator_(dim, space_, options.lp, options.approx),
+      max_rects_(std::max<size_t>(1, options.decomposition.max_partitions)) {
   TreeOptions tree_opts = options_.tree;
   tree_opts.dim = dim;
   // Leaf entries are (approximation rectangle, point id); like the paper,
@@ -271,14 +273,15 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
   return candidates;
 }
 
-std::vector<HyperRect> NNCellIndex::ComputeCellRects(const double* owner,
-                                                     uint64_t self,
-                                                     ApproxStats* stats) const {
+std::vector<HyperRect> NNCellIndex::ComputeCellRects(
+    const double* owner, uint64_t self, ApproxStats* stats,
+    std::vector<double>* optima) const {
   std::vector<const double*> candidates = SelectCandidates(owner, self);
-  HyperRect full = approximator_.ApproximateMbr(owner, candidates, stats);
   if (options_.decomposition.max_partitions <= 1) {
-    return {full};
+    return {approximator_.ApproximateMbr(owner, candidates, stats, optima)};
   }
+  if (optima != nullptr) optima->clear();
+  HyperRect full = approximator_.ApproximateMbr(owner, candidates, stats);
   return DecomposeCell(approximator_, owner, candidates, full,
                        options_.decomposition, stats);
 }
@@ -306,27 +309,42 @@ std::vector<double> NNCellIndex::OriginalPoint(uint64_t id) const {
   return FromMetricSpace(std::vector<double>(p, p + dim_));
 }
 
-StatusOr<uint64_t> NNCellIndex::RegisterPoint(
-    const std::vector<double>& original, bool insert_into_point_tree) {
-  if (original.size() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  std::vector<double> point = ToMetricSpace(original.data());
+Status NNCellIndex::CheckNewPoint(const std::vector<double>& point) const {
   if (!space_.ContainsPoint(point)) {
     return Status::OutOfRange("point outside the data space [0,1]^d");
   }
-  auto [it, inserted] = point_lookup_.emplace(point, points_.size());
-  if (!inserted) {
-    return Status::AlreadyExists("exact duplicate point");
+  // The point tree holds every live point as a degenerate rectangle, so
+  // the exact matches are the only entries containing `point`.
+  for (uint64_t id : point_tree_->PointQuery(point.data())) {
+    if (std::equal(point.begin(), point.end(), points_[id])) {
+      return Status::AlreadyExists("exact duplicate point");
+    }
   }
+  return Status::OK();
+}
+
+uint64_t NNCellIndex::AddPoint(const std::vector<double>& point,
+                               bool insert_into_point_tree) {
   uint64_t id = points_.Add(point);
-  cell_rects_.emplace_back();
+  rect_data_.resize(rect_data_.size() + max_rects_ * 2 * dim_);
+  rect_count_.push_back(0);
   alive_.push_back(true);
   ++live_count_;
   if (insert_into_point_tree) {
     point_tree_->Insert(HyperRect::FromPoint(point), id);
   }
   return id;
+}
+
+void NNCellIndex::SetCellRects(uint64_t id,
+                               const std::vector<HyperRect>& rects) {
+  NNCELL_CHECK(rects.size() <= max_rects_);
+  double* out = rect_data_.data() + id * max_rects_ * 2 * dim_;
+  for (const HyperRect& rect : rects) {
+    out = std::copy(rect.lo().begin(), rect.lo().end(), out);
+    out = std::copy(rect.hi().begin(), rect.hi().end(), out);
+  }
+  rect_count_[id] = static_cast<uint32_t>(rects.size());
 }
 
 const char* ExactPlanName(ExactPlan plan) {
@@ -375,6 +393,7 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
 StatusOr<uint64_t> NNCellIndex::ApplyInsert(
     const std::vector<double>& original) {
   std::vector<double> point = ToMetricSpace(original.data());
+  NNCELL_RETURN_IF_ERROR(CheckNewPoint(point));
   // 1. Find the cells the new point will shrink. Stale approximations
   // remain correct supersets of the shrunk cells, so maintenance is a
   // quality (overlap) concern, not a correctness one.
@@ -389,8 +408,9 @@ StatusOr<uint64_t> NNCellIndex::ApplyInsert(
     double r = SphereRadius();
     for (uint64_t id = 0; id < points_.size(); ++id) {
       if (!alive_[id]) continue;
-      for (const HyperRect& rect : cell_rects_[id]) {
-        if (rect.MinDistSq(point.data()) <= r * r) {
+      for (size_t k = 0; k < RectCount(id); ++k) {
+        const double* lo = RectBounds(id, k);
+        if (RawMinDistSq(lo, lo + dim_, point.data(), dim_) <= r * r) {
           affected.push_back(id);
           break;
         }
@@ -399,19 +419,19 @@ StatusOr<uint64_t> NNCellIndex::ApplyInsert(
   }
 
   // 2. Register the point and insert its cell approximation.
-  StatusOr<uint64_t> id_or = RegisterPoint(original, true);
-  if (!id_or.ok()) return id_or;
-  uint64_t id = *id_or;
+  uint64_t id = AddPoint(point, true);
+  std::vector<double> optima;
   std::vector<HyperRect> rects =
-      ComputeCellRects(points_[id], id, &build_stats_.approx);
+      ComputeCellRects(points_[id], id, &build_stats_.approx, &optima);
   for (const HyperRect& rect : rects) {
     tree_->Insert(rect, id, points_[id]);
     ++build_stats_.entries_inserted;
   }
-  cell_rects_[id] = std::move(rects);
+  SetCellRects(id, rects);
+  StoreWitness(id, optima);
 
   // 3. Maintenance: shrink the affected approximations.
-  for (uint64_t aff : affected) RecomputeCell(aff);
+  RecomputeAffected(affected, points_[id]);
   return id;
 }
 
@@ -434,33 +454,32 @@ Status NNCellIndex::ApplyDelete(uint64_t id) {
   for (uint64_t other = 0; other < points_.size(); ++other) {
     if (other == id || !alive_[other]) continue;
     bool touches = false;
-    for (const HyperRect& mine : cell_rects_[id]) {
-      for (const HyperRect& theirs : cell_rects_[other]) {
-        if (mine.Intersects(theirs)) {
-          touches = true;
-          break;
-        }
+    for (size_t m = 0; m < RectCount(id) && !touches; ++m) {
+      const double* mine = RectBounds(id, m);
+      for (size_t t = 0; t < RectCount(other) && !touches; ++t) {
+        const double* theirs = RectBounds(other, t);
+        touches =
+            RawIntersects(mine, mine + dim_, theirs, theirs + dim_, dim_);
       }
-      if (touches) break;
     }
     if (touches) affected.push_back(other);
   }
 
   // Remove the point and its approximations from both indexes.
-  for (const HyperRect& rect : cell_rects_[id]) {
+  for (const HyperRect& rect : CellRects(id)) {
     bool removed = tree_->Delete(rect, id);
     NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
   }
-  cell_rects_[id].clear();
+  rect_count_[id] = 0;
+  if (id < witnessed_.size()) witnessed_[id] = false;
   bool removed =
       point_tree_->Delete(HyperRect::FromPoint(points_[id], dim_), id);
   NNCELL_CHECK_MSG(removed, "point tree entry missing");
-  point_lookup_.erase(points_.Get(id));
   alive_[id] = false;
   --live_count_;
   ++build_stats_.deletions;
 
-  for (uint64_t aff : affected) RecomputeCell(aff);
+  RecomputeAffected(affected, points_[id]);
   return Status::OK();
 }
 
@@ -469,15 +488,35 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   const bool fresh = points_.empty();
   // Phase 1: register everything (points visible to candidate selection).
   // On a fresh index the point tree is bulk-loaded afterwards instead of
-  // grown insert-by-insert.
+  // grown insert-by-insert, so it cannot find duplicates within the batch:
+  // sort the batch instead, stably, and keep each first occurrence.
+  PointSet metric(dim_);
+  for (size_t i = 0; i < pts.size(); ++i) metric.Add(ToMetricSpace(pts[i]));
+  std::vector<bool> repeat(pts.size(), false);
+  if (fresh) {
+    auto less = [&](size_t a, size_t b) {
+      return std::lexicographical_compare(metric[a], metric[a] + dim_,
+                                          metric[b], metric[b] + dim_);
+    };
+    std::vector<size_t> order;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      if (space_.ContainsPoint(metric.Get(i))) order.push_back(i);  // no NaN
+    }
+    std::stable_sort(order.begin(), order.end(), less);
+    for (size_t j = 1; j < order.size(); ++j) {
+      if (!less(order[j - 1], order[j])) repeat[order[j]] = true;
+    }
+  }
   std::vector<uint64_t> ids;
   ids.reserve(pts.size());
   for (size_t i = 0; i < pts.size(); ++i) {
-    StatusOr<uint64_t> id = RegisterPoint(pts.Get(i), !fresh);
-    if (id.ok()) {
-      ids.push_back(*id);
-    } else if (id.status().code() != StatusCode::kAlreadyExists) {
-      return id.status();
+    if (repeat[i]) continue;
+    std::vector<double> point = metric.Get(i);
+    Status st = CheckNewPoint(point);
+    if (st.ok()) {
+      ids.push_back(AddPoint(point, !fresh));
+    } else if (st.code() != StatusCode::kAlreadyExists) {
+      return st;
     }
   }
   if (fresh) {
@@ -526,7 +565,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
         tree_->Insert(rect, id, points_[id]);
         ++build_stats_.entries_inserted;
       }
-      cell_rects_[id] = std::move(computed[i]);
+      SetCellRects(id, computed[i]);
     }
   } else {
     for (uint64_t id : ids) {
@@ -536,7 +575,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
         tree_->Insert(rect, id, points_[id]);
         ++build_stats_.entries_inserted;
       }
-      cell_rects_[id] = std::move(rects);
+      SetCellRects(id, rects);
     }
   }
   UpdatePlan();
@@ -552,39 +591,155 @@ bool NNCellIndex::CellAffectedBy(uint64_t id, const double* p) const {
   // min_{x in B} (|x-p|^2 - |x-owner|^2) < 0; the objective is linear in x
   // so the minimum is at a corner, separable per dimension.
   const double* owner = points_[id];
-  for (const HyperRect& rect : cell_rects_[id]) {
+  for (size_t r = 0; r < RectCount(id); ++r) {
+    const double* lo = RectBounds(id, r);
+    const double* hi = lo + dim_;
     double min_val = 0.0;
     for (size_t k = 0; k < dim_; ++k) {
       // f(x) = sum_k [ (x_k - p_k)^2 - (x_k - o_k)^2 ]
       //      = sum_k [ 2 x_k (o_k - p_k) + p_k^2 - o_k^2 ]
       double a = 2.0 * (owner[k] - p[k]);
       double c = p[k] * p[k] - owner[k] * owner[k];
-      min_val += std::min(a * rect.lo(k), a * rect.hi(k)) + c;
+      min_val += std::min(a * lo[k], a * hi[k]) + c;
     }
     if (min_val < 0.0) return true;
   }
   return false;
 }
 
+void NNCellIndex::RecomputeAffected(const std::vector<uint64_t>& affected,
+                                    const double* p) {
+  [[maybe_unused]] size_t audited = 0;
+  for (uint64_t id : affected) {
+    if (WitnessCertifies(id, p)) {
+      ++build_stats_.cells_certified;
+      NNCELL_METRIC_COUNT(MaintMetrics().cells_certified, 1);
+#ifndef NDEBUG
+      if (audited++ < kAuditedCertificatesPerWrite) AuditCertifiedCell(id);
+#endif
+      continue;
+    }
+    RecomputeCell(id);
+  }
+}
+
 void NNCellIndex::RecomputeCell(uint64_t id) {
+  std::vector<double> optima;
   std::vector<HyperRect> rects =
-      ComputeCellRects(points_[id], id, &build_stats_.approx);
+      ComputeCellRects(points_[id], id, &build_stats_.approx, &optima);
   ++build_stats_.cells_recomputed;
   NNCELL_METRIC_COUNT(MaintMetrics().cells_recomputed, 1);
   // Most recomputed cells come out unchanged (only the new or deleted
   // point's Voronoi neighbors really move); leave their tree entries be.
-  if (SameBits(rects, cell_rects_[id])) return;
-  for (const HyperRect& rect : cell_rects_[id]) {
-    bool removed = tree_->Delete(rect, id);
-    NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
+  bool same = rects.size() == RectCount(id);
+  for (size_t r = 0; r < rects.size() && same; ++r) {
+    same = SameBits(rects[r], RectBounds(id, r));
   }
-  ++build_stats_.cells_rewritten;
-  NNCELL_METRIC_COUNT(MaintMetrics().cells_rewritten, 1);
-  for (const HyperRect& rect : rects) {
-    tree_->Insert(rect, id, points_[id]);
-    ++build_stats_.entries_inserted;
+  if (!same) {
+    ++build_stats_.cells_rewritten;
+    NNCELL_METRIC_COUNT(MaintMetrics().cells_rewritten, 1);
+    std::vector<HyperRect> old = CellRects(id);
+    if (old.size() == 1 && rects.size() == 1 &&
+        old[0].ContainsRect(rects[0])) {
+      // A cell that only shrank stays in its leaf.
+      bool shrunk = tree_->ShrinkEntry(old[0], id, rects[0]);
+      NNCELL_CHECK_MSG(shrunk, "indexed cell rectangle missing");
+      ++build_stats_.cells_updated_in_place;
+      NNCELL_METRIC_COUNT(MaintMetrics().cells_updated_in_place, 1);
+    } else {
+      for (const HyperRect& rect : old) {
+        bool removed = tree_->Delete(rect, id);
+        NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
+      }
+      for (const HyperRect& rect : rects) {
+        tree_->Insert(rect, id, points_[id]);
+        ++build_stats_.entries_inserted;
+      }
+    }
+    SetCellRects(id, rects);
   }
-  cell_rects_[id] = std::move(rects);
+  StoreWitness(id, optima);
+}
+
+void NNCellIndex::StoreWitness(uint64_t id, const std::vector<double>& optima) {
+  const size_t stride = 2 * dim_ * (dim_ - 1);
+  if (optima.empty()) {
+    if (id < witnessed_.size()) witnessed_[id] = false;
+    return;
+  }
+  if (witnessed_.size() < points_.size()) {
+    witnessed_.resize(points_.size(), false);
+    witness_codes_.resize(points_.size() * stride);
+  }
+  const double* lo = RectBounds(id, 0);
+  const double* hi = lo + dim_;
+  uint8_t* code = witness_codes_.data() + id * stride;
+  for (size_t face = 0; face < 2 * dim_; ++face) {
+    const double* x = optima.data() + face * dim_;
+    for (size_t k = 0; k < dim_; ++k) {
+      if (k == face / 2) continue;
+      const double width = hi[k] - lo[k];
+      const double t = width > 0.0 ? (x[k] - lo[k]) / width : 0.0;
+      *code++ = static_cast<uint8_t>(
+          std::lround(std::clamp(t, 0.0, 1.0) * kCodeLevels));
+    }
+  }
+  witnessed_[id] = true;
+}
+
+bool NNCellIndex::WitnessCertifies(uint64_t id, const double* p) const {
+  if (id >= witnessed_.size() || !witnessed_[id]) return false;
+  const double* owner = points_[id];
+  const double* lo = RectBounds(id, 0);
+  const double* hi = lo + dim_;
+  // p's bisector row, in the linear form of CellAffectedBy: the owner's
+  // side is slack(x) = sum_k [2 x_k (o_k - p_k) + p_k^2 - o_k^2] >= 0. A
+  // decoded coordinate is off by at most width_k / 510, so the code error
+  // below bounds the slack error twice over; the audit's activity
+  // tolerance, scaled as the audit scales it, covers the solver's own.
+  double c = 0.0, code_error = 0.0, row_norm = 0.0;
+  for (size_t k = 0; k < dim_; ++k) {
+    const double a = std::abs(2.0 * (owner[k] - p[k]));
+    const double ck = p[k] * p[k] - owner[k] * owner[k];
+    c += ck;
+    code_error += a * (hi[k] - lo[k]) / kCodeLevels;
+    row_norm += a;  // >= the row's Euclidean norm
+  }
+  const double margin =
+      code_error + lp::AuditOptions().activity_tol *
+                       std::max({1.0, row_norm, std::abs(c)});
+  const uint8_t* code =
+      witness_codes_.data() + id * 2 * dim_ * (dim_ - 1);
+  for (size_t face = 0; face < 2 * dim_; ++face) {
+    const size_t axis = face / 2;
+    double slack = c;
+    for (size_t k = 0; k < dim_; ++k) {
+      double x;
+      if (k == axis) {
+        x = face % 2 == 0 ? hi[k] : lo[k];
+      } else {
+        x = lo[k] + (hi[k] - lo[k]) * (*code++ / kCodeLevels);
+      }
+      slack += 2.0 * (owner[k] - p[k]) * x;
+    }
+    if (slack <= margin) return false;
+  }
+  return true;
+}
+
+void NNCellIndex::AuditCertifiedCell(uint64_t id) const {
+  std::vector<const double*> rows;
+  for (uint64_t j = 0; j < points_.size(); ++j) {
+    if (j != id && alive_[j]) rows.push_back(points_[j]);
+  }
+  const HyperRect full = approximator_.ApproximateMbr(points_[id], rows);
+  const double* lo = RectBounds(id, 0);
+  const double tol = lp::AuditOptions().feasibility_tol;
+  for (size_t k = 0; k < dim_; ++k) {
+    NNCELL_CHECK_MSG(
+        lo[k] <= full.lo(k) + tol && lo[dim_ + k] >= full.hi(k) - tol,
+        "certified cell misses part of its NN-cell");
+  }
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
@@ -943,17 +1098,25 @@ ApproxStats NNCellIndex::MeasureApproxEffort(size_t sample,
 
 double NNCellIndex::ExpectedCandidates() const {
   double total = 0.0;
-  for (const auto& rects : cell_rects_) {
-    for (const HyperRect& rect : rects) {
-      total += HyperRect::OverlapVolume(rect, space_);
+  for (uint64_t id = 0; id < rect_count_.size(); ++id) {
+    for (size_t r = 0; r < RectCount(id); ++r) {
+      const double* lo = RectBounds(id, r);
+      total += RawOverlapVolume(lo, lo + dim_, space_);
     }
   }
   return total / space_.Volume();
 }
 
-const std::vector<HyperRect>& NNCellIndex::CellRects(uint64_t id) const {
-  NNCELL_CHECK(id < cell_rects_.size());
-  return cell_rects_[id];
+std::vector<HyperRect> NNCellIndex::CellRects(uint64_t id) const {
+  NNCELL_CHECK(id < rect_count_.size());
+  std::vector<HyperRect> rects;
+  rects.reserve(RectCount(id));
+  for (size_t r = 0; r < RectCount(id); ++r) {
+    const double* lo = RectBounds(id, r);
+    rects.emplace_back(std::vector<double>(lo, lo + dim_),
+                       std::vector<double>(lo + dim_, lo + 2 * dim_));
+  }
+  return rects;
 }
 
 Status NNCellIndex::CheckInvariants(size_t sample_queries,
@@ -978,13 +1141,13 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
   for (uint64_t id = 0; id < points_.size(); ++id) {
     if (alive_[id]) {
       ++live;
-      entries += cell_rects_[id].size();
-      if (cell_rects_[id].empty()) {
+      entries += RectCount(id);
+      if (RectCount(id) == 0) {
         return Status::Internal("live point without approximation");
       }
       // Every point lies in its own cell, hence in one of its rects.
       bool covered = false;
-      for (const HyperRect& rect : cell_rects_[id]) {
+      for (const HyperRect& rect : CellRects(id)) {
         if (rect.ContainsPoint(points_[id])) {
           covered = true;
           break;
@@ -993,7 +1156,7 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
       if (!covered) {
         return Status::Internal("owner point outside its approximation");
       }
-    } else if (!cell_rects_[id].empty()) {
+    } else if (RectCount(id) != 0) {
       return Status::Internal("dead point still has approximations");
     }
   }
@@ -1021,7 +1184,7 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
     }
     std::map<uint64_t, std::vector<HyperRect>> indexed;
     for (auto& m : matches) {
-      if (m.id >= cell_rects_.size() || !alive_[m.id]) {
+      if (m.id >= points_.size() || !alive_[m.id]) {
         return Status::Internal("indexed entry owned by a dead/unknown point");
       }
       indexed[m.id].push_back(std::move(m.rect));
@@ -1030,15 +1193,14 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
       if (a.lo() != b.lo()) return a.lo() < b.lo();
       return a.hi() < b.hi();
     };
-    for (uint64_t id = 0; id < cell_rects_.size(); ++id) {
+    for (uint64_t id = 0; id < points_.size(); ++id) {
       if (!alive_[id]) continue;
       auto it = indexed.find(id);
-      if (it == indexed.end() ||
-          it->second.size() != cell_rects_[id].size()) {
+      if (it == indexed.end() || it->second.size() != RectCount(id)) {
         return Status::Internal(
             "indexed rectangles of a point differ from bookkeeping");
       }
-      std::vector<HyperRect> expect = cell_rects_[id];
+      std::vector<HyperRect> expect = CellRects(id);
       std::sort(expect.begin(), expect.end(), rect_less);
       std::sort(it->second.begin(), it->second.end(), rect_less);
       for (size_t r = 0; r < expect.size(); ++r) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -115,8 +114,10 @@ struct NNCellOptions {
 
 struct NNCellBuildStats {
   ApproxStats approx;
+  size_t cells_certified = 0;   // affected cells whose witness kept them
   size_t cells_recomputed = 0;  // dynamic-maintenance recomputations
   size_t cells_rewritten = 0;   // recomputations that changed the cell
+  size_t cells_updated_in_place = 0;  // rewrites that shrank the leaf entry
   size_t entries_inserted = 0;  // tree entries written (incl. decomposition)
   size_t deletions = 0;
 };
@@ -150,19 +151,23 @@ class NNCellIndex final : public IndexBackend {
   // Dynamically inserts a point (paper Fig. 3: candidate selection, 2d LP
   // runs, index insert, then maintenance of the cells the new point
   // shrinks). Exact duplicates are rejected (their NN-cell would be
-  // degenerate).
+  // degenerate). Maintenance keeps a cell without re-solving it when its
+  // witness (the face optima of its last write-path computation) shows
+  // the new bisector cuts none of them; see RecomputeAffected.
   StatusOr<uint64_t> Insert(const std::vector<double>& point) override;
 
   // Static index creation (the paper's precomputation): registers all
   // points first, then computes every approximation once against the full
-  // point set -- no maintenance needed. Duplicates are skipped.
+  // point set -- no maintenance needed. Duplicates are skipped (the first
+  // occurrence is kept).
   Status BulkBuild(const PointSet& pts);
 
   // Deletes a point. Neighboring cells grow into the freed region, so
   // every cell whose approximation touches the deleted cell's
   // approximation is recomputed (a superset of the true Voronoi
   // neighbors; the paper defers to Roos' dynamic Voronoi algorithms for
-  // this case). Ids are stable; deleted ids are never reused.
+  // this case). Ids are stable; deleted ids are never reused. Cells whose
+  // witness shows the deleted point in no face's active set are kept.
   Status Delete(uint64_t id) override;
 
   // Whether the id refers to a live point.
@@ -270,8 +275,9 @@ class NNCellIndex final : public IndexBackend {
   // after every mutation to work out the exact plan.
   double ExpectedCandidates() const override;
 
-  // The current approximation rectangles of one point (>= 1 entries).
-  const std::vector<HyperRect>& CellRects(uint64_t id) const;
+  // The current approximation rectangles of one point (>= 1 entries for a
+  // live point, none for a deleted one).
+  std::vector<HyperRect> CellRects(uint64_t id) const;
 
   // Underlying tree statistics / validation (test support).
   RTreeCore::TreeInfo TreeInfo() const;
@@ -361,16 +367,62 @@ class NNCellIndex final : public IndexBackend {
 
   // Computes the decomposed MBR approximation of `owner`'s cell. Pure
   // read (candidate selection + LP solves): safe to run concurrently for
-  // different owners as long as each call gets its own `stats`.
-  std::vector<HyperRect> ComputeCellRects(const double* owner, uint64_t self,
-                                          ApproxStats* stats) const;
+  // different owners as long as each call gets its own `stats`. `optima`,
+  // when given, receives the face optima of an undecomposed cell (see
+  // CellApproximator::ApproximateMbr) and stays empty otherwise.
+  std::vector<HyperRect> ComputeCellRects(
+      const double* owner, uint64_t self, ApproxStats* stats,
+      std::vector<double>* optima = nullptr) const;
 
-  // Recomputes the approximation of `id` and, unless it is bit-identical
-  // to the current one, replaces the indexed rectangles with it.
+  // Maintenance after a write of point `p` (an insert, or a delete with
+  // p already dead): keeps every affected cell whose witness certifies it
+  // and recomputes the others.
+  void RecomputeAffected(const std::vector<uint64_t>& affected,
+                         const double* p);
+
+  // Recomputes the approximation of `id`, replaces the indexed rectangles
+  // with it unless it is bit-identical to the current one (shrinking a
+  // single leaf entry in place when it can), and stores its witness.
   void RecomputeCell(uint64_t id);
 
   // True when the cell of `id` can shrink due to the new point `p`.
   bool CellAffectedBy(uint64_t id, const double* p) const;
+
+  // --- Maintenance witnesses ---------------------------------------------
+  //
+  // Every cell computed on the write path (never by BulkBuild or Load, so
+  // they are runtime-only like the exact plan) keeps the optimum x* of
+  // each of its 2d LP faces when it is undecomposed and every face solved:
+  // the face's own coordinate is the stored bound, the d-1 others are
+  // 8-bit codes within the cell's MBR. If the bisector row of a written
+  // point p is slack at every x*, no face value moves: after an insert
+  // each x* stays feasible, hence optimal; after a delete p's row is in
+  // no active set, so each KKT certificate still holds. Either way the
+  // kept MBR bounds a cell induced by live points only (Lemma 1), for
+  // every strategy.
+
+  // Encodes `optima` (from ComputeCellRects) as the witness of `id`
+  // against its stored MBR; empty optima drop the witness.
+  void StoreWitness(uint64_t id, const std::vector<double>& optima);
+
+  // True when `id` has a witness and p's bisector row is slack at every
+  // decoded face optimum by more than the code error plus the LP audit's
+  // activity tolerance.
+  bool WitnessCertifies(uint64_t id, const double* p) const;
+
+  // Debug builds: asserts that the kept MBR of the certified cell `id`
+  // contains the MBR over all live points (Lemma 1), within the audit
+  // tolerance.
+  void AuditCertifiedCell(uint64_t id) const;
+
+  // --- Cell rectangle storage --------------------------------------------
+
+  // Rectangle r of `id`: lo at the returned pointer, hi dim_ doubles on.
+  const double* RectBounds(uint64_t id, size_t r) const {
+    return rect_data_.data() + (id * max_rects_ + r) * 2 * dim_;
+  }
+  size_t RectCount(uint64_t id) const { return rect_count_[id]; }
+  void SetCellRects(uint64_t id, const std::vector<HyperRect>& rects);
 
   double SphereRadius() const;
 
@@ -406,11 +458,15 @@ class NNCellIndex final : public IndexBackend {
                                                   double r_sq, ExactPlan plan,
                                                   size_t* candidates) const;
 
-  // Registers the point in points_ / lookup (and, unless deferred for a
-  // bulk load, the point tree); returns its id or an error (duplicate,
-  // out of space, wrong dimension).
-  StatusOr<uint64_t> RegisterPoint(const std::vector<double>& point,
-                                   bool insert_into_point_tree);
+  // OK when the metric-space `point` may join the index: inside the data
+  // space and no exact duplicate of a point in the point tree (compared
+  // with ==, so -0.0 equals +0.0).
+  Status CheckNewPoint(const std::vector<double>& point) const;
+
+  // Appends the checked metric-space point to points_ (and, unless
+  // deferred for a bulk load, the point tree); returns its id.
+  uint64_t AddPoint(const std::vector<double>& point,
+                    bool insert_into_point_tree);
 
   // Serializes the full snapshot image (header, metadata, both page
   // files, footer) recording `wal_lsn` as the WAL position it covers.
@@ -469,12 +525,21 @@ class NNCellIndex final : public IndexBackend {
   // back to the original coordinates.
   QueryResult MakeResult(uint64_t id, double d2, size_t candidates) const;
 
-  std::vector<std::vector<HyperRect>> cell_rects_;  // per point id
-  std::vector<bool> alive_;                          // tombstones
+  // Cell approximations, flat: every id owns max_rects_ slots of 2 * dim_
+  // doubles (lo, then hi) in rect_data_, of which rect_count_[id] are used.
+  size_t max_rects_;  // max(1, decomposition.max_partitions)
+  std::vector<double> rect_data_;
+  std::vector<uint32_t> rect_count_;
+
+  // Witness codes, 2d faces x (d-1) bytes per id, allocated on the first
+  // write; witnessed_[id] marks a valid one.
+  std::vector<uint8_t> witness_codes_;
+  std::vector<bool> witnessed_;
+
+  std::vector<bool> alive_;  // tombstones
   size_t live_count_ = 0;
   ExactPlan forced_plan_ = ExactPlan::kAuto;  // SetExactPlan
   ExactPlan plan_ = ExactPlan::kCellProbe;
-  std::map<std::vector<double>, uint64_t> point_lookup_;  // duplicate check
   NNCellBuildStats build_stats_;
 
   // Durable mode (set by Open): operations append here before mutating.

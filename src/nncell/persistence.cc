@@ -6,6 +6,7 @@
 // failed load leaves the caller's PageFile/BufferPool and the returned
 // error precisely describing the first violation -- never a partial index.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -24,6 +25,11 @@
 namespace nncell {
 
 namespace {
+
+// Largest decomposition budget a snapshot may record: the loaded index
+// reserves that many rectangle slots per point (the paper keeps it near
+// 10), so a corrupt budget must not size the allocation.
+constexpr uint64_t kMaxLoadedPartitions = 1024;
 
 struct SnapshotMetrics {
   metrics::Counter* saves;
@@ -140,11 +146,10 @@ Status NNCellIndex::SerializeSnapshot(std::string* out,
   wire::PutU64(&meta, raw.size());
   wire::PutBytes(&meta, raw.data(), raw.size() * sizeof(double));
   for (bool a : alive_) wire::PutU8(&meta, a ? 1 : 0);
-  for (const auto& rects : cell_rects_) {
-    wire::PutU64(&meta, rects.size());
-    for (const HyperRect& rect : rects) {
-      wire::PutBytes(&meta, rect.lo().data(), dim_ * sizeof(double));
-      wire::PutBytes(&meta, rect.hi().data(), dim_ * sizeof(double));
+  for (uint64_t id = 0; id < rect_count_.size(); ++id) {
+    wire::PutU64(&meta, RectCount(id));
+    for (size_t r = 0; r < RectCount(id); ++r) {
+      wire::PutBytes(&meta, RectBounds(id, r), 2 * dim_ * sizeof(double));
     }
   }
   PutTreeState(&meta, tree_->SaveState());
@@ -342,25 +347,36 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
                      std::to_string(live));
   }
 
-  std::vector<std::vector<HyperRect>> cell_rects(n);
+  // Every id owns max(1, max_partitions) rectangle slots in memory.
+  if (max_partitions > kMaxLoadedPartitions) {
+    return LoadError("corrupt snapshot: partition budget " +
+                     std::to_string(max_partitions) + " exceeds " +
+                     std::to_string(kMaxLoadedPartitions));
+  }
+  const size_t slot_doubles =
+      std::max<size_t>(1, static_cast<size_t>(max_partitions)) * 2 * dim;
+  std::vector<double> rect_data;
+  std::vector<uint32_t> rect_count(n);
   for (size_t i = 0; i < n; ++i) {
-    uint64_t rect_count = 0;
-    r.GetU64(&rect_count);
-    if (r.failed() ||
-        rect_count > r.remaining() / (2 * dim * sizeof(double))) {
+    uint64_t count = 0;
+    r.GetU64(&count);
+    if (r.failed() || count > r.remaining() / (2 * dim * sizeof(double))) {
       return LoadError("snapshot metadata truncated (approximations)");
     }
-    if (alive[i] && rect_count == 0) {
+    if (alive[i] && count == 0) {
       return LoadError("corrupt snapshot: live point " + std::to_string(i) +
                        " has no approximation rectangles");
     }
-    cell_rects[i].reserve(static_cast<size_t>(rect_count));
-    for (uint64_t k = 0; k < rect_count; ++k) {
-      std::vector<double> lo(dim), hi(dim);
-      r.GetBytes(lo.data(), dim * sizeof(double));
-      r.GetBytes(hi.data(), dim * sizeof(double));
-      cell_rects[i].emplace_back(std::move(lo), std::move(hi));
+    if (count * 2 * dim > slot_doubles) {
+      return LoadError("corrupt snapshot: point " + std::to_string(i) +
+                       " has " + std::to_string(count) +
+                       " approximation rectangles, more than the partition "
+                       "budget");
     }
+    rect_count[i] = static_cast<uint32_t>(count);
+    rect_data.resize((i + 1) * slot_doubles);
+    r.GetBytes(rect_data.data() + i * slot_doubles,
+               count * 2 * dim * sizeof(double));
   }
 
   RTreeCore::PersistentState cell_state, point_state;
@@ -402,12 +418,8 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
   }
   index->alive_ = std::move(alive);
   index->live_count_ = static_cast<size_t>(hdr.live_count);
-  index->cell_rects_ = std::move(cell_rects);
-  for (size_t i = 0; i < n; ++i) {
-    if (index->alive_[i]) {
-      index->point_lookup_.emplace(index->points_.Get(i), i);
-    }
-  }
+  index->rect_data_ = std::move(rect_data);
+  index->rect_count_ = std::move(rect_count);
   // Replace the page images; the constructor's fresh root pages become
   // dead pages of the restored image, dropped by the pool invalidation.
   file->Swap(cell_scratch);

@@ -651,64 +651,79 @@ void RTreeCore::BranchAndBoundRec(PageId pid, const double* q,
 
 bool RTreeCore::Delete(const HyperRect& rect, uint64_t id) {
   std::vector<PathStep> path;
-  if (!DeleteRec(root_, height_ - 1, rect, id, path)) return false;
+  PathStep leaf;
+  if (!FindLeafEntry(root_, height_ - 1, rect, id, path, &leaf)) return false;
+  Node cur = std::move(leaf.node);
+  cur.entries.erase(cur.entries.begin() + leaf.child_idx);
+
+  // Condense: walk up, removing underfull nodes and collecting orphans.
+  std::vector<Orphan> orphans;
+  PageId cur_pid = leaf.pid;
+  size_t cur_level = 0;
+  while (!path.empty()) {
+    PathStep parent = std::move(path.back());
+    path.pop_back();
+    bool underfull =
+        cur.page_span() == 1 && cur.entries.size() < MinFill(cur.is_leaf);
+    if (underfull) {
+      for (Entry& e : cur.entries) {
+        orphans.push_back(Orphan{std::move(e), cur_level});
+      }
+      store_.Free(cur_pid, cur);
+      parent.node.entries.erase(parent.node.entries.begin() +
+                                parent.child_idx);
+    } else {
+      store_.Write(cur_pid, &cur);
+      parent.node.entries[parent.child_idx].rect =
+          cur.ComputeMbr(options_.dim);
+    }
+    cur_pid = parent.pid;
+    cur = std::move(parent.node);
+    ++cur_level;
+  }
+  // cur is now the root.
+  store_.Write(cur_pid, &cur);
+
+  // Shrink the root while it is an internal node with a single child.
+  while (height_ > 1) {
+    Node root = store_.Read(root_);
+    if (root.is_leaf || root.entries.size() != 1) break;
+    PageId child = static_cast<PageId>(root.entries[0].id);
+    store_.Free(root_, root);
+    root_ = child;
+    --height_;
+  }
+
+  // Reinsert orphans at their original levels.
+  for (Orphan& o : orphans) {
+    reinserted_.assign(height_ + 1, true);  // no forced reinsert here
+    size_t lvl = std::min(o.level, height_ - 1);
+    InsertEntry(std::move(o.entry), lvl);
+  }
   --size_;
   return true;
 }
 
-bool RTreeCore::DeleteRec(PageId pid, size_t level, const HyperRect& rect,
-                          uint64_t id, std::vector<PathStep>& path) {
+bool RTreeCore::ShrinkEntry(const HyperRect& rect, uint64_t id,
+                            const HyperRect& shrunk) {
+  NNCELL_DCHECK(rect.ContainsRect(shrunk));
+  std::vector<PathStep> path;
+  PathStep leaf;
+  if (!FindLeafEntry(root_, height_ - 1, rect, id, path, &leaf)) return false;
+  leaf.node.entries[leaf.child_idx].rect = shrunk;
+  store_.Write(leaf.pid, &leaf.node);
+  PropagateMbrs(path, leaf.node.ComputeMbr(options_.dim));
+  return true;
+}
+
+bool RTreeCore::FindLeafEntry(PageId pid, size_t level, const HyperRect& rect,
+                              uint64_t id, std::vector<PathStep>& path,
+                              PathStep* leaf) {
   Node node = store_.Read(pid);
   if (node.is_leaf) {
     for (size_t i = 0; i < node.entries.size(); ++i) {
       if (node.entries[i].id != id || !(node.entries[i].rect == rect)) continue;
-      node.entries.erase(node.entries.begin() + i);
-
-      // Condense: walk up, removing underfull nodes and collecting orphans.
-      std::vector<Orphan> orphans;
-      PageId cur_pid = pid;
-      Node cur = std::move(node);
-      size_t cur_level = 0;
-      while (!path.empty()) {
-        PathStep parent = std::move(path.back());
-        path.pop_back();
-        bool underfull = cur.page_span() == 1 &&
-                         cur.entries.size() < MinFill(cur.is_leaf);
-        if (underfull) {
-          for (Entry& e : cur.entries) {
-            orphans.push_back(Orphan{std::move(e), cur_level});
-          }
-          store_.Free(cur_pid, cur);
-          parent.node.entries.erase(parent.node.entries.begin() +
-                                    parent.child_idx);
-        } else {
-          store_.Write(cur_pid, &cur);
-          parent.node.entries[parent.child_idx].rect =
-              cur.ComputeMbr(options_.dim);
-        }
-        cur_pid = parent.pid;
-        cur = std::move(parent.node);
-        ++cur_level;
-      }
-      // cur is now the root.
-      store_.Write(cur_pid, &cur);
-
-      // Shrink the root while it is an internal node with a single child.
-      while (height_ > 1) {
-        Node root = store_.Read(root_);
-        if (root.is_leaf || root.entries.size() != 1) break;
-        PageId child = static_cast<PageId>(root.entries[0].id);
-        store_.Free(root_, root);
-        root_ = child;
-        --height_;
-      }
-
-      // Reinsert orphans at their original levels.
-      for (Orphan& o : orphans) {
-        reinserted_.assign(height_ + 1, true);  // no forced reinsert here
-        size_t lvl = std::min(o.level, height_ - 1);
-        InsertEntry(std::move(o.entry), lvl);
-      }
+      *leaf = PathStep{pid, std::move(node), i};
       return true;
     }
     return false;
@@ -718,7 +733,7 @@ bool RTreeCore::DeleteRec(PageId pid, size_t level, const HyperRect& rect,
     if (!node.entries[i].rect.ContainsRect(rect)) continue;
     PageId child = static_cast<PageId>(node.entries[i].id);
     path.push_back(PathStep{pid, node, i});
-    if (DeleteRec(child, level - 1, rect, id, path)) return true;
+    if (FindLeafEntry(child, level - 1, rect, id, path, leaf)) return true;
     path.pop_back();
   }
   return false;

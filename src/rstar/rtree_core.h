@@ -72,6 +72,14 @@ class RTreeCore {
   // no such entry exists.
   bool Delete(const HyperRect& rect, uint64_t id);
 
+  // Overwrites the leaf entry matching (rect, id) exactly with `shrunk`,
+  // which must lie inside `rect`, and tightens the directory rectangles
+  // above it. The entry keeps its leaf, so this costs one root-to-leaf
+  // descent instead of a Delete + Insert. Returns false when no such entry
+  // exists.
+  bool ShrinkEntry(const HyperRect& rect, uint64_t id,
+                   const HyperRect& shrunk);
+
   // Ids of all leaf entries whose rectangle contains q (the paper's point
   // query), in depth-first traversal order.
   std::vector<uint64_t> PointQuery(const double* q) const;
@@ -213,8 +221,13 @@ class RTreeCore {
     Entry entry;
     size_t level;
   };
-  bool DeleteRec(PageId pid, size_t level, const HyperRect& rect, uint64_t id,
-                 std::vector<PathStep>& path);
+
+  // Depth-first descent (Delete, ShrinkEntry) to the leaf entry matching
+  // (rect, id) exactly, through children whose rectangle contains `rect`.
+  // On success `path` holds the directory steps and *leaf the leaf's page,
+  // node and entry index.
+  bool FindLeafEntry(PageId pid, size_t level, const HyperRect& rect,
+                     uint64_t id, std::vector<PathStep>& path, PathStep* leaf);
 
   void InfoRec(PageId pid, size_t level, TreeInfo* info) const;
   std::string ValidateRec(PageId pid, size_t level, const HyperRect* expected,

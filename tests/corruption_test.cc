@@ -3,16 +3,20 @@
 // load time -- a corrupted snapshot or log produces a precise error,
 // never a silently wrong index and never a silently shortened log.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
 #include "storage/buffer_pool.h"
@@ -109,6 +113,62 @@ TEST(SnapshotCorruptionTest, TruncationAtEveryRegionRejected) {
     EXPECT_EQ(file.num_pages(), 0u) << "cut " << cut;
   }
   std::remove(path.c_str());
+}
+
+// Rewrites the partition budget of a snapshot image (the metadata word
+// after the four option words and the sphere radius) and recomputes the
+// metadata, body and footer checksums, so only the loader's structural
+// checks stand between the edited budget and the index.
+std::string WithPartitionBudget(std::string image, uint64_t budget) {
+  const size_t meta = durable::kSnapshotHeaderBytes;
+  uint64_t meta_len = 0;
+  std::memcpy(&meta_len, image.data() + 56, sizeof(meta_len));
+  std::memcpy(&image[meta + 40], &budget, sizeof(budget));
+  uint32_t crc = Crc32c(image.data() + meta, meta_len);
+  std::memcpy(&image[meta + meta_len], &crc, sizeof(crc));
+  const size_t footer = image.size() - durable::kSnapshotFooterBytes;
+  crc = Crc32c(image.data(), footer);
+  std::memcpy(&image[footer + 16], &crc, sizeof(crc));
+  crc = Crc32c(image.data() + footer, 20);
+  std::memcpy(&image[footer + 20], &crc, sizeof(crc));
+  return image;
+}
+
+// The loaded index reserves max(1, budget) rect slots per point, so a
+// budget the checksums vouch for must still be bounded and must cover
+// every point's rects.
+TEST(SnapshotCorruptionTest, PartitionBudgetBoundsRectSlots) {
+  std::string pristine;
+  {
+    PageFile file(512);
+    BufferPool pool(&file, 4096);
+    NNCellOptions opts;
+    opts.decomposition.max_partitions = 4;
+    NNCellIndex index(&pool, 2, opts);
+    ASSERT_TRUE(index.BulkBuild(GenerateUniform(30, 2, 11)).ok());
+    size_t most = 0;
+    for (uint64_t id = 0; id < index.points().size(); ++id) {
+      most = std::max(most, index.CellRects(id).size());
+    }
+    ASSERT_GT(most, 1u);
+    std::ostringstream out;
+    ASSERT_TRUE(index.Save(out).ok());
+    pristine = out.str();
+  }
+  auto load = [](const std::string& image) {
+    PageFile file(512);
+    BufferPool pool(&file, 4096);
+    std::istringstream in(image);
+    return NNCellIndex::Load(in, &file, &pool).status();
+  };
+  EXPECT_TRUE(load(WithPartitionBudget(pristine, 4)).ok());
+  Status too_many = load(WithPartitionBudget(pristine, 1));
+  EXPECT_NE(too_many.message().find("more than the partition budget"),
+            std::string::npos)
+      << too_many.ToString();
+  Status too_big = load(WithPartitionBudget(pristine, uint64_t{1} << 62));
+  EXPECT_NE(too_big.message().find("partition budget"), std::string::npos)
+      << too_big.ToString();
 }
 
 class DurableCorruptionTest : public ::testing::Test {

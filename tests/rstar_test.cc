@@ -439,6 +439,42 @@ TEST(RStarTreeTest, DeleteAndValidate) {
   EXPECT_FALSE(fx.tree->Delete(PointRect(pts.Get(0)), 0));
 }
 
+// Shrinking entries in place keeps every directory rectangle the tight
+// union of its children, and range queries see the new rectangles only.
+TEST(RStarTreeTest, ShrinkEntryTightensAncestors) {
+  Rng rng(9);
+  TreeFixture fx(2);
+  std::vector<HyperRect> rects;
+  const size_t n = 300;
+  for (size_t i = 0; i < n; ++i) {
+    double x = rng.NextDouble(), y = rng.NextDouble();
+    rects.emplace_back(std::vector<double>{x, y},
+                       std::vector<double>{x + 0.05, y + 0.05});
+    fx.tree->Insert(rects.back(), i);
+  }
+  for (size_t i = 0; i < n; i += 3) {
+    HyperRect shrunk({rects[i].lo(0) + 0.02, rects[i].lo(1) + 0.01},
+                     {rects[i].hi(0) - 0.01, rects[i].hi(1) - 0.02});
+    ASSERT_TRUE(fx.tree->ShrinkEntry(rects[i], i, shrunk)) << i;
+    rects[i] = shrunk;
+  }
+  EXPECT_EQ(fx.tree->size(), n);
+  ASSERT_EQ(fx.tree->Validate(), "");
+  ASSERT_TRUE(rstar::ValidateTree(*fx.tree).ok());
+  ASSERT_TRUE(fx.pool.AuditPins().ok());
+  HyperRect all({-1.0, -1.0}, {2.0, 2.0});
+  std::vector<RTreeCore::Match> matches = fx.tree->RangeQuery(all);
+  ASSERT_EQ(matches.size(), n);
+  for (const RTreeCore::Match& m : matches) {
+    EXPECT_TRUE(m.rect == rects[m.id]) << m.id;
+  }
+  // The old rectangle is gone, and a missing entry is reported.
+  HyperRect old({rects[0].lo(0) - 0.02, rects[0].lo(1) - 0.01},
+                {rects[0].hi(0) + 0.01, rects[0].hi(1) + 0.02});
+  EXPECT_FALSE(fx.tree->ShrinkEntry(old, 0, rects[0]));
+  EXPECT_TRUE(fx.tree->Delete(rects[0], 0));
+}
+
 TEST(RStarTreeTest, DeleteEverything) {
   Rng rng(6);
   TreeFixture fx(3);
