@@ -46,7 +46,7 @@ void Run(const BenchConfig& config) {
       Stopwatch t2;
       auto xr = xtree.tree->KnnQuery(queries[t], k);
       x_ms += t2.ElapsedMillis();
-      NNCELL_CHECK(xr.size() == std::min(k, n));
+      NNCELL_CHECK(xr.hits.size() == std::min(k, n));
       x_pages += xtree.pool->stats().physical_reads;
     }
     double nq = static_cast<double>(queries.size());

@@ -52,7 +52,7 @@ void BM_TreeKnn(benchmark::State& state) {
   size_t qi = 0;
   for (auto _ : state) {
     auto r = tree.KnnQuery(queries[qi % queries.size()], 1);
-    benchmark::DoNotOptimize(r.front().dist);
+    benchmark::DoNotOptimize(r.hits.front().dist_sq);
     ++qi;
   }
 }

@@ -90,10 +90,7 @@ std::vector<double> HyperRect::Center() const {
 }
 
 bool HyperRect::ContainsPoint(const double* p) const {
-  for (size_t i = 0; i < dim(); ++i) {
-    if (p[i] < lo_[i] || p[i] > hi_[i]) return false;
-  }
-  return true;
+  return RawContainsPoint(lo_.data(), hi_.data(), p, dim());
 }
 
 bool HyperRect::ContainsPoint(const std::vector<double>& p) const {

@@ -1,6 +1,7 @@
 #ifndef NNCELL_COMMON_HYPER_RECT_H_
 #define NNCELL_COMMON_HYPER_RECT_H_
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -91,13 +92,24 @@ class HyperRect {
   std::vector<double> hi_;
 };
 
+// True when no coordinate is NaN or infinite. Every coordinate that enters
+// an index from outside is checked with this: NaN defeats the ordered
+// comparisons the trees, sorts and distance bounds rely on.
+inline bool AllFinite(const double* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(x[i])) return false;
+  }
+  return true;
+}
+
 // Raw-buffer variants of the hot-path predicates, used by the zero-copy
 // node scans of the trees (lo/hi point into serialized page bytes).
 
+// A NaN coordinate lies outside every rectangle.
 inline bool RawContainsPoint(const double* lo, const double* hi,
                              const double* p, size_t dim) {
   for (size_t i = 0; i < dim; ++i) {
-    if (p[i] < lo[i] || p[i] > hi[i]) return false;
+    if (!(p[i] >= lo[i] && p[i] <= hi[i])) return false;
   }
   return true;
 }

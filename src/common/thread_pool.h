@@ -7,8 +7,10 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace nncell {
@@ -69,6 +71,41 @@ class ThreadPool {
   CondVar wake_cv_;
   bool stop_ NNCELL_GUARDED_BY(wake_mu_) = false;
 };
+
+// Evaluates fn(i) -> StatusOr<T> for every i in [0, n) into slot i of the
+// result: serially when `pool` is null or n <= 1, else across the pool
+// (fn must then be safe to call from several threads at once). Fails with
+// the status of the lowest failing index, as the serial loop would.
+template <class T, class Fn>
+StatusOr<std::vector<T>> ParallelMap(ThreadPool* pool, size_t n,
+                                     const Fn& fn) {
+  std::vector<T> out(n);
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) {
+      StatusOr<T> r = fn(i);
+      if (!r.ok()) return r.status();
+      out[i] = std::move(*r);
+    }
+    return out;
+  }
+  Mutex mu;
+  size_t first_error = n;  // written under mu; read after ParallelFor
+  Status error;
+  pool->ParallelFor(0, n, [&](size_t i) {
+    StatusOr<T> r = fn(i);
+    if (r.ok()) {
+      out[i] = std::move(*r);
+      return;
+    }
+    MutexLock lock(mu);
+    if (i < first_error) {
+      first_error = i;
+      error = r.status();
+    }
+  });
+  if (first_error < n) return error;
+  return out;
+}
 
 }  // namespace nncell
 

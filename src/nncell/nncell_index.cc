@@ -144,12 +144,11 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
       points_(dim),
       approximator_(dim, space_, options.lp, options.approx),
       max_rects_(std::max<size_t>(1, options.decomposition.max_partitions)) {
-  TreeOptions tree_opts = options_.tree;
-  tree_opts.dim = dim;
   // Leaf entries are (approximation rectangle, point id); like the paper,
   // the index stores only the approximations (2dN values) and owner
   // coordinates are resolved from the point table at query time.
-  tree_opts.aux_per_entry = 0;
+  TreeOptions tree_opts;
+  tree_opts.dim = dim;
   if (options_.use_xtree) {
     tree_ = std::make_unique<XTree>(pool, tree_opts);
   } else {
@@ -160,9 +159,7 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
   // never pollutes the query-time statistics of the cell index.
   point_file_ = std::make_unique<PageFile>(pool->page_size());
   point_pool_ = std::make_unique<BufferPool>(point_file_.get(), 4096);
-  TreeOptions point_opts;
-  point_opts.dim = dim;
-  point_tree_ = std::make_unique<XTree>(point_pool_.get(), point_opts);
+  point_tree_ = std::make_unique<XTree>(point_pool_.get(), tree_opts);
 
   SetNumThreads(options_.parallel.num_threads);
   UpdatePlan();
@@ -201,7 +198,7 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
       // "All points of which the rectangle in the index contains the
       // point": every point stored on a leaf page of the point index whose
       // page region contains `point`.
-      for (uint64_t id : point_tree_->LeafPageQuery(point)) {
+      for (uint64_t id : point_tree_->LeafPageSphereQuery(point, 0.0)) {
         if (id != self) candidates.push_back(points_[id]);
       }
       break;
@@ -347,6 +344,11 @@ void NNCellIndex::SetCellRects(uint64_t id,
   rect_count_[id] = static_cast<uint32_t>(rects.size());
 }
 
+Status CheckFinite(const double* x, size_t n) {
+  if (AllFinite(x, n)) return Status::OK();
+  return Status::InvalidArgument("non-finite coordinate");
+}
+
 const char* ExactPlanName(ExactPlan plan) {
   switch (plan) {
     case ExactPlan::kAuto:
@@ -379,6 +381,7 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
   if (original.size() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
   }
+  NNCELL_RETURN_IF_ERROR(CheckFinite(original.data(), dim_));
   // Durable mode: validate the operation, then log it before any mutation
   // (write-ahead). A record is only ever appended for an insert that will
   // succeed, so replay never hits a rejection.
@@ -424,7 +427,7 @@ StatusOr<uint64_t> NNCellIndex::ApplyInsert(
   std::vector<HyperRect> rects =
       ComputeCellRects(points_[id], id, &build_stats_.approx, &optima);
   for (const HyperRect& rect : rects) {
-    tree_->Insert(rect, id, points_[id]);
+    tree_->Insert(rect, id);
     ++build_stats_.entries_inserted;
   }
   SetCellRects(id, rects);
@@ -485,6 +488,9 @@ Status NNCellIndex::ApplyDelete(uint64_t id) {
 
 Status NNCellIndex::BulkBuild(const PointSet& pts) {
   if (pts.dim() != dim_) return Status::InvalidArgument("dimension mismatch");
+  for (size_t i = 0; i < pts.size(); ++i) {
+    NNCELL_RETURN_IF_ERROR(CheckFinite(pts[i], dim_));
+  }
   const bool fresh = points_.empty();
   // Phase 1: register everything (points visible to candidate selection).
   // On a fresh index the point tree is bulk-loaded afterwards instead of
@@ -562,7 +568,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
     for (size_t i = 0; i < ids.size(); ++i) {
       const uint64_t id = ids[i];
       for (const HyperRect& rect : computed[i]) {
-        tree_->Insert(rect, id, points_[id]);
+        tree_->Insert(rect, id);
         ++build_stats_.entries_inserted;
       }
       SetCellRects(id, computed[i]);
@@ -572,7 +578,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
       std::vector<HyperRect> rects =
           ComputeCellRects(points_[id], id, &build_stats_.approx);
       for (const HyperRect& rect : rects) {
-        tree_->Insert(rect, id, points_[id]);
+        tree_->Insert(rect, id);
         ++build_stats_.entries_inserted;
       }
       SetCellRects(id, rects);
@@ -652,7 +658,7 @@ void NNCellIndex::RecomputeCell(uint64_t id) {
         NNCELL_CHECK_MSG(removed, "indexed cell rectangle missing");
       }
       for (const HyperRect& rect : rects) {
-        tree_->Insert(rect, id, points_[id]);
+        tree_->Insert(rect, id);
         ++build_stats_.entries_inserted;
       }
     }
@@ -780,6 +786,7 @@ void NNCellIndex::ScanLive(const double* q, Visit visit) const {
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
     const double* q_original, ExactPlan plan, QueryTrace* trace) const {
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
 
   BufferStats pool_before;
   if (trace != nullptr) {
@@ -878,33 +885,12 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
   }
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
 
-  const size_t n = queries.size();
-  std::vector<QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<QueryResult> r = Query(queries[i], approx);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
-  }
-
   // N concurrent readers over the shared (sharded) buffer pool. Every
   // result lands in its own slot, so the batch output is deterministic
-  // and identical to the serial loop above.
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<QueryResult> r = Query(queries[i], approx);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  return results;
+  // and identical to a serial loop.
+  return ParallelMap<QueryResult>(
+      thread_pool_.get(), queries.size(),
+      [&](size_t i) { return Query(queries[i], approx); });
 }
 
 NNCellIndex::QueryResult NNCellIndex::MakeResult(uint64_t id, double d2,
@@ -922,6 +908,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
     ApproxTraversalQuery(const double* q_original, size_t k,
                          const ApproxOptions& approx) const {
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
   std::vector<QueryResult> results;
   if (k == 0) return results;
   k = std::min(k, live_count_);
@@ -933,8 +920,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   // MINDIST 0), so the (1+epsilon) proof runs against the points
   // themselves. Entry MINDIST on a degenerate (point) rectangle is
   // bit-equal to the pair distance kernel.
-  RTreeCore::ApproxNnResult r = point_tree_->ApproxNnQuery(
-      q_vec.data(), k, approx.epsilon, approx.max_leaf_visits);
+  RTreeCore::ApproxNnResult r = point_tree_->KnnQuery(q_vec.data(), k, approx);
   NNCELL_CHECK(!r.hits.empty());
 
   ApproxCertificate cert;
@@ -952,7 +938,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   NNCELL_METRIC_RECORD(ApproxMetrics().leaf_visits_per_query, r.leaf_visits);
 
   results.reserve(r.hits.size());
-  for (const RTreeCore::ApproxNnResult::Hit& h : r.hits) {
+  for (const RTreeCore::Hit& h : r.hits) {
     QueryResult res = MakeResult(h.id, h.dist_sq, r.entries_scanned);
     res.approx = cert;
     results.push_back(std::move(res));
@@ -996,6 +982,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
     const double* q_original, size_t k, const ApproxOptions& approx) const {
   if (approx.enabled()) return ApproxTraversalQuery(q_original, k, approx);
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
   std::vector<double> q_vec = ToMetricSpace(q_original);
   const double* q = q_vec.data();
   std::vector<QueryResult> results;
@@ -1060,6 +1047,10 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
     const double* q_original, double radius) const {
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   if (radius < 0.0) return Status::InvalidArgument("negative radius");
+  if (!std::isfinite(radius)) {
+    return Status::InvalidArgument("non-finite radius");
+  }
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
   std::vector<double> q_vec = ToMetricSpace(q_original);
   CountPlan(plan_);
 

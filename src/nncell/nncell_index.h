@@ -65,6 +65,11 @@ enum class ExactPlan {
 // "auto", "cell_probe" or "scan".
 const char* ExactPlanName(ExactPlan plan);
 
+// InvalidArgument("non-finite coordinate") when any of x[0, n) is NaN or
+// infinite: the check every index entry point (plain and sharded) applies
+// to the coordinates it is given.
+Status CheckFinite(const double* x, size_t n);
+
 struct NNCellOptions {
   // Which points contribute LP constraints (Section 2's four algorithms).
   ApproxAlgorithm algorithm = ApproxAlgorithm::kSphere;
@@ -107,9 +112,6 @@ struct NNCellOptions {
   // built index is byte-identical for every thread count, so it is not
   // part of the persisted image.
   ParallelOptions parallel;
-
-  // Options forwarded to the underlying tree (dim / aux are overwritten).
-  TreeOptions tree;
 };
 
 struct NNCellBuildStats {
@@ -187,7 +189,8 @@ class NNCellIndex final : public IndexBackend {
   // exact distance checks over the candidates (Lemma 2 guarantees the true
   // NN is always among them). Every query method is safe to call from any
   // number of threads concurrently as long as no thread mutates the index
-  // (Insert / Delete / BulkBuild) at the same time.
+  // (Insert / Delete / BulkBuild) at the same time. Every entry point
+  // rejects a NaN or infinite coordinate or radius with InvalidArgument.
   //
   // Approximate query tier (docs/APPROXIMATE.md): Query, QueryBatch and
   // KnnQuery take ApproxOptions for certified (1+epsilon) answers and

@@ -15,34 +15,23 @@ size_t AlignedHeaderBytes(size_t num_extra) {
 }
 }  // namespace
 
-NodeStore::NodeStore(BufferPool* pool, size_t dim, size_t aux_per_entry)
-    : pool_(pool), dim_(dim), aux_(aux_per_entry),
-      page_size_(pool->page_size()) {
+NodeStore::NodeStore(BufferPool* pool, size_t dim)
+    : pool_(pool), dim_(dim), page_size_(pool->page_size()) {
   NNCELL_CHECK(dim_ > 0);
-  // A single page must hold at least 2 entries of either kind plus header.
-  NNCELL_CHECK_MSG(Capacity(true, 1) >= 2 && Capacity(false, 1) >= 2,
-                   "page size too small for dimensionality");
+  // A single page must hold at least 2 entries plus header.
+  NNCELL_CHECK_MSG(Capacity(1) >= 2, "page size too small for dimensionality");
 }
 
-size_t NodeStore::LeafEntryBytes() const {
-  return 2 * dim_ * sizeof(double) + sizeof(uint64_t) + aux_ * sizeof(double);
-}
-
-size_t NodeStore::InternalEntryBytes() const {
-  return 2 * dim_ * sizeof(double) + sizeof(uint64_t);
-}
-
-size_t NodeStore::Capacity(bool is_leaf, size_t pages) const {
-  size_t entry_bytes = is_leaf ? LeafEntryBytes() : InternalEntryBytes();
+size_t NodeStore::Capacity(size_t pages) const {
   size_t overhead = AlignedHeaderBytes(pages - 1);
   size_t total = pages * page_size_;
   if (total <= overhead) return 0;
-  return (total - overhead) / entry_bytes;
+  return (total - overhead) / EntryBytes();
 }
 
-size_t NodeStore::PagesNeeded(bool is_leaf, size_t n) const {
+size_t NodeStore::PagesNeeded(size_t n) const {
   size_t pages = 1;
-  while (Capacity(is_leaf, pages) < n) ++pages;
+  while (Capacity(pages) < n) ++pages;
   return pages;
 }
 
@@ -101,18 +90,13 @@ Node NodeStore::Read(PageId id) const {
         std::vector<double>(coords.begin() + dim_, coords.end()));
     std::memcpy(&e.id, stream + offset, sizeof(e.id));
     offset += sizeof(e.id);
-    if (node.is_leaf && aux_ > 0) {
-      e.aux.resize(aux_);
-      std::memcpy(e.aux.data(), stream + offset, aux_ * sizeof(double));
-      offset += aux_ * sizeof(double);
-    }
   }
   return node;
 }
 
 void NodeStore::Write(PageId id, Node* node) {
   NNCELL_CHECK(node->entries.size() <= 0xffff);
-  size_t pages = PagesNeeded(node->is_leaf, node->entries.size());
+  size_t pages = PagesNeeded(node->entries.size());
   // Grow or shrink the overflow chain.
   while (node->page_span() < pages) {
     node->extra_pages.push_back(pool_->AllocatePage());
@@ -134,10 +118,6 @@ void NodeStore::Write(PageId id, Node* node) {
     writer.PutDoubles(e.rect.lo().data(), dim_);
     writer.PutDoubles(e.rect.hi().data(), dim_);
     writer.Put<uint64_t>(e.id);
-    if (node->is_leaf && aux_ > 0) {
-      NNCELL_CHECK(e.aux.size() == aux_);
-      writer.PutDoubles(e.aux.data(), aux_);
-    }
   }
 
   // Scatter the buffer across the spanned pages.

@@ -10,13 +10,11 @@
 
 namespace nncell {
 
-// One tree entry. In leaf nodes `id` is the caller's record id and `aux`
-// carries aux_per_entry payload doubles; in directory nodes `id` is the
-// child's first PageId and `aux` is empty.
+// One tree entry. In leaf nodes `id` is the caller's record id; in
+// directory nodes it is the child's first PageId.
 struct Entry {
   HyperRect rect;
   uint64_t id = 0;
-  std::vector<double> aux;
 };
 
 // Decoded node. A node's identity is its first page id; supernodes (X-tree)
@@ -43,7 +41,6 @@ struct EntryView {
   const double* lo;
   const double* hi;
   uint64_t id;
-  const double* aux;  // nullptr for internal entries or aux_per_entry == 0
 };
 
 // Serializes nodes into pages through the buffer pool and computes entry
@@ -52,22 +49,22 @@ struct EntryView {
 //       [u32 overflow ids x num_extra][pad to 8B] [entry bytes ...]
 //   oi: [entry bytes continued ...]
 // Entries are fixed-size and 8-byte aligned within the assembled stream:
-// 2*dim doubles (rect), u64 id, aux doubles.
+// 2*dim doubles (rect), u64 id -- the same in leaf and directory nodes.
 class NodeStore {
  public:
-  NodeStore(BufferPool* pool, size_t dim, size_t aux_per_entry);
+  NodeStore(BufferPool* pool, size_t dim);
 
   size_t dim() const { return dim_; }
-  size_t aux_per_entry() const { return aux_; }
 
-  size_t LeafEntryBytes() const;
-  size_t InternalEntryBytes() const;
+  size_t EntryBytes() const {
+    return 2 * dim_ * sizeof(double) + sizeof(uint64_t);
+  }
 
   // Entry capacity of a node that owns `pages` pages.
-  size_t Capacity(bool is_leaf, size_t pages) const;
+  size_t Capacity(size_t pages) const;
 
   // Minimum number of pages needed for n entries.
-  size_t PagesNeeded(bool is_leaf, size_t n) const;
+  size_t PagesNeeded(size_t n) const;
 
   // Allocates the first page of a fresh node.
   PageId AllocateNode();
@@ -101,8 +98,7 @@ class NodeStore {
     uint32_t num_extra;
     std::memcpy(&num_extra, stream + 4, sizeof(num_extra));
     size_t offset = EntriesOffset(num_extra);
-    const size_t stride =
-        (is_leaf ? LeafEntryBytes() : InternalEntryBytes());
+    const size_t stride = EntryBytes();
     const size_t d = dim_;
     for (uint16_t i = 0; i < num_entries; ++i, offset += stride) {
       EntryView view;
@@ -110,11 +106,6 @@ class NodeStore {
       view.hi = view.lo + d;
       std::memcpy(&view.id, stream + offset + 2 * d * sizeof(double),
                   sizeof(view.id));
-      view.aux = (is_leaf && aux_ > 0)
-                     ? reinterpret_cast<const double*>(
-                           stream + offset + 2 * d * sizeof(double) +
-                           sizeof(uint64_t))
-                     : nullptr;
       visit(view, is_leaf);
     }
     return is_leaf;
@@ -132,7 +123,6 @@ class NodeStore {
 
   BufferPool* pool_;
   size_t dim_;
-  size_t aux_;
   size_t page_size_;
 };
 

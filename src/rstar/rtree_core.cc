@@ -17,6 +17,12 @@ namespace nncell {
 
 namespace {
 
+// R*-tree minimum fill as a fraction of single-page capacity (m = 40%).
+constexpr double kMinFillFraction = 0.4;
+
+// R* forced-reinsert fraction (the paper's p = 30%).
+constexpr double kReinsertFraction = 0.3;
+
 // Registry handles for the directory-traversal counters (aggregated over
 // every tree in the process: cell index, point index, baselines).
 struct TreeMetrics {
@@ -37,41 +43,29 @@ struct TreeMetrics {
 }  // namespace
 
 RTreeCore::RTreeCore(BufferPool* pool, TreeOptions options)
-    : pool_(pool), options_(options),
-      store_(pool, options.dim, options.aux_per_entry) {
-  NNCELL_CHECK(options_.min_fill > 0.0 && options_.min_fill <= 0.5);
-  min_fill_leaf_ = std::max<size_t>(
-      1, static_cast<size_t>(options_.min_fill *
-                             static_cast<double>(store_.Capacity(true, 1))));
-  min_fill_internal_ = std::max<size_t>(
-      1, static_cast<size_t>(options_.min_fill *
-                             static_cast<double>(store_.Capacity(false, 1))));
+    : pool_(pool), options_(options), store_(pool, options.dim),
+      min_fill_(std::max<size_t>(
+          1, static_cast<size_t>(kMinFillFraction *
+                                 static_cast<double>(store_.Capacity(1))))) {
   root_ = store_.AllocateNode();
   Node root;
   root.is_leaf = true;
   store_.Write(root_, &root);
 }
 
-size_t RTreeCore::MaxEntries(const Node& node) const {
-  return store_.Capacity(node.is_leaf, 1);
+size_t RTreeCore::MaxEntries(const Node& /*node*/) const {
+  return store_.Capacity(1);
 }
 
 std::optional<std::pair<std::vector<Entry>, std::vector<Entry>>>
 RTreeCore::SplitNode(const Node& node) {
-  return RStarSplit(node.entries, options_.dim, MinFill(node.is_leaf));
+  return RStarSplit(node.entries, options_.dim, MinFill());
 }
 
-void RTreeCore::Insert(const HyperRect& rect, uint64_t id, const double* aux) {
+void RTreeCore::Insert(const HyperRect& rect, uint64_t id) {
   NNCELL_CHECK(rect.dim() == options_.dim);
-  Entry e;
-  e.rect = rect;
-  e.id = id;
-  if (options_.aux_per_entry > 0) {
-    NNCELL_CHECK_MSG(aux != nullptr, "entry payload required");
-    e.aux.assign(aux, aux + options_.aux_per_entry);
-  }
   reinserted_.assign(height_ + 1, false);
-  InsertEntry(std::move(e), 0);
+  InsertEntry(Entry{rect, id}, 0);
   ++size_;
 }
 
@@ -84,7 +78,7 @@ void RTreeCore::BulkLoad(std::vector<Entry> entries) {
   size_t levels = 1;
   std::vector<Entry> level = std::move(entries);
   while (true) {
-    size_t capacity = store_.Capacity(is_leaf, 1);
+    size_t capacity = store_.Capacity(1);
     if (level.size() <= capacity) {
       // This level fits into the (pre-allocated) root page.
       Node root;
@@ -229,8 +223,7 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
     const bool is_root = path.empty();
 
     // R* forced reinsert: once per level per top-level insert.
-    if (!is_root && options_.enable_reinsert && level < reinserted_.size() &&
-        !reinserted_[level]) {
+    if (!is_root && level < reinserted_.size() && !reinserted_[level]) {
       reinserted_[level] = true;
       // Sort by distance of entry center to node center, farthest first.
       std::vector<double> center = node.ComputeMbr(options_.dim).Center();
@@ -242,9 +235,9 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
       std::sort(order.begin(), order.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
       size_t p = std::max<size_t>(
-          1, static_cast<size_t>(options_.reinsert_fraction *
+          1, static_cast<size_t>(kReinsertFraction *
                                  static_cast<double>(node.entries.size())));
-      p = std::min(p, node.entries.size() - MinFill(node.is_leaf));
+      p = std::min(p, node.entries.size() - MinFill());
       std::vector<Entry> removed;
       std::vector<bool> take(node.entries.size(), false);
       for (size_t i = 0; i < p; ++i) take[order[i].second] = true;
@@ -358,35 +351,20 @@ std::vector<RTreeCore::Match> RTreeCore::RangeQuery(
     const HyperRect& range) const {
   NNCELL_CHECK(range.dim() == options_.dim);
   const size_t d = options_.dim;
-  const size_t aux = options_.aux_per_entry;
   std::vector<Match> out;
   CollectMatches(&range, nullptr, [&](const EntryView& e) {
-    Match m;
-    m.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
-                       std::vector<double>(e.hi, e.hi + d));
-    m.id = e.id;
-    if (e.aux != nullptr) m.aux.assign(e.aux, e.aux + aux);
-    out.push_back(std::move(m));
+    out.push_back(Match{HyperRect(std::vector<double>(e.lo, e.lo + d),
+                                  std::vector<double>(e.hi, e.hi + d)),
+                        e.id});
   });
-  return out;
-}
-
-std::vector<uint64_t> RTreeCore::LeafPageQuery(const double* q) const {
-  std::vector<uint64_t> out;
-  CollectLeafPages(q, 0.0, &out);
   return out;
 }
 
 std::vector<uint64_t> RTreeCore::LeafPageSphereQuery(const double* q,
                                                      double radius) const {
-  std::vector<uint64_t> out;
-  CollectLeafPages(q, radius * radius, &out);
-  return out;
-}
-
-void RTreeCore::CollectLeafPages(const double* q, double radius_sq,
-                                 std::vector<uint64_t>* out) const {
+  const double radius_sq = radius * radius;
   const size_t d = options_.dim;
+  std::vector<uint64_t> out;
   std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
     PageId cur = stack.back();
@@ -403,7 +381,7 @@ void RTreeCore::CollectLeafPages(const double* q, double radius_sq,
           root_mbr.ExpandToPoint(e.hi);
         }
         // The parent region qualified: take everything on this page.
-        out->push_back(e.id);
+        out.push_back(e.id);
       } else if (RawMinDistSq(e.lo, e.hi, q, d) <= radius_sq) {
         stack.push_back(static_cast<PageId>(e.id));
       }
@@ -412,67 +390,18 @@ void RTreeCore::CollectLeafPages(const double* q, double radius_sq,
     if (is_leaf) NNCELL_METRIC_COUNT(Metrics().leaf_visits, 1);
     if (is_leaf && at_root && !root_mbr.IsEmpty() &&
         root_mbr.MinDistSq(q) > radius_sq) {
-      out->clear();  // the sole (root) page does not qualify after all
+      out.clear();  // the sole (root) page does not qualify after all
     }
   }
+  return out;
 }
 
-std::vector<RTreeCore::KnnResult> RTreeCore::KnnQuery(const double* q,
-                                                      size_t k) const {
-  // Best-first search [HS 95]: a min-heap over MINDIST of nodes and entry
-  // rectangles; popped leaf entries are final results.
-  struct HeapItem {
-    double dist_sq;
-    bool is_node;
-    PageId pid;          // when is_node
-    size_t result_idx;   // when !is_node, index into pending results
-  };
-  struct Cmp {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      return a.dist_sq > b.dist_sq;
-    }
-  };
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Cmp> heap;
-  std::vector<KnnResult> pending;  // leaf entries seen so far
-  std::vector<KnnResult> results;
-  if (k == 0 || size_ == 0) return results;
-
-  const size_t d = options_.dim;
-  const size_t aux = options_.aux_per_entry;
-  heap.push(HeapItem{0.0, true, root_, 0});
-  while (!heap.empty() && results.size() < k) {
-    HeapItem item = heap.top();
-    heap.pop();
-    if (item.is_node) {
-      store_.VisitNode(item.pid, [&](const EntryView& e, bool is_leaf) {
-        double dist_sq = RawMinDistSq(e.lo, e.hi, q, d);
-        if (is_leaf) {
-          KnnResult r;
-          r.id = e.id;
-          r.dist = std::sqrt(dist_sq);
-          r.rect = HyperRect(std::vector<double>(e.lo, e.lo + d),
-                             std::vector<double>(e.hi, e.hi + d));
-          if (e.aux != nullptr) r.aux.assign(e.aux, e.aux + aux);
-          pending.push_back(std::move(r));
-          heap.push(HeapItem{dist_sq, false, 0, pending.size() - 1});
-        } else {
-          heap.push(HeapItem{dist_sq, true, static_cast<PageId>(e.id), 0});
-        }
-      });
-    } else {
-      results.push_back(pending[item.result_idx]);
-    }
-  }
-  return results;
-}
-
-RTreeCore::ApproxNnResult RTreeCore::ApproxNnQuery(
-    const double* q, size_t k, double epsilon,
-    uint64_t max_leaf_visits) const {
+RTreeCore::ApproxNnResult RTreeCore::KnnQuery(
+    const double* q, size_t k, const ApproxOptions& approx) const {
   ApproxNnResult out;
   if (k == 0 || size_ == 0) return out;
   const size_t d = options_.dim;
-  const double slack_sq = (1.0 + epsilon) * (1.0 + epsilon);
+  const double slack_sq = (1.0 + approx.epsilon) * (1.0 + approx.epsilon);
 
   // Frontier of unexplored subtrees, nearest MINDIST first.
   struct NodeItem {
@@ -490,7 +419,6 @@ RTreeCore::ApproxNnResult RTreeCore::ApproxNnQuery(
   // entry an improvement evicts, so at equal distance the larger id goes
   // first and the surviving set matches the exact scan's smaller-id-wins
   // tie-break.
-  using Hit = ApproxNnResult::Hit;
   std::vector<Hit> best;
   best.reserve(k);
   auto closer = [](const Hit& a, const Hit& b) {
@@ -507,12 +435,14 @@ RTreeCore::ApproxNnResult RTreeCore::ApproxNnQuery(
     const NodeItem top = nodes.top();
     if (best.size() == k) {
       const double kth = best.front().dist_sq;
-      if (kth <= top.dist_sq) {
+      if (kth < top.dist_sq) {
         // Proven exact: no unexplored subtree can improve or tie-break in.
+        // A subtree at exactly the k-th distance is still opened, since it
+        // may hold an equal-distance entry with a smaller id.
         out.bound_sq = top.dist_sq;
         break;
       }
-      if (kth <= slack_sq * top.dist_sq) {
+      if (approx.epsilon > 0.0 && kth <= slack_sq * top.dist_sq) {
         // Certified: the k-th best is within (1+epsilon) of everything the
         // search would still look at.
         out.bound_sq = top.dist_sq;
@@ -545,8 +475,8 @@ RTreeCore::ApproxNnResult RTreeCore::ApproxNnQuery(
     if (is_leaf) {
       NNCELL_METRIC_COUNT(Metrics().leaf_visits, 1);
       ++out.leaf_visits;
-      if (max_leaf_visits != 0 && out.leaf_visits >= max_leaf_visits &&
-          !nodes.empty()) {
+      if (approx.max_leaf_visits != kUnlimitedLeafVisits &&
+          out.leaf_visits >= approx.max_leaf_visits && !nodes.empty()) {
         out.bound_sq = nodes.top().dist_sq;
         out.truncated = true;
         break;
@@ -563,21 +493,17 @@ RTreeCore::ApproxNnResult RTreeCore::ApproxNnQuery(
   return out;
 }
 
-std::optional<RTreeCore::KnnResult> RTreeCore::NnBranchAndBound(
+std::optional<RTreeCore::Hit> RTreeCore::NnBranchAndBound(
     const double* q) const {
   if (size_ == 0) return std::nullopt;
-  KnnResult best;
-  double best_dist_sq = std::numeric_limits<double>::infinity();
-  BranchAndBoundRec(root_, q, &best_dist_sq, &best);
-  best.dist = std::sqrt(best_dist_sq);
+  Hit best{0, std::numeric_limits<double>::infinity()};
+  BranchAndBoundRec(root_, q, &best);
   return best;
 }
 
 void RTreeCore::BranchAndBoundRec(PageId pid, const double* q,
-                                  double* best_dist_sq,
-                                  KnnResult* best) const {
+                                  Hit* best) const {
   const size_t dim = options_.dim;
-  const size_t aux = options_.aux_per_entry;
   // Generate the active branch list: MINDIST and MINMAXDIST per child.
   // Internal bounds are staged into a flat scratch copy (EntryView
   // pointers die with the visit) and scored four children per call
@@ -592,13 +518,7 @@ void RTreeCore::BranchAndBoundRec(PageId pid, const double* q,
   bool is_leaf = store_.VisitNode(pid, [&](const EntryView& e, bool leaf) {
     if (leaf) {
       double d = RawMinDistSq(e.lo, e.hi, q, dim);
-      if (d < *best_dist_sq) {
-        *best_dist_sq = d;
-        best->id = e.id;
-        best->rect = HyperRect(std::vector<double>(e.lo, e.lo + dim),
-                               std::vector<double>(e.hi, e.hi + dim));
-        if (e.aux != nullptr) best->aux.assign(e.aux, e.aux + aux);
-      }
+      if (d < best->dist_sq) *best = Hit{e.id, d};
     } else {
       bounds.insert(bounds.end(), e.lo, e.lo + dim);
       bounds.insert(bounds.end(), e.hi, e.hi + dim);
@@ -644,8 +564,8 @@ void RTreeCore::BranchAndBoundRec(PageId pid, const double* q,
   // distance found so far (upward pruning) before each descent.
   for (const Branch& b : branches) {
     if (b.min_dist > best_min_max) continue;
-    if (b.min_dist > *best_dist_sq) continue;
-    BranchAndBoundRec(b.child, q, best_dist_sq, best);
+    if (b.min_dist > best->dist_sq) continue;
+    BranchAndBoundRec(b.child, q, best);
   }
 }
 
@@ -664,7 +584,7 @@ bool RTreeCore::Delete(const HyperRect& rect, uint64_t id) {
     PathStep parent = std::move(path.back());
     path.pop_back();
     bool underfull =
-        cur.page_span() == 1 && cur.entries.size() < MinFill(cur.is_leaf);
+        cur.page_span() == 1 && cur.entries.size() < MinFill();
     if (underfull) {
       for (Entry& e : cur.entries) {
         orphans.push_back(Orphan{std::move(e), cur_level});
@@ -800,11 +720,10 @@ std::string RTreeCore::ValidateRec(PageId pid, size_t level,
   }
   // The store grows/shrinks a node's page chain to exactly fit its entry
   // count on every Write; a mismatch means a stale or corrupt header.
-  if (node.page_span() != store_.PagesNeeded(node.is_leaf,
-                                             node.entries.size())) {
+  if (node.page_span() != store_.PagesNeeded(node.entries.size())) {
     err << "node " << pid << ": spans " << node.page_span()
         << " pages but its " << node.entries.size() << " entries need "
-        << store_.PagesNeeded(node.is_leaf, node.entries.size());
+        << store_.PagesNeeded(node.entries.size());
     return err.str();
   }
   for (size_t i = 0; i < node.entries.size(); ++i) {
@@ -817,10 +736,6 @@ std::string RTreeCore::ValidateRec(PageId pid, size_t level,
     std::string rect_err = e.rect.CheckWellFormed();
     if (!rect_err.empty()) {
       err << "node " << pid << " entry " << i << ": " << rect_err;
-      return err.str();
-    }
-    if (!node.is_leaf && e.aux.size() != 0) {
-      err << "node " << pid << " entry " << i << ": internal entry with aux";
       return err.str();
     }
   }
@@ -836,12 +751,12 @@ std::string RTreeCore::ValidateRec(PageId pid, size_t level,
       }
     }
     // Non-root single-page nodes respect the minimum fill.
-    if (node.page_span() == 1 && node.entries.size() < MinFill(node.is_leaf)) {
+    if (node.page_span() == 1 && node.entries.size() < MinFill()) {
       err << "node " << pid << ": underfull (" << node.entries.size() << ")";
       return err.str();
     }
   }
-  if (node.entries.size() > store_.Capacity(node.is_leaf, node.page_span())) {
+  if (node.entries.size() > store_.Capacity(node.page_span())) {
     err << "node " << pid << ": overfull";
     return err.str();
   }

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/approx.h"
 #include "common/hyper_rect.h"
 #include "rstar/node.h"
 #include "rstar/tree_options.h"
@@ -26,14 +27,13 @@ class RTreeCore {
   struct Match {
     HyperRect rect;
     uint64_t id = 0;
-    std::vector<double> aux;
   };
 
-  struct KnnResult {
+  // One k-NN answer: a leaf entry and its squared MINDIST to the query
+  // (the squared Euclidean distance for point data).
+  struct Hit {
     uint64_t id = 0;
-    double dist = 0.0;  // Euclidean distance to the entry rectangle
-    HyperRect rect;
-    std::vector<double> aux;
+    double dist_sq = 0.0;
   };
 
   struct TreeInfo {
@@ -57,9 +57,8 @@ class RTreeCore {
   size_t height() const { return height_; }
   BufferPool* pool() const { return pool_; }
 
-  // Inserts a leaf entry. `aux` must supply options().aux_per_entry doubles
-  // (nullptr allowed when that is 0).
-  void Insert(const HyperRect& rect, uint64_t id, const double* aux = nullptr);
+  // Inserts a leaf entry.
+  void Insert(const HyperRect& rect, uint64_t id);
 
   // Builds the tree from a static entry set with Sort-Tile-Recursive
   // packing [LLE 97]: near-full, locality-preserving leaves and a
@@ -87,34 +86,25 @@ class RTreeCore {
   // All leaf entries whose rectangle intersects `range`.
   std::vector<Match> RangeQuery(const HyperRect& range) const;
 
-  // Page-granular queries used by the paper's Point/Sphere candidate
-  // selection: return the ids of ALL entries of every leaf node whose page
-  // region contains q (LeafPageQuery) or lies within `radius` of q
-  // (LeafPageSphereQuery), in depth-first traversal order.
-  std::vector<uint64_t> LeafPageQuery(const double* q) const;
+  // Page-granular query used by the paper's Point/Sphere candidate
+  // selection: the ids of ALL entries of every leaf node whose page region
+  // lies within `radius` of q (radius 0: contains q), in depth-first
+  // traversal order.
   std::vector<uint64_t> LeafPageSphereQuery(const double* q,
                                             double radius) const;
 
-  // k nearest entry rectangles to q by MINDIST (exact NN for point data).
-  // Best-first search [HS 95]: optimal in page accesses.
-  std::vector<KnnResult> KnnQuery(const double* q, size_t k) const;
-
-  // Certified / bounded-effort best-first k-NN (the approximate query
-  // tier, docs/APPROXIMATE.md). Same [HS 95] traversal as KnnQuery plus:
+  // The k nearest leaf entries to q by MINDIST: best-first search [HS 95],
+  // optimal in page accesses, with the certified / bounded-effort knobs of
+  // the approximate query tier (docs/APPROXIMATE.md):
   //   - epsilon rule: stop once the k-th best squared distance is within
   //     (1+epsilon)^2 of the tightest remaining subtree MINDIST;
   //   - effort budget: stop after max_leaf_visits leaf pages (0 = none);
   //   - a per-query certificate (bound on unvisited entries, leaf pages
   //     scanned, how the search ended).
-  // Ties at equal distance resolve to the smaller id, matching the exact
-  // scan's ordering. With epsilon == 0 and no budget the hits equal the
-  // true k nearest (callers still dispatch to the exact path for
-  // bit-identity of metrics and candidate accounting).
+  // Default options are the exact search: the hits are the true k nearest,
+  // ties at equal distance resolved to the smaller id, i.e. ascending by
+  // (dist_sq, id) like the exact scan.
   struct ApproxNnResult {
-    struct Hit {
-      uint64_t id = 0;
-      double dist_sq = 0.0;
-    };
     std::vector<Hit> hits;         // ascending (dist_sq, id), up to k
     uint64_t leaf_visits = 0;      // leaf pages scanned
     uint64_t entries_scanned = 0;  // leaf entries scored
@@ -122,15 +112,15 @@ class RTreeCore {
     bool terminated_early = false; // epsilon rule fired before exactness
     bool truncated = false;        // budget ran out with subtrees pending
   };
-  ApproxNnResult ApproxNnQuery(const double* q, size_t k, double epsilon,
-                               uint64_t max_leaf_visits) const;
+  ApproxNnResult KnnQuery(const double* q, size_t k,
+                          const ApproxOptions& approx = {}) const;
 
   // Nearest neighbor by the depth-first branch-and-bound of [RKV 95]:
   // children sorted by MINDIST, pruned with MINMAXDIST. This is the
   // "classic NN search" of the paper's evaluation -- it sorts and scores
   // every visited directory node, which is exactly the CPU cost the
   // NN-cell approach eliminates. Returns nullopt on an empty tree.
-  std::optional<KnnResult> NnBranchAndBound(const double* q) const;
+  std::optional<Hit> NnBranchAndBound(const double* q) const;
 
   // Structural statistics (walks the tree; costs page accesses).
   TreeInfo Info() const;
@@ -175,9 +165,7 @@ class RTreeCore {
   virtual std::optional<std::pair<std::vector<Entry>, std::vector<Entry>>>
   SplitNode(const Node& node);
 
-  size_t MinFill(bool is_leaf) const {
-    return is_leaf ? min_fill_leaf_ : min_fill_internal_;
-  }
+  size_t MinFill() const { return min_fill_; }
   const NodeStore& store() const { return store_; }
 
   // Structure-specific node invariants checked by Validate (e.g. the
@@ -210,11 +198,7 @@ class RTreeCore {
   void CollectMatches(const HyperRect* range, const double* q,
                       Emit emit) const;
 
-  void CollectLeafPages(const double* q, double radius_sq,
-                        std::vector<uint64_t>* out) const;
-
-  void BranchAndBoundRec(PageId pid, const double* q, double* best_dist_sq,
-                         KnnResult* best) const;
+  void BranchAndBoundRec(PageId pid, const double* q, Hit* best) const;
 
   // Condensation helper for Delete.
   struct Orphan {
@@ -240,8 +224,7 @@ class RTreeCore {
   PageId root_;
   size_t height_ = 1;  // 1 == root is a leaf
   size_t size_ = 0;
-  size_t min_fill_leaf_;
-  size_t min_fill_internal_;
+  size_t min_fill_;
   std::vector<bool> reinserted_;  // per level, during one Insert
 };
 

@@ -10,23 +10,7 @@ struct TreeOptions {
   // Dimensionality of indexed rectangles.
   size_t dim = 2;
 
-  // Number of payload doubles stored with every leaf entry (e.g. the owner
-  // point of an NN-cell approximation). Internal entries carry none.
-  size_t aux_per_entry = 0;
-
-  // R*-tree minimum fill as a fraction of single-page capacity.
-  double min_fill = 0.4;
-
-  // R* forced-reinsert fraction (the paper's p = 30%).
-  double reinsert_fraction = 0.3;
-  // Forced reinsert can be disabled (plain R-tree-ish behaviour).
-  bool enable_reinsert = true;
-
-  // ----- X-tree specific -----
-  // Maximum tolerated directory split overlap before the overlap-minimal
-  // split / supernode machinery kicks in (X-tree paper: MAX_OVERLAP = 20%).
-  double max_overlap = 0.2;
-  // Upper bound on supernode size, in pages.
+  // Upper bound on X-tree supernode size, in pages (the R*-tree pins 1).
   size_t max_supernode_pages = 32;
 };
 

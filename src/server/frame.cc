@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/crc32c.h"
+#include "common/hyper_rect.h"
 #include "storage/wire.h"
 
 namespace nncell {
@@ -90,6 +91,9 @@ Status DecodePointPayload(std::string_view payload, std::vector<double>* out) {
   for (double& v : *out) {
     if (!r.GetF64(&v)) return Status::InvalidArgument("point: truncated");
   }
+  if (!AllFinite(out->data(), dim)) {
+    return Status::InvalidArgument("point: non-finite coordinate");
+  }
   return Status::OK();
 }
 
@@ -124,6 +128,9 @@ Status DecodeBatchPayload(std::string_view payload, size_t* dim,
   flat->assign(static_cast<size_t>(n) * d, 0.0);
   for (double& v : *flat) {
     if (!r.GetF64(&v)) return Status::InvalidArgument("batch: truncated");
+  }
+  if (!AllFinite(flat->data(), flat->size())) {
+    return Status::InvalidArgument("batch: non-finite coordinate");
   }
   *dim = d;
   *count = n;
@@ -179,6 +186,9 @@ Status DecodePointPayloadWithApprox(std::string_view payload,
   for (double& v : *out) {
     if (!r.GetF64(&v)) return Status::InvalidArgument("point: truncated");
   }
+  if (!AllFinite(out->data(), dim)) {
+    return Status::InvalidArgument("point: non-finite coordinate");
+  }
   *approx = ApproxOptions{};
   if (*has_approx) NNCELL_RETURN_IF_ERROR(ReadApproxBlock(&r, approx));
   return Status::OK();
@@ -215,6 +225,9 @@ Status DecodeBatchPayloadWithApprox(std::string_view payload, size_t* dim,
   flat->assign(static_cast<size_t>(n) * d, 0.0);
   for (double& v : *flat) {
     if (!r.GetF64(&v)) return Status::InvalidArgument("batch: truncated");
+  }
+  if (!AllFinite(flat->data(), flat->size())) {
+    return Status::InvalidArgument("batch: non-finite coordinate");
   }
   *approx = ApproxOptions{};
   if (*has_approx) NNCELL_RETURN_IF_ERROR(ReadApproxBlock(&r, approx));

@@ -41,6 +41,9 @@ Status VerifyPayloadCrc(const FrameHeader& header, std::string_view payload);
 
 // --- request payload bodies ----------------------------------------------
 
+// Every decoder below rejects a NaN or infinite coordinate as malformed,
+// per request, before it can reach a batch shared with other clients.
+
 // QUERY / INSERT payload: u32 dim, dim * f64 coordinates.
 void EncodePointPayload(const std::vector<double>& point, std::string* out);
 Status DecodePointPayload(std::string_view payload, std::vector<double>* out);

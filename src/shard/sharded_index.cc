@@ -435,6 +435,7 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
     const double* q, const ApproxOptions& approx) const {
   const ProbePlan plan = PlanProbes(q);
   if (plan.live == 0) return Status::FailedPrecondition("index is empty");
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q, manifest_.dim));
   const std::vector<Probe>& order = plan.order;
 
   NNCellIndex::QueryResult best;
@@ -493,29 +494,9 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
   if (queries.dim() != manifest_.dim) {
     return Status::InvalidArgument("dimension mismatch");
   }
-  const size_t n = queries.size();
-  std::vector<NNCellIndex::QueryResult> results(n);
-  if (thread_pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<NNCellIndex::QueryResult> r = QueryLocked(queries[i], approx);
-      if (!r.ok()) return r.status();
-      results[i] = std::move(*r);
-    }
-    return results;
-  }
-  std::vector<Status> errors(n, Status::OK());
-  thread_pool_->ParallelFor(0, n, [&](size_t i) {
-    StatusOr<NNCellIndex::QueryResult> r = QueryLocked(queries[i], approx);
-    if (r.ok()) {
-      results[i] = std::move(*r);
-    } else {
-      errors[i] = r.status();
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  return results;
+  return ParallelMap<NNCellIndex::QueryResult>(
+      thread_pool_.get(), queries.size(),
+      [&](size_t i) { return QueryLocked(queries[i], approx); });
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
@@ -526,6 +507,10 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
   if (is_range && radius < 0.0) {
     return Status::InvalidArgument("negative radius");
   }
+  if (is_range && !std::isfinite(radius)) {
+    return Status::InvalidArgument("non-finite radius");
+  }
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q, manifest_.dim));
   std::vector<NNCellIndex::QueryResult> out;
   if (!is_range) {
     if (k == 0) return out;
@@ -614,6 +599,7 @@ StatusOr<uint64_t> ShardedIndex::Insert(const std::vector<double>& point) {
   if (point.size() != manifest_.dim) {
     return Status::InvalidArgument("dimension mismatch");
   }
+  NNCELL_RETURN_IF_ERROR(CheckFinite(point.data(), manifest_.dim));
   const size_t s = manifest_.Route(RouteCoord(point.data()));
   Shard& sh = shards_[s];
   if (sh.index == nullptr) {
@@ -674,6 +660,9 @@ Status ShardedIndex::BulkBuild(const PointSet& pts) {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   if (pts.dim() != manifest_.dim) {
     return Status::InvalidArgument("dimension mismatch");
+  }
+  for (size_t i = 0; i < pts.size(); ++i) {
+    NNCELL_RETURN_IF_ERROR(CheckFinite(pts[i], manifest_.dim));
   }
   if (!router_.empty()) {
     return Status::FailedPrecondition(

@@ -9,6 +9,14 @@
 
 namespace nncell {
 
+namespace {
+
+// Maximum tolerated directory split overlap before the overlap-minimal
+// split / supernode machinery kicks in (X-tree paper: MAX_OVERLAP = 20%).
+constexpr double kMaxOverlap = 0.2;
+
+}  // namespace
+
 XTree::XTree(BufferPool* pool, TreeOptions options)
     : RTreeCore(pool, options) {
   NNCELL_CHECK(options.max_supernode_pages >= 1);
@@ -16,13 +24,13 @@ XTree::XTree(BufferPool* pool, TreeOptions options)
 
 size_t XTree::MaxEntries(const Node& node) const {
   // A node may fill its current page span before overflow treatment runs.
-  return store().Capacity(node.is_leaf, node.page_span());
+  return store().Capacity(node.page_span());
 }
 
 std::optional<std::pair<std::vector<Entry>, std::vector<Entry>>>
 XTree::SplitNode(const Node& node) {
   const size_t dim = options().dim;
-  const size_t min_fill = MinFill(node.is_leaf);
+  const size_t min_fill = MinFill();
 
   // Data nodes always use the R* topological split (the X-tree changes the
   // directory only).
@@ -34,7 +42,7 @@ XTree::SplitNode(const Node& node) {
   auto topo = RStarSplit(node.entries, dim, min_fill);
   HyperRect left_mbr = MbrOfRange(topo.first, 0, topo.first.size(), dim);
   HyperRect right_mbr = MbrOfRange(topo.second, 0, topo.second.size(), dim);
-  if (SplitOverlap(left_mbr, right_mbr) <= options().max_overlap) {
+  if (SplitOverlap(left_mbr, right_mbr) <= kMaxOverlap) {
     return topo;
   }
 
@@ -42,7 +50,7 @@ XTree::SplitNode(const Node& node) {
   double achieved = 1.0;
   auto minimal =
       OverlapMinimalSplit(node.entries, dim, min_fill, &achieved);
-  if (minimal.has_value() && achieved <= options().max_overlap) {
+  if (minimal.has_value() && achieved <= kMaxOverlap) {
     return minimal;
   }
 
@@ -74,7 +82,7 @@ std::string XTree::ValidateNode(const Node& node, PageId pid,
     return err.str();
   }
   if (node.page_span() > 1 &&
-      node.entries.size() <= store().Capacity(node.is_leaf, 1)) {
+      node.entries.size() <= store().Capacity(1)) {
     err << "node " << pid << ": supernode holds only " << node.entries.size()
         << " entries, which fit a single page";
     return err.str();

@@ -10,8 +10,8 @@
 namespace nncell {
 
 // The X-tree [BKK 96]: an R*-tree variant built for high-dimensional data.
-// Directory splits that would introduce more than max_overlap overlap are
-// replaced by an overlap-minimal split; when no balanced overlap-minimal
+// Directory splits that would introduce more than MAX_OVERLAP = 20% overlap
+// are replaced by an overlap-minimal split; when no balanced overlap-minimal
 // split exists the node becomes a supernode spanning multiple pages instead
 // of being split. This keeps the directory (nearly) overlap-free, which is
 // what makes it the strongest baseline in the paper's evaluation.

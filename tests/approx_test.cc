@@ -463,6 +463,49 @@ TEST(ApproxWireTest, RejectsBadEpsilon) {
   }
 }
 
+// A NaN or infinite coordinate is malformed in every request form, with
+// or without the approx block, so it never reaches a coalesced batch.
+TEST(ApproxWireTest, RejectsNonFiniteCoordinates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const std::vector<double> p = {0.5, bad};
+    std::vector<double> point;
+    ApproxOptions decoded;
+    bool has_approx = false;
+    std::string payload;
+    srv::EncodePointPayload(p, &payload);
+    EXPECT_FALSE(srv::DecodePointPayload(payload, &point).ok()) << bad;
+    EXPECT_FALSE(srv::DecodePointPayloadWithApprox(payload, &point, &decoded,
+                                                   &has_approx)
+                     .ok())
+        << bad;
+    payload.clear();
+    srv::EncodePointPayloadWithApprox(p, ApproxOptions{}, &payload);
+    EXPECT_FALSE(srv::DecodePointPayloadWithApprox(payload, &point, &decoded,
+                                                   &has_approx)
+                     .ok())
+        << bad;
+
+    size_t dim = 0, count = 0;
+    std::vector<double> flat;
+    payload.clear();
+    srv::EncodeBatchPayload({{0.1, 0.2}, p}, &payload);
+    EXPECT_FALSE(srv::DecodeBatchPayload(payload, &dim, &flat, &count).ok())
+        << bad;
+    EXPECT_FALSE(srv::DecodeBatchPayloadWithApprox(payload, &dim, &flat, &count,
+                                                   &decoded, &has_approx)
+                     .ok())
+        << bad;
+    payload.clear();
+    srv::EncodeBatchPayloadWithApprox({{0.1, 0.2}, p}, ApproxOptions{},
+                                      &payload);
+    EXPECT_FALSE(srv::DecodeBatchPayloadWithApprox(payload, &dim, &flat, &count,
+                                                   &decoded, &has_approx)
+                     .ok())
+        << bad;
+  }
+}
+
 TEST(ApproxWireTest, CertificateRoundTripAndLegacyBytes) {
   srv::WireQueryResult r;
   r.id = 42;

@@ -3,6 +3,7 @@
 // the same workloads, across data distributions, with consistent paging
 // behaviour.
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -101,14 +102,16 @@ TEST_P(CrossIndexTest, AllIndexesAgreeOnNN) {
     auto scan_result = stack.scan->NearestNeighbor(queries[t]);
     auto cell_result = stack.nncell->Query(queries[t]);
     ASSERT_TRUE(cell_result.ok());
-    auto rstar_result = stack.rstar->KnnQuery(queries[t], 1);
-    auto xtree_result = stack.xtree->KnnQuery(queries[t], 1);
+    auto rstar_result = stack.rstar->KnnQuery(queries[t], 1).hits;
+    auto xtree_result = stack.xtree->KnnQuery(queries[t], 1).hits;
     ASSERT_EQ(rstar_result.size(), 1u);
     ASSERT_EQ(xtree_result.size(), 1u);
 
     EXPECT_NEAR(cell_result->dist, scan_result.dist, 1e-9) << "query " << t;
-    EXPECT_NEAR(rstar_result[0].dist, scan_result.dist, 1e-9) << "query " << t;
-    EXPECT_NEAR(xtree_result[0].dist, scan_result.dist, 1e-9) << "query " << t;
+    EXPECT_NEAR(std::sqrt(rstar_result[0].dist_sq), scan_result.dist, 1e-9)
+        << "query " << t;
+    EXPECT_NEAR(std::sqrt(xtree_result[0].dist_sq), scan_result.dist, 1e-9)
+        << "query " << t;
   }
 }
 
@@ -139,7 +142,7 @@ TEST(IntegrationTest, QueriesOnDataPointsAgreeEverywhere) {
     ASSERT_TRUE(cell.ok());
     EXPECT_EQ(cell->id, i);
     EXPECT_NEAR(cell->dist, 0.0, 1e-12);
-    auto knn = stack.xtree->KnnQuery(pts[i], 1);
+    auto knn = stack.xtree->KnnQuery(pts[i], 1).hits;
     EXPECT_EQ(knn[0].id, i);
   }
 }

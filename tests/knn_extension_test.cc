@@ -123,11 +123,12 @@ TEST(BulkLoadTest, QueriesMatchInsertBuiltTree) {
   for (int t = 0; t < 40; ++t) {
     std::vector<double> q(dim);
     for (auto& v : q) v = rng.NextDouble();
-    auto a = bulk.KnnQuery(q.data(), 5);
-    auto b = incr.KnnQuery(q.data(), 5);
+    auto a = bulk.KnnQuery(q.data(), 5).hits;
+    auto b = incr.KnnQuery(q.data(), 5).hits;
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i].dist, b[i].dist, 1e-12);
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].dist_sq, b[i].dist_sq);
     }
   }
 }
@@ -174,7 +175,7 @@ TEST(BulkLoadTest, EmptyLoadIsNoop) {
   tree.BulkLoad({});
   EXPECT_EQ(tree.size(), 0u);
   double q[2] = {0.5, 0.5};
-  EXPECT_TRUE(tree.KnnQuery(q, 1).empty());
+  EXPECT_TRUE(tree.KnnQuery(q, 1).hits.empty());
 }
 
 TEST(BulkLoadTest, PackedTreeHasHighFill) {

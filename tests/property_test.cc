@@ -119,13 +119,13 @@ void MixedWorkloadInvariants(uint64_t seed) {
   for (int t = 0; t < 20; ++t) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
-    auto knn = tree.KnnQuery(q.data(), 1);
+    auto knn = tree.KnnQuery(q.data(), 1).hits;
     ASSERT_EQ(knn.size(), 1u);
     double best = 1e300;
     for (const auto& l : live) {
-      best = std::min(best, L2Dist(l.p.data(), q.data(), 3));
+      best = std::min(best, L2DistSq(l.p.data(), q.data(), 3));
     }
-    EXPECT_NEAR(knn[0].dist, best, 1e-12);
+    EXPECT_EQ(knn[0].dist_sq, best);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "rstar/validate.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "tree_knn_oracle.h"
 
 namespace nncell {
 namespace {
@@ -22,12 +23,11 @@ HyperRect PointRect(const std::vector<double>& p) {
 }
 
 struct TreeFixture {
-  explicit TreeFixture(size_t dim, size_t aux = 0, size_t page_size = 1024,
+  explicit TreeFixture(size_t dim, size_t page_size = 1024,
                        size_t pool_pages = 256)
       : file(page_size), pool(&file, pool_pages) {
     TreeOptions opts;
     opts.dim = dim;
-    opts.aux_per_entry = aux;
     tree = std::make_unique<RStarTree>(&pool, opts);
   }
   PageFile file;
@@ -38,22 +38,19 @@ struct TreeFixture {
 TEST(NodeStoreTest, CapacityArithmetic) {
   PageFile file(1024);
   BufferPool pool(&file, 8);
-  NodeStore store(&pool, 4, 4);
-  // Leaf entry: 8*8 rect + 8 id + 4*8 aux = 104 bytes; (1024-8)/104 = 9.
-  EXPECT_EQ(store.LeafEntryBytes(), 104u);
-  EXPECT_EQ(store.Capacity(true, 1), 9u);
-  // Internal entry: 64 + 8 = 72; (1024-8)/72 = 14.
-  EXPECT_EQ(store.InternalEntryBytes(), 72u);
-  EXPECT_EQ(store.Capacity(false, 1), 14u);
-  EXPECT_GT(store.Capacity(true, 2), 2 * store.Capacity(true, 1) - 2);
-  EXPECT_EQ(store.PagesNeeded(true, 9), 1u);
-  EXPECT_EQ(store.PagesNeeded(true, 10), 2u);
+  NodeStore store(&pool, 4);
+  // Entry: 8*8 rect + 8 id = 72 bytes; (1024-8)/72 = 14.
+  EXPECT_EQ(store.EntryBytes(), 72u);
+  EXPECT_EQ(store.Capacity(1), 14u);
+  EXPECT_GT(store.Capacity(2), 2 * store.Capacity(1) - 2);
+  EXPECT_EQ(store.PagesNeeded(14), 1u);
+  EXPECT_EQ(store.PagesNeeded(15), 2u);
 }
 
 TEST(NodeStoreTest, RoundTripLeaf) {
   PageFile file(1024);
   BufferPool pool(&file, 8);
-  NodeStore store(&pool, 3, 3);
+  NodeStore store(&pool, 3);
   Node node;
   node.is_leaf = true;
   for (int i = 0; i < 5; ++i) {
@@ -61,7 +58,6 @@ TEST(NodeStoreTest, RoundTripLeaf) {
     double v = i * 0.1;
     e.rect = HyperRect({v, v, v}, {v + 0.05, v + 0.05, v + 0.05});
     e.id = 100 + i;
-    e.aux = {v, v + 1, v + 2};
     node.entries.push_back(e);
   }
   PageId pid = store.AllocateNode();
@@ -72,14 +68,13 @@ TEST(NodeStoreTest, RoundTripLeaf) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(back.entries[i].id, node.entries[i].id);
     EXPECT_EQ(back.entries[i].rect, node.entries[i].rect);
-    EXPECT_EQ(back.entries[i].aux, node.entries[i].aux);
   }
 }
 
 TEST(NodeStoreTest, RoundTripInternal) {
   PageFile file(512);
   BufferPool pool(&file, 8);
-  NodeStore store(&pool, 2, 0);
+  NodeStore store(&pool, 2);
   Node node;
   node.is_leaf = false;
   for (int i = 0; i < 4; ++i) {
@@ -94,14 +89,14 @@ TEST(NodeStoreTest, RoundTripInternal) {
   EXPECT_FALSE(back.is_leaf);
   ASSERT_EQ(back.entries.size(), 4u);
   EXPECT_EQ(back.entries[3].id, 10u);
-  EXPECT_TRUE(back.entries[3].aux.empty());
+  EXPECT_EQ(back.entries[3].rect, node.entries[3].rect);
 }
 
 TEST(NodeStoreTest, SupernodeGrowAndShrink) {
   PageFile file(512);
   BufferPool pool(&file, 16);
-  NodeStore store(&pool, 2, 0);
-  size_t single = store.Capacity(true, 1);
+  NodeStore store(&pool, 2);
+  size_t single = store.Capacity(1);
   Node node;
   node.is_leaf = true;
   for (size_t i = 0; i < single * 3; ++i) {
@@ -127,7 +122,7 @@ TEST(NodeStoreTest, SupernodeGrowAndShrink) {
 TEST(NodeStoreTest, VisitNodeMatchesRead) {
   PageFile file(1024);
   BufferPool pool(&file, 16);
-  NodeStore store(&pool, 3, 2);
+  NodeStore store(&pool, 3);
   Node node;
   node.is_leaf = true;
   Rng rng(44);
@@ -139,7 +134,6 @@ TEST(NodeStoreTest, VisitNodeMatchesRead) {
     for (auto& v : hi) v += 0.05;
     e.rect = HyperRect(lo, hi);
     e.id = 1000 + i;
-    e.aux = {rng.NextDouble(), rng.NextDouble()};
     node.entries.push_back(e);
   }
   PageId pid = store.AllocateNode();
@@ -154,9 +148,6 @@ TEST(NodeStoreTest, VisitNodeMatchesRead) {
       EXPECT_DOUBLE_EQ(v.hi[k], e.rect.hi(k));
     }
     EXPECT_EQ(v.id, e.id);
-    ASSERT_NE(v.aux, nullptr);
-    EXPECT_DOUBLE_EQ(v.aux[0], e.aux[0]);
-    EXPECT_DOUBLE_EQ(v.aux[1], e.aux[1]);
     ++seen;
   });
   EXPECT_TRUE(is_leaf);
@@ -167,8 +158,8 @@ TEST(NodeStoreTest, VisitNodeSupernode) {
   // A node spanning 3+ pages: the scan must stitch the pages together.
   PageFile file(512);
   BufferPool pool(&file, 32);
-  NodeStore store(&pool, 2, 0);
-  size_t n = store.Capacity(true, 1) * 3;
+  NodeStore store(&pool, 2);
+  size_t n = store.Capacity(1) * 3;
   Node node;
   node.is_leaf = true;
   for (size_t i = 0; i < n; ++i) {
@@ -231,7 +222,7 @@ TEST(RStarTreeTest, EmptyTreeQueries) {
   TreeFixture fx(2);
   double q[2] = {0.5, 0.5};
   EXPECT_TRUE(fx.tree->PointQuery(q).empty());
-  EXPECT_TRUE(fx.tree->KnnQuery(q, 3).empty());
+  EXPECT_TRUE(fx.tree->KnnQuery(q, 3).hits.empty());
   EXPECT_TRUE(fx.tree->RangeQuery(HyperRect::UnitCube(2)).empty());
   EXPECT_EQ(fx.tree->Validate(), "");
 }
@@ -243,10 +234,10 @@ TEST(RStarTreeTest, SingleInsertAndQueries) {
   auto hits = fx.tree->PointQuery(q);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 1u);
-  auto knn = fx.tree->KnnQuery(q, 1);
+  auto knn = fx.tree->KnnQuery(q, 1).hits;
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_EQ(knn[0].id, 1u);
-  EXPECT_DOUBLE_EQ(knn[0].dist, 0.0);
+  EXPECT_EQ(knn[0].dist_sq, 0.0);
 }
 
 class RStarTreeParamTest
@@ -290,31 +281,23 @@ TEST_P(RStarTreeParamTest, RangeQueryMatchesBruteForce) {
 TEST_P(RStarTreeParamTest, KnnMatchesBruteForce) {
   const size_t dim = std::get<0>(GetParam());
   const size_t n = std::get<1>(GetParam());
-  Rng rng(dim * 77 + n);
-  TreeFixture fx(dim);
-  PointSet pts(dim);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<double> p(dim);
-    for (auto& v : p) v = rng.NextDouble();
-    pts.Add(p);
-    fx.tree->Insert(PointRect(p), i);
-  }
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> q(dim);
-    for (auto& v : q) v = rng.NextDouble();
-    size_t k = 1 + rng.NextIndex(10);
-    auto knn = fx.tree->KnnQuery(q.data(), k);
-    ASSERT_EQ(knn.size(), std::min(k, n));
-    // Brute force distances.
-    std::vector<double> dists;
-    for (size_t i = 0; i < n; ++i) dists.push_back(L2Dist(pts[i], q.data(), dim));
-    std::sort(dists.begin(), dists.end());
-    for (size_t i = 0; i < knn.size(); ++i) {
-      EXPECT_NEAR(knn[i].dist, dists[i], 1e-12) << "k-th " << i;
+  // Uniform points, then a lattice where equal distances abound and only
+  // the (dist², id) tie rule decides the answer.
+  for (bool lattice : {false, true}) {
+    Rng rng(dim * 77 + n);
+    TreeFixture fx(dim);
+    PointSet pts(dim);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> p = RandomCoords(rng, dim, lattice);
+      pts.Add(p);
+      fx.tree->Insert(PointRect(p), i);
     }
-    // Ascending order.
-    for (size_t i = 1; i < knn.size(); ++i) {
-      EXPECT_LE(knn[i - 1].dist, knn[i].dist);
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> q = RandomCoords(rng, dim, lattice);
+      size_t k = 1 + rng.NextIndex(10);
+      ExpectSameHits(fx.tree->KnnQuery(q.data(), k).hits,
+                     BruteForceKnn(pts, q.data(), k),
+                     lattice ? "lattice" : "uniform");
     }
   }
 }
@@ -334,10 +317,10 @@ TEST_P(RStarTreeParamTest, BranchAndBoundAgreesWithBestFirst) {
     for (auto& v : q) v = rng.NextDouble();
     auto bb = fx.tree->NnBranchAndBound(q.data());
     ASSERT_TRUE(bb.has_value());
-    auto bf = fx.tree->KnnQuery(q.data(), 1);
+    auto bf = fx.tree->KnnQuery(q.data(), 1).hits;
     ASSERT_EQ(bf.size(), 1u);
     // Both are exact: identical distances (ids may differ on ties).
-    EXPECT_NEAR(bb->dist, bf[0].dist, 1e-12);
+    EXPECT_EQ(bb->dist_sq, bf[0].dist_sq);
   }
 }
 
@@ -393,19 +376,6 @@ TEST(RStarTreeTest, PointQueryOnRectangles) {
   auto hits = fx.tree->PointQuery(q);
   std::set<uint64_t> ids(hits.begin(), hits.end());
   EXPECT_EQ(ids, (std::set<uint64_t>{1, 2, 3}));
-}
-
-TEST(RStarTreeTest, AuxPayloadRoundTrip) {
-  TreeFixture fx(3, /*aux=*/3);
-  std::vector<double> p = {0.1, 0.2, 0.3};
-  std::vector<double> aux = {9.0, 8.0, 7.0};
-  fx.tree->Insert(PointRect(p), 42, aux.data());
-  auto hits = fx.tree->RangeQuery(PointRect(p));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].aux, aux);
-  auto knn = fx.tree->KnnQuery(p.data(), 1);
-  ASSERT_EQ(knn.size(), 1u);
-  EXPECT_EQ(knn[0].aux, aux);
 }
 
 TEST(RStarTreeTest, DeleteAndValidate) {
@@ -489,7 +459,7 @@ TEST(RStarTreeTest, DeleteEverything) {
   EXPECT_EQ(fx.tree->size(), 0u);
   EXPECT_EQ(fx.tree->height(), 1u);
   double q[3] = {0.5, 0.5, 0.5};
-  EXPECT_TRUE(fx.tree->KnnQuery(q, 5).empty());
+  EXPECT_TRUE(fx.tree->KnnQuery(q, 5).hits.empty());
 }
 
 TEST(RStarTreeTest, DuplicatePointsAllFound) {
@@ -515,31 +485,6 @@ TEST(RStarTreeTest, InfoCountsNodes) {
   EXPECT_EQ(info.total_pages, info.num_nodes);
 }
 
-TEST(RStarTreeTest, ReinsertDisabledStillCorrect) {
-  Rng rng(9);
-  PageFile file(1024);
-  BufferPool pool(&file, 128);
-  TreeOptions opts;
-  opts.dim = 2;
-  opts.enable_reinsert = false;
-  RStarTree tree(&pool, opts);
-  PointSet pts(2);
-  for (size_t i = 0; i < 600; ++i) {
-    std::vector<double> p = {rng.NextDouble(), rng.NextDouble()};
-    pts.Add(p);
-    tree.Insert(PointRect(p), i);
-  }
-  ASSERT_EQ(tree.Validate(), "");
-  std::vector<double> q = {0.5, 0.5};
-  auto knn = tree.KnnQuery(q.data(), 5);
-  ASSERT_EQ(knn.size(), 5u);
-  double best = 2.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    best = std::min(best, L2Dist(pts[i], q.data(), 2));
-  }
-  EXPECT_NEAR(knn[0].dist, best, 1e-12);
-}
-
 TEST(RStarTreeTest, PageAccessesGrowWithTreeNotLinearly) {
   // The whole point of an index: a point query touches O(height) pages on
   // well-separated point data, far fewer than the number of leaves.
@@ -555,7 +500,7 @@ TEST(RStarTreeTest, PageAccessesGrowWithTreeNotLinearly) {
   pool.DropCache();
   pool.ResetStats();
   double q[2] = {0.5, 0.5};
-  auto hits = tree.KnnQuery(q, 1);
+  auto hits = tree.KnnQuery(q, 1).hits;
   ASSERT_EQ(hits.size(), 1u);
   uint64_t query_reads = pool.stats().physical_reads;
   auto info = tree.Info();

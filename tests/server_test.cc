@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -319,6 +320,31 @@ TEST_F(ServerTest, DimensionMismatchIsErrorNotDisconnect) {
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_TRUE(client->Ping().ok());
   EXPECT_EQ(server_->malformed(), 0u);
+}
+
+TEST_F(ServerTest, NonFiniteQueryIsMalformedAndKeepsConnection) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+  std::string query;
+  EncodePointPayload({0.5, std::numeric_limits<double>::quiet_NaN()}, &query);
+  std::string frame;
+  EncodeFrame(kReqQuery, 8, query, &frame);
+  ASSERT_TRUE(client->SendRaw(frame).ok());
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(client->RecvFrame(&header, &payload).ok());
+  uint8_t status = 0;
+  std::string_view body;
+  std::string message;
+  ASSERT_TRUE(DecodeStatusPayload(payload, &status, &body, &message).ok());
+  EXPECT_EQ(status, kStatusMalformed) << message;
+  // The next valid query on the same connection is answered.
+  auto r = client->Query({0.5, 0.5});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto direct = index_->Query(std::vector<double>{0.5, 0.5}.data());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(r->id, direct->id);
 }
 
 TEST_F(ServerTest, BadMagicGetsErrorFrameAndClose) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -221,6 +222,39 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
   // Negative radius (after the empty check, as in the oracle).
   EXPECT_EQ(idx.RangeSearch(q.data(), -1.0).status().message(),
             "negative radius");
+  // Non-finite coordinates (NaN, +inf, -inf) on every entry point, and
+  // non-finite radii: the same messages as an unsharded index.
+  Oracle oracle(2);
+  ASSERT_TRUE(oracle.index.Insert({0.25, 0.5}).ok());
+  ApproxOptions approx;
+  approx.epsilon = 0.1;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const std::vector<double> p{0.5, bad};
+    PointSet batch(2);
+    batch.Add(q);
+    batch.Add(p);
+    auto messages = [&](auto& index) {
+      return std::vector<std::string>{
+          index.Insert(p).status().message(),
+          index.BulkBuild(batch).message(),
+          index.Query(p.data()).status().message(),
+          index.Query(p.data(), approx).status().message(),
+          index.QueryBatch(batch).status().message(),
+          index.KnnQuery(p.data(), 3).status().message(),
+          index.KnnQuery(p.data(), 3, approx).status().message(),
+          index.RangeSearch(p.data(), 0.1).status().message(),
+      };
+    };
+    const std::vector<std::string> want(8, "non-finite coordinate");
+    EXPECT_EQ(messages(idx), want) << bad;
+    EXPECT_EQ(messages(oracle.index), want) << bad;
+    const std::string radius = bad < 0.0 ? "negative radius"
+                                         : "non-finite radius";
+    EXPECT_EQ(idx.RangeSearch(q.data(), bad).status().message(), radius);
+    EXPECT_EQ(oracle.index.RangeSearch(q.data(), bad).status().message(),
+              radius);
+  }
   // Unknown / dead ids.
   EXPECT_EQ(idx.Delete(99).message(), "no live point with this id");
   ASSERT_TRUE(idx.Delete(0).ok());
@@ -236,6 +270,8 @@ TEST(ShardedIndexTest, QueryBatchMatchesSerialLoop) {
                                       Sharded(4));
   ASSERT_TRUE(sharded.ok());
   ASSERT_TRUE((*sharded)->BulkBuild(RandomPoints(80, dim, 0xba7c)).ok());
+  // Four workers, so the batch takes the parallel fan-out on any host.
+  (*sharded)->SetNumThreads(4);
 
   PointSet queries = RandomPoints(32, dim, 0x9876);
   auto batch = (*sharded)->QueryBatch(queries);

@@ -15,6 +15,7 @@
 #include "storage/page_file.h"
 #include "xtree/xsplit.h"
 #include "xtree/xtree.h"
+#include "tree_knn_oracle.h"
 
 namespace nncell {
 namespace {
@@ -101,47 +102,41 @@ class XTreeParamTest
 TEST_P(XTreeParamTest, QueriesMatchBruteForce) {
   const size_t dim = std::get<0>(GetParam());
   const size_t n = std::get<1>(GetParam());
-  Rng rng(dim * 31 + n);
-  XFixture fx(dim);
-  PointSet pts(dim);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<double> p(dim);
-    for (auto& v : p) v = rng.NextDouble();
-    pts.Add(p);
-    fx.tree->Insert(PointRect(p), i);
-  }
-  ASSERT_EQ(fx.tree->Validate(), "");
-
-  // kNN vs brute force.
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> q(dim);
-    for (auto& v : q) v = rng.NextDouble();
-    auto knn = fx.tree->KnnQuery(q.data(), 3);
-    ASSERT_EQ(knn.size(), std::min<size_t>(3, n));
-    std::vector<double> dists;
-    for (size_t i = 0; i < n; ++i) dists.push_back(L2Dist(pts[i], q.data(), dim));
-    std::sort(dists.begin(), dists.end());
-    for (size_t i = 0; i < knn.size(); ++i) {
-      EXPECT_NEAR(knn[i].dist, dists[i], 1e-12);
-    }
-  }
-
-  // Range query vs brute force.
-  for (int trial = 0; trial < 10; ++trial) {
-    HyperRect range = HyperRect::Empty(dim);
-    for (size_t k = 0; k < dim; ++k) {
-      double a = rng.NextDouble(), b = rng.NextDouble();
-      range.lo(k) = std::min(a, b);
-      range.hi(k) = std::max(a, b);
-    }
-    auto hits = fx.tree->RangeQuery(range);
-    std::set<uint64_t> got;
-    for (const auto& h : hits) got.insert(h.id);
-    std::set<uint64_t> expected;
+  // kNN and range queries vs brute force, on uniform points and on a
+  // lattice where only the (dist², id) tie rule separates equal distances.
+  for (bool lattice : {false, true}) {
+    Rng rng(dim * 31 + n);
+    XFixture fx(dim);
+    PointSet pts(dim);
     for (size_t i = 0; i < n; ++i) {
-      if (range.ContainsPoint(pts[i])) expected.insert(i);
+      std::vector<double> p = RandomCoords(rng, dim, lattice);
+      pts.Add(p);
+      fx.tree->Insert(PointRect(p), i);
     }
-    EXPECT_EQ(got, expected);
+    ASSERT_EQ(fx.tree->Validate(), "");
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> q = RandomCoords(rng, dim, lattice);
+      ExpectSameHits(fx.tree->KnnQuery(q.data(), 3).hits,
+                     BruteForceKnn(pts, q.data(), 3),
+                     lattice ? "lattice" : "uniform");
+    }
+    // Range query vs brute force.
+    for (int trial = 0; trial < 10; ++trial) {
+      HyperRect range = HyperRect::Empty(dim);
+      for (size_t k = 0; k < dim; ++k) {
+        double a = rng.NextDouble(), b = rng.NextDouble();
+        range.lo(k) = std::min(a, b);
+        range.hi(k) = std::max(a, b);
+      }
+      auto hits = fx.tree->RangeQuery(range);
+      std::set<uint64_t> got;
+      for (const auto& h : hits) got.insert(h.id);
+      std::set<uint64_t> expected;
+      for (size_t i = 0; i < n; ++i) {
+        if (range.ContainsPoint(pts[i])) expected.insert(i);
+      }
+      EXPECT_EQ(got, expected);
+    }
   }
 }
 
@@ -344,7 +339,8 @@ TEST(LeafPageQueryTest, PointQueryReturnsWholePageHoldingQ) {
   // the whole page must come back.
   for (size_t p = 0; p < pages.size(); p += 7) {
     const uint64_t probe = pages[p].front();
-    std::vector<uint64_t> got = fx.tree->LeafPageQuery(fx.pts[probe].data());
+    std::vector<uint64_t> got =
+        fx.tree->LeafPageSphereQuery(fx.pts[probe].data(), 0.0);
     EXPECT_FALSE(HasDuplicates(got));
     std::set<uint64_t> got_set(got.begin(), got.end());
     for (uint64_t id : pages[p]) {
@@ -363,10 +359,10 @@ TEST(LeafPageQueryTest, RootLeafPageQualifiesByItsMbr) {
   ASSERT_EQ(fx.tree->height(), 1u);
   const double far[2] = {0.9, 0.9};
   EXPECT_TRUE(fx.tree->LeafPageSphereQuery(far, 0.1).empty());
-  EXPECT_TRUE(fx.tree->LeafPageQuery(far).empty());
+  EXPECT_TRUE(fx.tree->LeafPageSphereQuery(far, 0.0).empty());
   EXPECT_EQ(fx.tree->LeafPageSphereQuery(far, 1.0).size(), 5u);
   const double inside[2] = {0.25, 0.21};  // inside the MBR, on no point
-  EXPECT_EQ(fx.tree->LeafPageQuery(inside).size(), 5u);
+  EXPECT_EQ(fx.tree->LeafPageSphereQuery(inside, 0.0).size(), 5u);
 }
 
 }  // namespace
