@@ -35,7 +35,9 @@ nncell_add_fig(bench_regress)
 nncell_add_fig(bench_recall)
 nncell_add_fig(bench_simd)
 nncell_add_fig(exact_plan_sweep)
+nncell_add_fig(fan_out_sweep)
 target_link_libraries(model_vs_measured PRIVATE nncell_model)
+target_link_libraries(fan_out_sweep PRIVATE nncell_shard)
 
 add_executable(loadgen ${CMAKE_SOURCE_DIR}/bench/loadgen.cc)
 target_include_directories(loadgen PRIVATE ${CMAKE_SOURCE_DIR}/src)

@@ -84,6 +84,8 @@ inline constexpr char kQueryCandidatesPerQuery[] =
     "query.nn.candidates_per_query";
 inline constexpr char kQueryPlanCellProbe[] = "query.plan.cell_probe";
 inline constexpr char kQueryPlanScan[] = "query.plan.scan";
+inline constexpr char kQueryBatchSerial[] = "query.batch.serial";
+inline constexpr char kQueryBatchFannedOut[] = "query.batch.fanned_out";
 
 // --- kernels (dispatched SIMD layer) ---------------------------------------
 inline constexpr char kKernelsDispatch[] = "kernels.dispatch";
@@ -210,6 +212,10 @@ inline constexpr MetricDef kMetricDefs[] = {
      "exact queries (NN, kNN, range) answered by the cell probe"},
     {kQueryPlanScan, Kind::kCounter, "queries",
      "exact queries (NN, kNN, range) answered by the point-table scan"},
+    {kQueryBatchSerial, Kind::kCounter, "batches",
+     "QueryBatch calls run on the calling thread alone"},
+    {kQueryBatchFannedOut, Kind::kCounter, "batches",
+     "QueryBatch calls fanned out over the index's thread pool"},
     {kKernelsDispatch, Kind::kGauge, "level",
      "active SIMD dispatch level (0 = scalar, 1 = avx2, 2 = neon); "
      "process-constant, restored across ResetAll"},

@@ -94,30 +94,52 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& body) {
   if (end <= begin) return;
   const size_t n = end - begin;
-  // More chunks than workers so stealing can rebalance uneven iteration
-  // costs (LP solves vary a lot per point).
+  // More chunks than threads so the shared cursor can rebalance uneven
+  // iteration costs (LP solves vary a lot per point).
   const size_t chunks = std::min(n, 4 * num_threads());
 
-  // Per-call completion group: `remaining` is only touched under `mu`, and
-  // the waiter observes 0 under the same mutex, after which no finisher
-  // touches the group again -- so stack lifetime is safe.
+  // Per-call state on the heap: a helper that wakes after the caller has
+  // returned still holds the group, finds the cursor past the last chunk
+  // and exits without touching `body` (which may be gone by then).
   struct Group {
+    const std::function<void(size_t)>* body;
+    size_t begin, n, chunks;
+    std::atomic<size_t> next{0};  // next chunk to claim
     Mutex mu;
     CondVar cv;
-    size_t remaining NNCELL_GUARDED_BY(mu);
-  } group{{}, {}, chunks};
+    size_t done NNCELL_GUARDED_BY(mu) = 0;  // chunks finished
+  };
+  auto group = std::make_shared<Group>();
+  group->body = &body;
+  group->begin = begin;
+  group->n = n;
+  group->chunks = chunks;
 
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lo = begin + n * c / chunks;
-    const size_t hi = begin + n * (c + 1) / chunks;
-    Submit([&group, &body, lo, hi] {
-      for (size_t i = lo; i < hi; ++i) body(i);
-      MutexLock lock(group.mu);
-      if (--group.remaining == 0) group.cv.NotifyAll();
-    });
+  // Claims and runs chunks until none is left, then reports how many it
+  // ran. The mutex orders every body(i) of the chunks before the caller's
+  // return.
+  auto drain = [](Group& g) {
+    size_t ran = 0;
+    for (size_t c = g.next.fetch_add(1); c < g.chunks;
+         c = g.next.fetch_add(1)) {
+      const size_t lo = g.begin + g.n * c / g.chunks;
+      const size_t hi = g.begin + g.n * (c + 1) / g.chunks;
+      for (size_t i = lo; i < hi; ++i) (*g.body)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    MutexLock lock(g.mu);
+    g.done += ran;
+    if (g.done == g.chunks) g.cv.NotifyAll();
+  };
+
+  const size_t helpers = std::min(num_threads(), chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([group, drain] { drain(*group); });
   }
-  MutexLock lock(group.mu);
-  while (group.remaining != 0) group.cv.Wait(group.mu);
+  drain(*group);
+  MutexLock lock(group->mu);
+  while (group->done != group->chunks) group->cv.Wait(group->mu);
 }
 
 }  // namespace nncell

@@ -24,10 +24,9 @@ namespace nncell {
 // commit in a fixed order afterwards).
 //
 // Tasks must not throw. ParallelFor may be called concurrently from
-// several external threads (each call tracks its own completion), but a
-// task running *on* the pool must not call back into ParallelFor: with
-// every worker blocked in a nested wait there may be nobody left to run
-// the nested chunks.
+// several threads, pool workers included: each call tracks its own
+// completion, and its caller works through the chunks itself, so it never
+// waits on a worker that has not woken.
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
@@ -43,9 +42,12 @@ class ThreadPool {
   // before the destructor returns.
   void Submit(std::function<void()> task);
 
-  // Runs body(i) for every i in [begin, end), chunked across the workers;
-  // returns when every iteration has finished. `body` is invoked
-  // concurrently and must be safe to call from several threads at once.
+  // Runs body(i) for every i in [begin, end); returns when every
+  // iteration has finished. The range is cut into chunks that the calling
+  // thread and up to num_threads() woken workers claim from one cursor,
+  // so the caller waits only for chunks already running elsewhere. `body`
+  // is invoked concurrently and must be safe to call from several threads
+  // at once.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
 

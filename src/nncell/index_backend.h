@@ -29,7 +29,10 @@ struct QueryResult {
 // both implement it, so one server fronts either kind directly (the
 // server library stays independent of the shard layer). Thread-safety
 // contract is the index's own: QueryBatch is concurrent-safe, mutations
-// are called only from one thread at a time.
+// are called only from one thread at a time. NNCellServer goes further
+// and makes at most one call on its backend at a time, all from its
+// dispatcher thread; bench/e2e's traced harness wraps the index in a
+// backend that relies on this.
 class IndexBackend {
  public:
   virtual ~IndexBackend() = default;

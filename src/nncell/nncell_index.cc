@@ -44,6 +44,8 @@ struct QueryMetrics {
   metrics::Histogram* candidates_per_query;
   metrics::Counter* plan_cell_probe;
   metrics::Counter* plan_scan;
+  metrics::Counter* batch_serial;
+  metrics::Counter* batch_fanned_out;
 };
 
 [[maybe_unused]] const QueryMetrics& Metrics() {
@@ -55,6 +57,8 @@ struct QueryMetrics {
       metrics::Registry::Global().histogram(metrics::kQueryCandidatesPerQuery),
       metrics::Registry::Global().counter(metrics::kQueryPlanCellProbe),
       metrics::Registry::Global().counter(metrics::kQueryPlanScan),
+      metrics::Registry::Global().counter(metrics::kQueryBatchSerial),
+      metrics::Registry::Global().counter(metrics::kQueryBatchFannedOut),
   };
   return m;
 }
@@ -367,14 +371,32 @@ void NNCellIndex::SetExactPlan(ExactPlan plan) {
 }
 
 void NNCellIndex::UpdatePlan() {
+  expected_candidates_ = ExpectedCandidates();
   if (forced_plan_ != ExactPlan::kAuto) {
     plan_ = forced_plan_;
     return;
   }
-  plan_ = ExpectedCandidates() * kScanCoverage >=
+  plan_ = expected_candidates_ * kScanCoverage >=
                   static_cast<double>(live_count_)
               ? ExactPlan::kScan
               : ExactPlan::kCellProbe;
+}
+
+double NNCellIndex::QueryCost() const {
+  const double per_point = static_cast<double>(dim_);
+  return plan_ == ExactPlan::kScan
+             ? static_cast<double>(live_count_) * per_point
+             : expected_candidates_ * per_point;
+}
+
+ThreadPool* BatchPool(ThreadPool* pool, size_t n, double query_cost) {
+  const bool fan_out = pool != nullptr && n > 1 &&
+                       static_cast<double>(n) * query_cost >=
+                           NNCellIndex::kFanOutWork;
+  NNCELL_METRIC_COUNT(fan_out ? Metrics().batch_fanned_out
+                              : Metrics().batch_serial,
+                      1);
+  return fan_out ? pool : nullptr;
 }
 
 StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
@@ -885,12 +907,12 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::QueryBatch(
   }
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
 
-  // N concurrent readers over the shared (sharded) buffer pool. Every
-  // result lands in its own slot, so the batch output is deterministic
-  // and identical to a serial loop.
+  // N concurrent readers over the shared (sharded) buffer pool when the
+  // batch is worth it. Every result lands in its own slot, so the batch
+  // output is deterministic and identical to a serial loop.
   return ParallelMap<QueryResult>(
-      thread_pool_.get(), queries.size(),
-      [&](size_t i) { return Query(queries[i], approx); });
+      BatchPool(thread_pool_.get(), queries.size(), QueryCost()),
+      queries.size(), [&](size_t i) { return Query(queries[i], approx); });
 }
 
 NNCellIndex::QueryResult NNCellIndex::MakeResult(uint64_t id, double d2,

@@ -70,6 +70,12 @@ const char* ExactPlanName(ExactPlan plan);
 // to the coordinates it is given.
 Status CheckFinite(const double* x, size_t n);
 
+// The pool a batch of `n` queries runs over: `pool` when the batch's
+// expected work, n * `query_cost` coordinate operations, reaches
+// NNCellIndex::kFanOutWork, else nullptr (ParallelMap's serial loop on the
+// calling thread). Counts the choice in query.batch.{serial,fanned_out}.
+ThreadPool* BatchPool(ThreadPool* pool, size_t n, double query_cost);
+
 struct NNCellOptions {
   // Which points contribute LP constraints (Section 2's four algorithms).
   ApproxAlgorithm algorithm = ApproxAlgorithm::kSphere;
@@ -212,10 +218,12 @@ class NNCellIndex final : public IndexBackend {
   StatusOr<QueryResult> Query(const double* q, QueryTrace* trace) const;
 
   // Batched nearest-neighbor search: answers every query and returns the
-  // results in input order. With options().parallel.num_threads > 1 the
-  // batch is fanned across the thread pool -- N concurrent readers over
-  // the shared buffer pool; results are identical to a serial loop of
-  // Query() calls. Several threads may call QueryBatch concurrently.
+  // results in input order. With options().parallel.num_threads > 1 and
+  // a batch whose expected work pays for waking the workers
+  // (BatchPool), the batch is fanned across the thread pool -- N
+  // concurrent readers over the shared buffer pool, the calling thread
+  // among them; results are identical to a serial loop of Query() calls.
+  // Several threads may call QueryBatch concurrently.
   StatusOr<std::vector<QueryResult>> QueryBatch(
       const PointSet& queries, const ApproxOptions& approx = {}) const override;
 
@@ -248,6 +256,17 @@ class NNCellIndex final : public IndexBackend {
   // 1/kScanCoverage of the live points, scanning all of them is cheaper
   // (the crossover sweep is in EXPERIMENTS.md).
   static constexpr double kScanCoverage = 64.0;
+
+  // A query batch fans out over the thread pool once its expected work
+  // (queries x QueryCost()) reaches this many coordinate operations;
+  // below it, waking workers costs more than they save (the sweep that
+  // sized it is in EXPERIMENTS.md).
+  static constexpr double kFanOutWork = 262144.0;
+
+  // Coordinate operations one exact query is expected to cost under the
+  // current plan: live points x d under kScan, ExpectedCandidates() x d
+  // under kCellProbe (from the value cached with the plan, so O(1)).
+  double QueryCost() const;
 
   // The executor exact queries take (kCellProbe or kScan, never kAuto):
   // the SetExactPlan value when forced, else kScan iff
@@ -439,7 +458,8 @@ class NNCellIndex final : public IndexBackend {
   StatusOr<uint64_t> ApplyInsert(const std::vector<double>& original);
   Status ApplyDelete(uint64_t id);
 
-  // Sets plan_ from forced_plan_ and the live cells.
+  // Sets expected_candidates_, and plan_ from forced_plan_ and the live
+  // cells.
   void UpdatePlan();
 
   // The exact nearest neighbor through `plan`'s executor (not kAuto).
@@ -543,6 +563,7 @@ class NNCellIndex final : public IndexBackend {
   size_t live_count_ = 0;
   ExactPlan forced_plan_ = ExactPlan::kAuto;  // SetExactPlan
   ExactPlan plan_ = ExactPlan::kCellProbe;
+  double expected_candidates_ = 0.0;  // ExpectedCandidates() at UpdatePlan
   NNCellBuildStats build_stats_;
 
   // Durable mode (set by Open): operations append here before mutating.

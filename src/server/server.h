@@ -54,8 +54,11 @@ using nncell::IndexBackend;
 // index mutations (INSERT/DELETE/CHECKPOINT) require exclusion from
 // concurrent queries, admitted requests are answered in per-connection
 // admission order, and intra-query parallelism is the index's own thread
-// pool (NNCellIndex::SetNumThreads fans a QueryBatch across cores).
-// Reader threads never touch the index; they parse frames and enqueue.
+// pool (NNCellIndex::SetNumThreads; a QueryBatch fans out across it only
+// when the batch's work pays for waking the workers). Reader threads
+// never touch the index; they parse frames and enqueue. So the server
+// makes at most one IndexBackend call at a time, from the dispatcher: a
+// backend may rely on that (bench/e2e's traced harness does).
 // One deliberate ordering exception: RETRY_LATER rejections are written
 // by the reader the moment admission fails, so under backpressure they
 // can overtake OK responses still queued for the dispatcher -- pipelining

@@ -77,7 +77,8 @@ ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
                            std::string dir)
     : options_(std::move(options)), sopts_(sopts), dir_(std::move(dir)) {
   // Shards run serial internally; this layer owns the cross-shard /
-  // cross-query parallelism.
+  // cross-query parallelism, with the caller's thread count (Create and
+  // Open size the pool from it before this overwrite).
   options_.parallel.num_threads = 1;
   auto& reg = metrics::Registry::Global();
   m_count_ = reg.gauge(metrics::kShardCount);
@@ -132,6 +133,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
   }
   sopts.num_shards = std::max<size_t>(
       1, std::min<size_t>(sopts.num_shards, shard::kMaxShards));
+  const size_t threads = options.parallel.num_threads;
   std::unique_ptr<ShardedIndex> idx(
       // nncell-lint: allow(naked-new) private constructor; the unique_ptr on this statement owns it
       new ShardedIndex(std::move(options), sopts, ""));
@@ -154,7 +156,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
   for (auto& p : idx->probe_counts_) {
     p = std::make_unique<std::atomic<uint64_t>>(0);
   }
-  idx->SetNumThreads(ThreadPool::DefaultThreads());
+  idx->SetNumThreads(threads);
   if (metrics::Registry::Enabled()) {
     idx->m_count_->Set(static_cast<int64_t>(sopts.num_shards));
   }
@@ -179,6 +181,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
 
   sopts.num_shards = std::max<size_t>(
       1, std::min<size_t>(sopts.num_shards, shard::kMaxShards));
+  const size_t threads = options.parallel.num_threads;
   std::unique_ptr<ShardedIndex> idx(
       // nncell-lint: allow(naked-new) private constructor; the unique_ptr on this statement owns it
       new ShardedIndex(std::move(options), sopts, dir));
@@ -249,7 +252,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
   for (auto& p : idx->probe_counts_) {
     p = std::make_unique<std::atomic<uint64_t>>(0);
   }
-  idx->SetNumThreads(ThreadPool::DefaultThreads());
+  idx->SetNumThreads(threads);
   if (metrics::Registry::Enabled()) {
     idx->m_count_->Set(static_cast<int64_t>(idx->manifest_.shard_count));
     idx->m_epoch_->Set(static_cast<int64_t>(idx->manifest_.epoch));
@@ -495,8 +498,22 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::QueryBatch(
     return Status::InvalidArgument("dimension mismatch");
   }
   return ParallelMap<NNCellIndex::QueryResult>(
-      thread_pool_.get(), queries.size(),
+      BatchPool(thread_pool_.get(), queries.size(), QueryCostLocked()),
+      queries.size(),
       [&](size_t i) { return QueryLocked(queries[i], approx); });
+}
+
+double ShardedIndex::QueryCost() const {
+  std::shared_lock<std::shared_mutex> lock(epoch_mu_);
+  return QueryCostLocked();
+}
+
+double ShardedIndex::QueryCostLocked() const {
+  double cost = 0.0;
+  for (const Shard& s : shards_) {
+    if (s.index != nullptr) cost = std::max(cost, s.index->QueryCost());
+  }
+  return cost;
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
@@ -1184,9 +1201,14 @@ void ShardedIndex::SetNumThreads(size_t num_threads) {
       num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
   if (resolved <= 1) {
     thread_pool_.reset();
-  } else {
+  } else if (thread_pool_ == nullptr ||
+             thread_pool_->num_threads() != resolved) {
     thread_pool_ = std::make_unique<ThreadPool>(resolved);
   }
+}
+
+size_t ShardedIndex::num_threads() const {
+  return thread_pool_ == nullptr ? 1 : thread_pool_->num_threads();
 }
 
 }  // namespace nncell

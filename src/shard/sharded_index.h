@@ -209,7 +209,16 @@ class ShardedIndex final : public IndexBackend {
   Status CheckInvariants(size_t sample_queries = 100,
                          uint64_t seed = 0x5eed) const;
 
+  // Width of the cross-shard / cross-query pool: NNCellOptions::parallel
+  // at Create / Open, then the last SetNumThreads (0 = one thread per
+  // hardware core); 1 = serial. Not thread-safe: call SetNumThreads only
+  // while no other thread uses the index.
   void SetNumThreads(size_t num_threads);
+  size_t num_threads() const;
+
+  // The costliest shard's NNCellIndex::QueryCost(): what QueryBatch
+  // weighs against NNCellIndex::kFanOutWork per query.
+  double QueryCost() const;
 
  private:
   struct Shard {
@@ -248,6 +257,7 @@ class ShardedIndex final : public IndexBackend {
 
   StatusOr<QueryResult> QueryLocked(const double* q,
                                     const ApproxOptions& approx) const;
+  double QueryCostLocked() const;
   StatusOr<std::vector<QueryResult>> MergeListQuery(
       const double* q, size_t k, double radius, bool is_range,
       const ApproxOptions& approx) const;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "batch_paths.h"
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
@@ -94,6 +96,72 @@ TEST(ThreadPoolTest, ParallelForFromConcurrentExternalThreads) {
     });
   }
   for (auto& t : callers) t.join();
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnOneWorkerCompletes) {
+  // The only worker runs a task that calls ParallelFor: the task's thread
+  // is the caller and works through the nested chunks itself.
+  ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  std::promise<void> done;
+  pool.Submit([&] {
+    pool.ParallelFor(0, 100, [&](size_t) { inner.fetch_add(1); });
+    done.set_value();
+  });
+  done.get_future().wait();
+  EXPECT_EQ(inner.load(), 100);
+
+  // ParallelFor inside ParallelFor: the outer chunks run on the external
+  // caller and on the worker, each a nested caller.
+  std::atomic<int> nested{0};
+  pool.ParallelFor(0, 8, [&](size_t) {
+    pool.ParallelFor(0, 16, [&](size_t) { nested.fetch_add(1); });
+  });
+  EXPECT_EQ(nested.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, TinyParallelForsLeaveNoLateHelperBehind) {
+  // The caller usually runs both iterations before a woken helper gets
+  // to claim one. Such a late helper must leave without touching the
+  // body, whose captures (this loop's stack slots) are gone by then;
+  // ASan and TSan report it if it does not.
+  ThreadPool pool(4);
+  uint64_t sum = 0;
+  for (uint64_t call = 0; call < 10000; ++call) {
+    uint64_t slots[2] = {0, 0};
+    pool.ParallelFor(0, 2, [&slots, call](size_t i) { slots[i] = call + i; });
+    sum += slots[0] + slots[1];
+  }
+  EXPECT_EQ(sum, 10000ull * 9999ull + 10000ull);
+}
+
+TEST(ThreadPoolTest, ParallelMapReportsLowestFailureOnBothSides) {
+  // BatchPool picks the serial loop just below kFanOutWork and the pool
+  // at it; either way the lowest failing index's status wins.
+  ThreadPool pool(4);
+  constexpr size_t kN = 64;
+  auto fn = [](size_t i) -> StatusOr<size_t> {
+    if (i == 5 || i == 37 || i == 60) {
+      return Status::Internal("slot " + std::to_string(i));
+    }
+    return 2 * i;
+  };
+  const double at = NNCellIndex::kFanOutWork / kN;
+  BatchPaths paths;
+  for (double cost : {at * 0.99, at}) {
+    auto failed = ParallelMap<size_t>(BatchPool(&pool, kN, cost), kN, fn);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().message(), "slot 5") << cost;
+    auto all = ParallelMap<size_t>(
+        BatchPool(&pool, kN, cost), kN,
+        [](size_t i) -> StatusOr<size_t> { return 2 * i; });
+    ASSERT_TRUE(all.ok());
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ((*all)[i], 2 * i);
+  }
+#if NNCELL_METRICS
+  EXPECT_EQ(paths.serial(), 2u);
+  EXPECT_EQ(paths.fanned_out(), 2u);
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -295,10 +363,14 @@ TEST(ConcurrencyTest, ConcurrentKnnAndRangeReaders) {
 TEST(ConcurrencyTest, QueryBatchMatchesSerialUnderSharedPool) {
   SharedIndex s = MakeSharedIndex(350, 8, 96);
   s.index->SetNumThreads(8);
-  PointSet queries = GenerateQueries(120, 8, 55);
+  // Enough queries that the batch fans out over the pool.
+  PointSet queries = GenerateQueries(
+      FanOutBatchSize(s.index->QueryCost(), 120), 8, 55);
+  BatchPaths paths;
   auto batch = s.index->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), queries.size());
+  paths.ExpectAllFannedOut(1);
   s.index->SetNumThreads(1);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto serial = s.index->Query(queries[i]);
@@ -315,7 +387,9 @@ TEST(ConcurrencyTest, ConcurrentQueryBatchCallers) {
   // once: external callers share one ThreadPool's ParallelFor.
   SharedIndex s = MakeSharedIndex(300, 8, 96);
   s.index->SetNumThreads(4);
-  PointSet queries = GenerateQueries(60, 8, 91);
+  PointSet queries = GenerateQueries(
+      FanOutBatchSize(s.index->QueryCost(), 60), 8, 91);
+  BatchPaths paths;
   auto want = s.index->QueryBatch(queries);
   ASSERT_TRUE(want.ok());
 
@@ -338,6 +412,7 @@ TEST(ConcurrencyTest, ConcurrentQueryBatchCallers) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+  paths.ExpectAllFannedOut(5);
   Status audit = s.pool->AuditPins();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "batch_paths.h"
 #include "common/distance.h"
 #include "common/metrics.h"
 #include "common/metrics_names.h"
@@ -338,10 +339,13 @@ TEST(DifferentialBatchTest, BatchEqualsSerialAndOracle) {
   PointSet pts = GenerateUniform(200, 8, 5);
   ASSERT_TRUE(t.index->BulkBuild(pts).ok());
 
-  PointSet queries = GenerateQueries(60, 8, 6);
+  PointSet queries =
+      GenerateQueries(FanOutBatchSize(t.index->QueryCost(), 60), 8, 6);
+  BatchPaths paths;
   auto batch = t.index->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), queries.size());
+  paths.ExpectAllFannedOut(1);
 
   ScanOracle oracle = MakeOracle(*t.index);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -351,6 +355,59 @@ TEST(DifferentialBatchTest, BatchEqualsSerialAndOracle) {
     EXPECT_EQ((*batch)[i].dist, serial->dist);
     SequentialScan::Result want = oracle.scan->NearestNeighbor(queries[i]);
     EXPECT_NEAR((*batch)[i].dist, want.dist, 1e-9);
+  }
+}
+
+// A batch whose work stays below kFanOutWork runs on the calling thread,
+// one that reaches it fans out; under either plan both give the answers
+// of a serial loop of Query calls, bit for bit. A failing query fails
+// the batch on both paths.
+TEST(DifferentialBatchTest, BothSidesOfTheFanOutThresholdEqualSerial) {
+  NNCellOptions options;
+  options.parallel.num_threads = 4;
+  IndexUnderTest t = MakeIndex(8, options);
+  ASSERT_TRUE(t.index->BulkBuild(GenerateUniform(300, 8, 7)).ok());
+  for (ExactPlan plan : {ExactPlan::kScan, ExactPlan::kCellProbe}) {
+    t.index->SetExactPlan(plan);
+    const size_t fanned = FanOutBatchSize(t.index->QueryCost(), 2);
+    ASSERT_GT(fanned, 2u) << ExactPlanName(plan);
+    PointSet queries = GenerateQueries(fanned, 8, 8);
+    std::vector<NNCellIndex::QueryResult> want;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto r = t.index->Query(queries[i]);
+      ASSERT_TRUE(r.ok());
+      want.push_back(*r);
+    }
+    for (size_t n : {fanned - 1, fanned}) {
+      PointSet batch_queries(8);
+      for (size_t i = 0; i < n; ++i) batch_queries.Add(queries[i]);
+      BatchPaths paths;
+      auto batch = t.index->QueryBatch(batch_queries);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      if (n < fanned) {
+        paths.ExpectAllSerial(1);
+      } else {
+        paths.ExpectAllFannedOut(1);
+      }
+      ASSERT_EQ(batch->size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ((*batch)[i].id, want[i].id) << i;
+        EXPECT_EQ(Bits((*batch)[i].dist), Bits(want[i].dist)) << i;
+        EXPECT_EQ((*batch)[i].candidates, want[i].candidates) << i;
+        EXPECT_EQ((*batch)[i].point, want[i].point) << i;
+      }
+
+      // A non-finite coordinate fails the whole batch on either path.
+      std::vector<double> bad(queries[n / 2], queries[n / 2] + 8);
+      bad[3] = std::nan("");
+      PointSet with_bad(8);
+      for (size_t i = 0; i < n; ++i) {
+        with_bad.Add(i == n / 2 ? bad.data() : queries[i]);
+      }
+      auto failed = t.index->QueryBatch(with_bad);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().message(), "non-finite coordinate");
+    }
   }
 }
 
@@ -406,7 +463,9 @@ TEST(ExactPlanBatchTest, ConcurrentScanBatchesEqualCellProbe) {
   options.parallel.num_threads = 4;
   IndexUnderTest t = MakeIndex(16, options);
   ASSERT_TRUE(t.index->BulkBuild(GenerateUniform(150, 16, 41)).ok());
-  PointSet queries = GenerateQueries(40, 16, 42);
+  ASSERT_EQ(t.index->exact_plan(), ExactPlan::kScan);
+  PointSet queries =
+      GenerateQueries(FanOutBatchSize(t.index->QueryCost(), 40), 16, 42);
 
   t.index->SetExactPlan(ExactPlan::kCellProbe);
   std::vector<NNCellIndex::QueryResult> want;
@@ -419,11 +478,13 @@ TEST(ExactPlanBatchTest, ConcurrentScanBatchesEqualCellProbe) {
   t.index->SetExactPlan(ExactPlan::kScan);
   std::vector<StatusOr<std::vector<NNCellIndex::QueryResult>>> got(
       3, Status::Internal("not run"));
+  BatchPaths paths;
   std::vector<std::thread> threads;
   for (size_t k = 0; k < got.size(); ++k) {
     threads.emplace_back([&, k] { got[k] = t.index->QueryBatch(queries); });
   }
   for (std::thread& th : threads) th.join();
+  paths.ExpectAllFannedOut(got.size());
   for (const auto& batch : got) {
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch->size(), want.size());

@@ -8,11 +8,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -299,6 +302,100 @@ TEST_F(ServerTest, QueryBatchMatchesSingles) {
     ASSERT_TRUE(single.ok());
     EXPECT_TRUE((*batch)[i] == *single) << "query " << i;
   }
+}
+
+// Forwards to an index and records how many calls were ever in flight at
+// once. Each call lingers briefly so that overlapping calls would be seen.
+class OverlapCountingBackend : public IndexBackend {
+ public:
+  explicit OverlapCountingBackend(NNCellIndex* index) : index_(index) {}
+
+  size_t dim() const override { return index_->dim(); }
+  bool durable() const override { return index_->durable(); }
+  StatusOr<std::vector<QueryResult>> QueryBatch(
+      const PointSet& queries, const ApproxOptions& approx) const override {
+    InFlight call(this);
+    return index_->QueryBatch(queries, approx);
+  }
+  StatusOr<uint64_t> Insert(const std::vector<double>& point) override {
+    InFlight call(this);
+    return index_->Insert(point);
+  }
+  Status Delete(uint64_t id) override {
+    InFlight call(this);
+    return index_->Delete(id);
+  }
+  Status Checkpoint() override {
+    InFlight call(this);
+    return index_->Checkpoint();
+  }
+
+  int max_in_flight() const { return max_in_flight_.load(); }
+  int calls() const { return calls_.load(); }
+
+ private:
+  class InFlight {
+   public:
+    explicit InFlight(const OverlapCountingBackend* b) : b_(b) {
+      const int now = b_->in_flight_.fetch_add(1) + 1;
+      int seen = b_->max_in_flight_.load();
+      while (now > seen &&
+             !b_->max_in_flight_.compare_exchange_weak(seen, now)) {
+      }
+      b_->calls_.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ~InFlight() { b_->in_flight_.fetch_sub(1); }
+
+   private:
+    const OverlapCountingBackend* b_;
+  };
+
+  NNCellIndex* index_;
+  mutable std::atomic<int> in_flight_{0};
+  mutable std::atomic<int> max_in_flight_{0};
+  mutable std::atomic<int> calls_{0};
+};
+
+// The server makes at most one IndexBackend call at a time (server.h),
+// whatever the mix of concurrent clients.
+TEST_F(ServerTest, BackendCallsNeverOverlap) {
+  index_->SetNumThreads(4);
+  OverlapCountingBackend backend(index_.get());
+  ServerOptions sopt;
+  sopt.socket_path = socket_path_;
+  server_ = std::make_unique<NNCellServer>(&backend, sopt);
+  ASSERT_TRUE(server_->Start().ok());
+
+  constexpr int kClients = 8;
+  constexpr int kRounds = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = Connect();
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      Rng rng(0x0f1 + c);
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<double> p = {rng.NextDouble(), rng.NextDouble()};
+        bool ok = client->Query(p).ok();
+        ok = ok && client->QueryBatch({p, {p[1], p[0]}, {0.5, 0.5}}).ok();
+        auto id = client->Insert(p);
+        ok = ok && id.ok() && client->Delete(*id).ok();
+        if (!ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  ASSERT_TRUE(server_->Stop().ok());
+  server_.reset();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(backend.calls(), 2 * kClients * kRounds);
+  EXPECT_EQ(backend.max_in_flight(), 1);
 }
 
 TEST_F(ServerTest, CheckpointOnNonDurableIndexFails) {

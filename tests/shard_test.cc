@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "batch_paths.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "nncell/nncell_index.h"
@@ -270,18 +271,44 @@ TEST(ShardedIndexTest, QueryBatchMatchesSerialLoop) {
                                       Sharded(4));
   ASSERT_TRUE(sharded.ok());
   ASSERT_TRUE((*sharded)->BulkBuild(RandomPoints(80, dim, 0xba7c)).ok());
-  // Four workers, so the batch takes the parallel fan-out on any host.
+  // Four workers and enough queries, so the batch takes the parallel
+  // fan-out on any host.
   (*sharded)->SetNumThreads(4);
 
-  PointSet queries = RandomPoints(32, dim, 0x9876);
+  PointSet queries = RandomPoints(
+      FanOutBatchSize((*sharded)->QueryCost(), 32), dim, 0x9876);
+  BatchPaths paths;
   auto batch = (*sharded)->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), queries.size());
+  paths.ExpectAllFannedOut(1);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto one = (*sharded)->Query(queries[i]);
     ASSERT_TRUE(one.ok());
     ExpectSameResult((*batch)[i], *one, "batch slot " + std::to_string(i));
   }
+}
+
+// The cross-shard pool takes the caller's NNCellOptions::parallel thread
+// count (shards themselves stay serial), and SetNumThreads resizes it.
+TEST(ShardedIndexTest, PoolTakesTheCallersThreadCount) {
+  for (size_t threads : {1u, 2u, 3u}) {
+    NNCellOptions opts = Options(ApproxAlgorithm::kSphere);
+    opts.parallel.num_threads = threads;
+    auto sharded = ShardedIndex::Create(2, opts, Sharded(4));
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ((*sharded)->num_threads(), threads);
+  }
+  auto sharded =
+      ShardedIndex::Create(2, Options(ApproxAlgorithm::kSphere), Sharded(2));
+  ASSERT_TRUE(sharded.ok());
+  EXPECT_EQ((*sharded)->num_threads(), 1u);
+  (*sharded)->SetNumThreads(0);
+  EXPECT_EQ((*sharded)->num_threads(), ThreadPool::DefaultThreads());
+  (*sharded)->SetNumThreads(2);
+  EXPECT_EQ((*sharded)->num_threads(), 2u);
+  (*sharded)->SetNumThreads(1);
+  EXPECT_EQ((*sharded)->num_threads(), 1u);
 }
 
 TEST(ShardedIndexTest, WeightedMetricMatchesUnsharded) {
@@ -386,6 +413,16 @@ class ShardDurableTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string dir_;
 };
+
+TEST_F(ShardDurableTest, OpenTakesTheCallersThreadCount) {
+  for (size_t threads : {1u, 2u}) {
+    NNCellOptions opts = Options(ApproxAlgorithm::kSphere);
+    opts.parallel.num_threads = threads;
+    auto sharded = ShardedIndex::Open(dir_, 2, opts, Durable(), Sharded(2));
+    ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+    EXPECT_EQ((*sharded)->num_threads(), threads);
+  }
+}
 
 TEST_F(ShardDurableTest, ReopenRecoversExactState) {
   const size_t dim = 2;

@@ -793,7 +793,10 @@ int Rebalance(int argc, char** argv) {
                  dir.c_str(), shard::kShardManifestFileName);
     return 2;
   }
-  auto idx = ShardedIndex::Open(dir, 0, NNCellOptions(),
+  // The rebalance rebuilds every shard's cells: one thread per core.
+  NNCellOptions options;
+  options.parallel.num_threads = 0;
+  auto idx = ShardedIndex::Open(dir, 0, options,
                                 NNCellIndex::DurableOptions(),
                                 ShardedOptions());
   if (!idx.ok()) {

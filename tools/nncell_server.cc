@@ -93,6 +93,8 @@ int main(int argc, char** argv) {
   if (const char* v = FlagValue(argc, argv, "--dim")) {
     dim = std::strtoul(v, nullptr, 10);
   }
+  // Query-batch pool width for either index kind; 0 (the default) is one
+  // thread per hardware core, 1 runs every batch on the dispatcher.
   size_t threads = 0;
   if (const char* v = FlagValue(argc, argv, "--threads")) {
     threads = std::strtoul(v, nullptr, 10);
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     wal_replayed = info.router_records_replayed;
-    if (threads != 1) (*idx)->SetNumThreads(threads);
+    (*idx)->SetNumThreads(threads);
     recovered_points = (*idx)->size();
     num_shards = (*idx)->num_shards();
     index = std::move(*idx);
@@ -176,7 +178,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     wal_replayed = info.wal_records_replayed;
-    if (threads != 1) (*idx)->SetNumThreads(threads);
+    (*idx)->SetNumThreads(threads);
     recovered_points = (*idx)->size();
     index = std::move(*idx);
   }
