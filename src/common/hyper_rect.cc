@@ -150,23 +150,41 @@ HyperRect HyperRect::Intersection(const HyperRect& a, const HyperRect& b) {
 
 double HyperRect::OverlapVolume(const HyperRect& a, const HyperRect& b) {
   NNCELL_DCHECK(a.dim() == b.dim());
-  return RawOverlapVolume(a.lo_.data(), a.hi_.data(), b);
+  return RawOverlapVolume(a.lo_.data(), a.hi_.data(), b.lo_.data(),
+                          b.hi_.data(), a.dim());
 }
 
-double RawOverlapVolume(const double* lo, const double* hi,
-                        const HyperRect& r) {
+double RawOverlapVolume(const double* lo, const double* hi, const double* rlo,
+                        const double* rhi, size_t dim) {
   double v = 1.0;
-  for (size_t i = 0; i < r.dim(); ++i) {
-    double l = std::max(lo[i], r.lo(i));
-    double h = std::min(hi[i], r.hi(i));
+  for (size_t i = 0; i < dim; ++i) {
+    double l = std::max(lo[i], rlo[i]);
+    double h = std::min(hi[i], rhi[i]);
     if (l >= h) return 0.0;
     v *= (h - l);
   }
   return v;
 }
 
+double RawUnionVolume(const double* alo, const double* ahi, const double* blo,
+                      const double* bhi, size_t dim) {
+  if (dim == 0) return 0.0;  // Volume() of a zero-dimensional rectangle
+  double v = 1.0;
+  for (size_t i = 0; i < dim; ++i) {
+    // ExpandToRect's operand order, so the bounds keep the union's bits.
+    const double lo = std::min(alo[i], blo[i]);
+    const double hi = std::max(ahi[i], bhi[i]);
+    if (lo > hi) return 0.0;  // Volume() of an empty rectangle
+    v *= (hi - lo);
+  }
+  return v;
+}
+
 double HyperRect::Enlargement(const HyperRect& r) const {
-  return Union(*this, r).Volume() - Volume();
+  NNCELL_DCHECK(r.dim() == dim());
+  return RawUnionVolume(lo_.data(), hi_.data(), r.lo_.data(), r.hi_.data(),
+                        dim()) -
+         Volume();
 }
 
 double HyperRect::MinDistSq(const double* p) const {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,23 @@ inline bool AllFinite(const double* x, size_t n) {
   return true;
 }
 
+// Bit-for-bit equality of a rectangle and stored bounds (lo, then hi).
+// HyperRect::operator== compares doubles, under which -0.0 == +0.0:
+// keeping an old rectangle on that test would leave a different sign bit
+// than rewriting it.
+inline bool SameBits(const HyperRect& rect, const double* bounds) {
+  const size_t bytes = rect.dim() * sizeof(double);
+  return std::memcmp(rect.lo().data(), bounds, bytes) == 0 &&
+         std::memcmp(rect.hi().data(), bounds + rect.dim(), bytes) == 0;
+}
+
+inline bool SameBits(const HyperRect& a, const HyperRect& b) {
+  const size_t bytes = a.dim() * sizeof(double);
+  return a.dim() == b.dim() &&
+         std::memcmp(a.lo().data(), b.lo().data(), bytes) == 0 &&
+         std::memcmp(a.hi().data(), b.hi().data(), bytes) == 0;
+}
+
 // Raw-buffer variants of the hot-path predicates, used by the zero-copy
 // node scans of the trees (lo/hi point into serialized page bytes).
 
@@ -122,9 +140,14 @@ inline bool RawIntersects(const double* lo, const double* hi,
   return true;
 }
 
-// HyperRect::OverlapVolume of the rectangle [lo, hi] (r's dimension) and r.
-double RawOverlapVolume(const double* lo, const double* hi,
-                        const HyperRect& r);
+// HyperRect::OverlapVolume of the rectangles [lo, hi] and [rlo, rhi].
+double RawOverlapVolume(const double* lo, const double* hi, const double* rlo,
+                        const double* rhi, size_t dim);
+
+// HyperRect::Union(a, b).Volume() of a = [alo, ahi] and b = [blo, bhi],
+// with the same arithmetic, without building the union.
+double RawUnionVolume(const double* alo, const double* ahi, const double* blo,
+                      const double* bhi, size_t dim);
 
 // MINDIST over raw bounds: the scalar reference kernel (branchless form,
 // bit-equal to the classic branchy loop; see kernels_scalar.cc). Batched

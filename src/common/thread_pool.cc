@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -90,56 +91,67 @@ void ThreadPool::WorkerLoop(size_t self) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& body) {
-  if (end <= begin) return;
+std::chrono::nanoseconds ThreadPool::ParallelFor(
+    size_t begin, size_t end, const std::function<void(size_t)>& body,
+    const std::function<void(size_t)>& commit) {
+  std::chrono::nanoseconds blocked{0};
+  if (end <= begin) return blocked;
   const size_t n = end - begin;
-  // More chunks than threads so the shared cursor can rebalance uneven
-  // iteration costs (LP solves vary a lot per point).
-  const size_t chunks = std::min(n, 4 * num_threads());
+  // Without a commit, more units than threads so the shared cursor can
+  // rebalance uneven iteration costs (LP solves vary a lot per point);
+  // with one, single iterations so commits trail the solves closely.
+  const size_t units = commit ? n : std::min(n, 4 * num_threads());
 
   // Per-call state on the heap: a helper that wakes after the caller has
-  // returned still holds the group, finds the cursor past the last chunk
+  // returned still holds the group, finds the cursor past the last unit
   // and exits without touching `body` (which may be gone by then).
   struct Group {
     const std::function<void(size_t)>* body;
-    size_t begin, n, chunks;
-    std::atomic<size_t> next{0};  // next chunk to claim
-    Mutex mu;
-    CondVar cv;
-    size_t done NNCELL_GUARDED_BY(mu) = 0;  // chunks finished
+    size_t begin, n, units;
+    std::atomic<size_t> next{0};  // next unit to claim
+    // done[u] turns 1 (release) once unit u's iterations have run.
+    std::unique_ptr<std::atomic<uint32_t>[]> done;
   };
   auto group = std::make_shared<Group>();
   group->body = &body;
   group->begin = begin;
   group->n = n;
-  group->chunks = chunks;
+  group->units = units;
+  group->done = std::make_unique<std::atomic<uint32_t>[]>(units);
 
-  // Claims and runs chunks until none is left, then reports how many it
-  // ran. The mutex orders every body(i) of the chunks before the caller's
-  // return.
-  auto drain = [](Group& g) {
-    size_t ran = 0;
-    for (size_t c = g.next.fetch_add(1); c < g.chunks;
-         c = g.next.fetch_add(1)) {
-      const size_t lo = g.begin + g.n * c / g.chunks;
-      const size_t hi = g.begin + g.n * (c + 1) / g.chunks;
-      for (size_t i = lo; i < hi; ++i) (*g.body)(i);
-      ++ran;
-    }
-    if (ran == 0) return;
-    MutexLock lock(g.mu);
-    g.done += ran;
-    if (g.done == g.chunks) g.cv.NotifyAll();
+  // Claims and runs one unit; false once none is left.
+  auto run_one = [](Group& g) {
+    const size_t u = g.next.fetch_add(1);
+    if (u >= g.units) return false;
+    const size_t hi = g.begin + g.n * (u + 1) / g.units;
+    for (size_t i = g.begin + g.n * u / g.units; i < hi; ++i) (*g.body)(i);
+    g.done[u].store(1, std::memory_order_release);
+    g.done[u].notify_one();
+    return true;
   };
 
-  const size_t helpers = std::min(num_threads(), chunks - 1);
+  const size_t helpers = std::min(num_threads(), units - 1);
   for (size_t h = 0; h < helpers; ++h) {
-    Submit([group, drain] { drain(*group); });
+    Submit([group, run_one] {
+      while (run_one(*group)) {
+      }
+    });
   }
-  drain(*group);
-  MutexLock lock(group->mu);
-  while (group->done != group->chunks) group->cv.Wait(group->mu);
+  // Walk the units in order: work while the next one is unfinished, block
+  // once nothing is left to claim. The acquire load orders every body(i)
+  // of the unit before its commits and before the return.
+  for (size_t u = 0; u < units; ++u) {
+    while (group->done[u].load(std::memory_order_acquire) == 0) {
+      if (run_one(*group)) continue;
+      const auto t0 = std::chrono::steady_clock::now();
+      group->done[u].wait(0, std::memory_order_acquire);
+      blocked += std::chrono::steady_clock::now() - t0;
+    }
+    if (!commit) continue;
+    const size_t hi = begin + n * (u + 1) / units;
+    for (size_t i = begin + n * u / units; i < hi; ++i) commit(i);
+  }
+  return blocked;
 }
 
 }  // namespace nncell

@@ -2,6 +2,7 @@
 #define NNCELL_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -21,12 +22,12 @@ namespace nncell {
 // worker pops its own deque LIFO (cache-warm) and steals FIFO from its
 // siblings when empty. The pool is task-agnostic; determinism is the
 // caller's job (submit pure tasks that write to disjoint result slots and
-// commit in a fixed order afterwards).
+// commit them in a fixed order, as ParallelFor's `commit` does).
 //
 // Tasks must not throw. ParallelFor may be called concurrently from
 // several threads, pool workers included: each call tracks its own
-// completion, and its caller works through the chunks itself, so it never
-// waits on a worker that has not woken.
+// completion, and its caller works through unclaimed work itself, so it
+// never waits on a worker that has not woken.
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
@@ -43,13 +44,20 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   // Runs body(i) for every i in [begin, end); returns when every
-  // iteration has finished. The range is cut into chunks that the calling
-  // thread and up to num_threads() woken workers claim from one cursor,
-  // so the caller waits only for chunks already running elsewhere. `body`
-  // is invoked concurrently and must be safe to call from several threads
-  // at once.
-  void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& body);
+  // iteration has finished. The calling thread and up to num_threads()
+  // woken workers claim work from one cursor, so the caller waits only for
+  // work already running elsewhere. `body` is invoked concurrently and
+  // must be safe to call from several threads at once.
+  //
+  // With a `commit`, commit(i) runs on the calling thread for every i in
+  // ascending order, as soon as body(i) has finished, and sees every write
+  // body(i) made. Iterations are then claimed one at a time so the first
+  // commit can start early; while the next iteration is not done, the
+  // caller claims unclaimed ones itself and blocks only once none is left.
+  // Returns the time the caller spent blocked.
+  std::chrono::nanoseconds ParallelFor(
+      size_t begin, size_t end, const std::function<void(size_t)>& body,
+      const std::function<void(size_t)>& commit = nullptr);
 
   // std::thread::hardware_concurrency with a fallback of 1.
   static size_t DefaultThreads();

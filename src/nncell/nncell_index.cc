@@ -1,8 +1,8 @@
 #include "nncell/nncell_index.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 
@@ -91,6 +91,20 @@ struct ApproxQueryMetrics {
   return m;
 }
 
+// Registry handles for the bulk build's ordered commit.
+struct BulkBuildMetrics {
+  metrics::Counter* commit_us;
+  metrics::Counter* commit_wait_us;
+};
+
+[[maybe_unused]] const BulkBuildMetrics& BuildMetrics() {
+  static const BulkBuildMetrics m = {
+      metrics::Registry::Global().counter(metrics::kIndexBuildCommitUs),
+      metrics::Registry::Global().counter(metrics::kIndexBuildCommitWaitUs),
+  };
+  return m;
+}
+
 // Registry handles for dynamic maintenance.
 struct MaintenanceMetrics {
   metrics::Counter* cells_certified;
@@ -107,16 +121,6 @@ struct MaintenanceMetrics {
       metrics::Registry::Global().counter(metrics::kIndexCellsUpdatedInPlace),
   };
   return m;
-}
-
-// Bit-for-bit equality of a rectangle and stored bounds (lo, then hi).
-// HyperRect::operator== compares doubles, under which -0.0 == +0.0:
-// keeping an old rectangle on that test would leave a different sign bit
-// than rewriting it.
-bool SameBits(const HyperRect& rect, const double* bounds) {
-  const size_t bytes = rect.dim() * sizeof(double);
-  return std::memcmp(rect.lo().data(), bounds, bytes) == 0 &&
-         std::memcmp(rect.hi().data(), bounds + rect.dim(), bytes) == 0;
 }
 
 // Witness codes: 8 bits per coordinate within the cell's MBR.
@@ -567,45 +571,48 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   // The approximations only read state that is frozen after phase 1 (the
   // point table and the point tree), so the 2d LP solves per cell fan out
   // across the thread pool; the point tree's buffer pool serves the
-  // workers as concurrent readers. Results are committed to the cell tree
-  // on this thread in ascending point order, so the on-disk index is
-  // byte-identical to a serial build regardless of the thread count.
-  if (thread_pool_ != nullptr && ids.size() > 1) {
-    std::vector<std::vector<HyperRect>> computed(ids.size());
-    std::vector<ApproxStats> worker_stats(ids.size());
-    thread_pool_->ParallelFor(0, ids.size(), [&](size_t i) {
-      computed[i] =
-          ComputeCellRects(points_[ids[i]], ids[i], &worker_stats[i]);
-    });
-    for (const ApproxStats& s : worker_stats) {
-      build_stats_.approx.lp_runs += s.lp_runs;
-      build_stats_.approx.lp_iterations += s.lp_iterations;
-      build_stats_.approx.lp_failures += s.lp_failures;
-      build_stats_.approx.constraint_rows += s.constraint_rows;
-      build_stats_.approx.pruned_rows += s.pruned_rows;
-      build_stats_.approx.skipped_faces += s.skipped_faces;
-      build_stats_.approx.warm_faces += s.warm_faces;
-      build_stats_.approx.cold_faces += s.cold_faces;
+  // workers as concurrent readers. Each solved cell is committed -- its
+  // stats, its cell-tree inserts, its cell-table row -- on this thread in
+  // ascending point order as soon as it is solved, while the workers solve
+  // the cells after it. No solve reads what a commit writes, and the
+  // commit order is fixed, so the on-disk index is byte-identical to a
+  // serial build regardless of the thread count.
+  std::vector<std::vector<HyperRect>> computed(ids.size());
+  std::vector<ApproxStats> solve_stats(ids.size());
+  auto solve = [&](size_t i) {
+    computed[i] = ComputeCellRects(points_[ids[i]], ids[i], &solve_stats[i]);
+  };
+  std::chrono::nanoseconds commit_time{0}, commit_wait{0};
+  auto commit = [&](size_t i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const ApproxStats& s = solve_stats[i];
+    build_stats_.approx.lp_runs += s.lp_runs;
+    build_stats_.approx.lp_iterations += s.lp_iterations;
+    build_stats_.approx.lp_failures += s.lp_failures;
+    build_stats_.approx.constraint_rows += s.constraint_rows;
+    build_stats_.approx.pruned_rows += s.pruned_rows;
+    build_stats_.approx.skipped_faces += s.skipped_faces;
+    build_stats_.approx.warm_faces += s.warm_faces;
+    build_stats_.approx.cold_faces += s.cold_faces;
+    for (const HyperRect& rect : computed[i]) {
+      tree_->Insert(rect, ids[i]);
+      ++build_stats_.entries_inserted;
     }
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const uint64_t id = ids[i];
-      for (const HyperRect& rect : computed[i]) {
-        tree_->Insert(rect, id);
-        ++build_stats_.entries_inserted;
-      }
-      SetCellRects(id, computed[i]);
-    }
+    SetCellRects(ids[i], computed[i]);
+    computed[i] = {};
+    commit_time += std::chrono::steady_clock::now() - t0;
+  };
+  if (thread_pool_ != nullptr) {
+    commit_wait = thread_pool_->ParallelFor(0, ids.size(), solve, commit);
   } else {
-    for (uint64_t id : ids) {
-      std::vector<HyperRect> rects =
-          ComputeCellRects(points_[id], id, &build_stats_.approx);
-      for (const HyperRect& rect : rects) {
-        tree_->Insert(rect, id);
-        ++build_stats_.entries_inserted;
-      }
-      SetCellRects(id, rects);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      solve(i);
+      commit(i);
     }
   }
+  NNCELL_METRIC_COUNT(BuildMetrics().commit_us, commit_time.count() / 1000);
+  NNCELL_METRIC_COUNT(BuildMetrics().commit_wait_us,
+                      commit_wait.count() / 1000);
   UpdatePlan();
   // Durable mode: the bulk load becomes durable via one checkpoint instead
   // of one WAL record per point.
@@ -1114,7 +1121,8 @@ double NNCellIndex::ExpectedCandidates() const {
   for (uint64_t id = 0; id < rect_count_.size(); ++id) {
     for (size_t r = 0; r < RectCount(id); ++r) {
       const double* lo = RectBounds(id, r);
-      total += RawOverlapVolume(lo, lo + dim_, space_);
+      total += RawOverlapVolume(lo, lo + dim_, space_.lo().data(),
+                                space_.hi().data(), dim_);
     }
   }
   return total / space_.Volume();

@@ -110,74 +110,104 @@ void RTreeCore::BulkLoad(std::vector<Entry> entries) {
 }
 
 size_t RTreeCore::ChooseSubtree(const Node& node, const HyperRect& rect,
-                                bool children_are_leaves) const {
+                                bool children_are_leaves) {
   const size_t n = node.entries.size();
+  const size_t d = rect.dim();
   NNCELL_CHECK(n > 0);
+  const double* rlo = rect.lo().data();
+  const double* rhi = rect.hi().data();
+  // Every score once: each entry's volume and area enlargement, with the
+  // arithmetic of HyperRect::Volume and HyperRect::Enlargement.
+  std::vector<double> area(n), enlarge(n);
+  for (size_t i = 0; i < n; ++i) {
+    const HyperRect& e = node.entries[i].rect;
+    area[i] = e.Volume();
+    enlarge[i] = RawUnionVolume(e.lo().data(), e.hi().data(), rlo, rhi, d) -
+                 area[i];
+  }
   size_t best = 0;
-  if (children_are_leaves) {
-    // Minimal overlap enlargement (ties: area enlargement, then area).
-    // The full scan is O(n^2) overlap computations; on X-tree supernodes
-    // (n in the hundreds) that dominates bulk builds, so for large nodes
-    // only the kOverlapCandidates entries of least area enlargement enter
-    // the overlap test -- the optimization proposed with the original
-    // R*-tree -- each still scored against every sibling.
-    constexpr size_t kOverlapCandidates = 32;
-    std::vector<size_t> order;
-    order.reserve(n);
-    for (size_t i = 0; i < n; ++i) order.push_back(i);
-    size_t considered = n;
-    if (n > kOverlapCandidates) {
-      considered = kOverlapCandidates;
-      std::partial_sort(order.begin(), order.begin() + considered,
-                        order.end(), [&](size_t a, size_t b) {
-                          double ea = node.entries[a].rect.Enlargement(rect);
-                          double eb = node.entries[b].rect.Enlargement(rect);
-                          if (ea != eb) return ea < eb;
-                          double va = node.entries[a].rect.Volume();
-                          double vb = node.entries[b].rect.Volume();
-                          if (va != vb) return va < vb;
-                          return a < b;  // deterministic tie-break
-                        });
+  if (!children_are_leaves) {
+    // Minimal area enlargement (ties: area).
+    for (size_t i = 1; i < n; ++i) {
+      if (enlarge[i] < enlarge[best] ||
+          (enlarge[i] == enlarge[best] && area[i] < area[best])) {
+        best = i;
+      }
     }
-    double best_overlap = std::numeric_limits<double>::infinity();
-    double best_enlarge = best_overlap, best_area = best_overlap;
-    best = order[0];
-    for (size_t oi = 0; oi < considered; ++oi) {
-      const size_t i = order[oi];
-      HyperRect enlarged = HyperRect::Union(node.entries[i].rect, rect);
-      double overlap_delta = 0.0;
+    return best;
+  }
+
+  // Minimal overlap enlargement (ties: area enlargement, then area).
+  // The full scan is O(n^2) overlap computations; on X-tree supernodes
+  // (n in the hundreds) that dominates bulk builds, so for large nodes
+  // only the kOverlapCandidates entries of least area enlargement enter
+  // the overlap test -- the optimization proposed with the original
+  // R*-tree -- each still scored against every sibling.
+  constexpr size_t kOverlapCandidates = 32;
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  size_t considered = n;
+  if (n > kOverlapCandidates) {
+    considered = kOverlapCandidates;
+    std::partial_sort(order.begin(), order.begin() + considered, order.end(),
+                      [&](size_t a, size_t b) {
+                        if (enlarge[a] != enlarge[b]) {
+                          return enlarge[a] < enlarge[b];
+                        }
+                        if (area[a] != area[b]) return area[a] < area[b];
+                        return a < b;  // deterministic tie-break
+                      });
+  }
+  // Candidate i's overlap delta sums, over siblings j, the overlap of j
+  // with i enlarged (E) minus its overlap with i. E contains i, so every
+  // term is >= 0, and a term that is exactly zero leaves the sum's bits
+  // unchanged; such terms are skipped. A sibling adds exactly zero when
+  // its clipped interval is the same against E and against i in every
+  // dimension where E differs from i (both volumes then run identical
+  // arithmetic), or when its overlap with E is zero (its overlap with i,
+  // never larger, is then zero too).
+  std::vector<double> elo(d), ehi(d);
+  std::vector<size_t> moved;
+  moved.reserve(d);
+  double best_overlap = std::numeric_limits<double>::infinity();
+  best = order[0];
+  for (size_t oi = 0; oi < considered; ++oi) {
+    const size_t i = order[oi];
+    const double* ilo = node.entries[i].rect.lo().data();
+    const double* ihi = node.entries[i].rect.hi().data();
+    moved.clear();
+    for (size_t k = 0; k < d; ++k) {
+      elo[k] = std::min(ilo[k], rlo[k]);
+      ehi[k] = std::max(ihi[k], rhi[k]);
+      if (elo[k] != ilo[k] || ehi[k] != ihi[k]) moved.push_back(k);
+    }
+    double overlap_delta = 0.0;
+    if (!moved.empty()) {
       for (size_t j = 0; j < n; ++j) {
         if (j == i) continue;
-        overlap_delta +=
-            HyperRect::OverlapVolume(enlarged, node.entries[j].rect) -
-            HyperRect::OverlapVolume(node.entries[i].rect,
-                                     node.entries[j].rect);
-      }
-      double enlarge = node.entries[i].rect.Enlargement(rect);
-      double area = node.entries[i].rect.Volume();
-      if (overlap_delta < best_overlap ||
-          (overlap_delta == best_overlap &&
-           (enlarge < best_enlarge ||
-            (enlarge == best_enlarge && area < best_area)))) {
-        best_overlap = overlap_delta;
-        best_enlarge = enlarge;
-        best_area = area;
-        best = i;
+        const double* jlo = node.entries[j].rect.lo().data();
+        const double* jhi = node.entries[j].rect.hi().data();
+        bool same = true;
+        for (size_t k : moved) {
+          if (std::max(elo[k], jlo[k]) != std::max(ilo[k], jlo[k]) ||
+              std::min(ehi[k], jhi[k]) != std::min(ihi[k], jhi[k])) {
+            same = false;
+            break;
+          }
+        }
+        if (same) continue;
+        const double with_e =
+            RawOverlapVolume(elo.data(), ehi.data(), jlo, jhi, d);
+        if (with_e == 0.0) continue;
+        overlap_delta += with_e - RawOverlapVolume(ilo, ihi, jlo, jhi, d);
       }
     }
-  } else {
-    // Minimal area enlargement (ties: area).
-    double best_enlarge = std::numeric_limits<double>::infinity();
-    double best_area = best_enlarge;
-    for (size_t i = 0; i < n; ++i) {
-      double enlarge = node.entries[i].rect.Enlargement(rect);
-      double area = node.entries[i].rect.Volume();
-      if (enlarge < best_enlarge ||
-          (enlarge == best_enlarge && area < best_area)) {
-        best_enlarge = enlarge;
-        best_area = area;
-        best = i;
-      }
+    if (overlap_delta < best_overlap ||
+        (overlap_delta == best_overlap &&
+         (enlarge[i] < enlarge[best] ||
+          (enlarge[i] == enlarge[best] && area[i] < area[best])))) {
+      best_overlap = overlap_delta;
+      best = i;
     }
   }
   return best;
@@ -188,7 +218,11 @@ void RTreeCore::PropagateMbrs(std::vector<PathStep>& path,
   HyperRect mbr = child_mbr;
   for (size_t i = path.size(); i-- > 0;) {
     PathStep& step = path[i];
-    step.node.entries[step.child_idx].rect = mbr;
+    Entry& entry = step.node.entries[step.child_idx];
+    // Every stored rectangle is the tight MBR of its child, so once one
+    // already holds the new bits, nothing above it changes either.
+    if (SameBits(entry.rect, mbr)) return;
+    entry.rect = mbr;
     store_.Write(step.pid, &step.node);
     mbr = step.node.ComputeMbr(options_.dim);
   }
@@ -652,9 +686,12 @@ bool RTreeCore::FindLeafEntry(PageId pid, size_t level, const HyperRect& rect,
   for (size_t i = 0; i < node.entries.size(); ++i) {
     if (!node.entries[i].rect.ContainsRect(rect)) continue;
     PageId child = static_cast<PageId>(node.entries[i].id);
-    path.push_back(PathStep{pid, node, i});
-    if (FindLeafEntry(child, level - 1, rect, id, path, leaf)) return true;
-    path.pop_back();
+    if (FindLeafEntry(child, level - 1, rect, id, path, leaf)) {
+      // Steps are collected leaf-side first on the way back up; the path
+      // is at most the tree height long.
+      path.insert(path.begin(), PathStep{pid, std::move(node), i});
+      return true;
+    }
   }
   return false;
 }

@@ -122,6 +122,16 @@ class RTreeCore {
   // NN-cell approach eliminates. Returns nullopt on an empty tree.
   std::optional<Hit> NnBranchAndBound(const double* q) const;
 
+  // ChooseSubtree of the R*-tree: the index of the entry of directory
+  // node `node` that an insert of `rect` descends into. Above the leaf
+  // parents, least area enlargement (ties: least area); at a leaf parent
+  // (`children_are_leaves`), least overlap enlargement against the
+  // siblings (ties: area enlargement, then area), where a node of more
+  // than 32 entries scores only the 32 of least area enlargement. A pure
+  // function of its arguments.
+  static size_t ChooseSubtree(const Node& node, const HyperRect& rect,
+                              bool children_are_leaves);
+
   // Structural statistics (walks the tree; costs page accesses).
   TreeInfo Info() const;
 
@@ -185,10 +195,6 @@ class RTreeCore {
   // treatment (reinsert / split / supernode) and root growth.
   void InsertEntry(Entry entry, size_t target_level);
 
-  // ChooseSubtree of the R*-tree.
-  size_t ChooseSubtree(const Node& node, const HyperRect& rect,
-                       bool children_are_leaves) const;
-
   // Writes updated child MBRs up the path.
   void PropagateMbrs(std::vector<PathStep>& path, const HyperRect& child_mbr);
 
@@ -208,8 +214,9 @@ class RTreeCore {
 
   // Depth-first descent (Delete, ShrinkEntry) to the leaf entry matching
   // (rect, id) exactly, through children whose rectangle contains `rect`.
-  // On success `path` holds the directory steps and *leaf the leaf's page,
-  // node and entry index.
+  // On success `path` (empty on entry) holds the directory steps, root
+  // first, and *leaf the leaf's page, node and entry index. Only the nodes
+  // on the found path are kept.
   bool FindLeafEntry(PageId pid, size_t level, const HyperRect& rect,
                      uint64_t id, std::vector<PathStep>& path, PathStep* leaf);
 

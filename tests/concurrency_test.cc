@@ -165,6 +165,89 @@ TEST(ThreadPoolTest, ParallelMapReportsLowestFailureOnBothSides) {
 }
 
 // ---------------------------------------------------------------------------
+// ParallelFor with an ordered commit (BulkBuild's solve-then-commit loop)
+
+// Runs ParallelFor(0, n) with a commit and checks the contract: each
+// commit runs on the calling thread, in ascending order, once, and sees
+// the plain (non-atomic) writes of its body. Body costs vary with i so
+// items finish out of order.
+void ExpectOrderedCommits(ThreadPool& pool, size_t n) {
+  std::vector<std::vector<uint64_t>> slots(n);
+  size_t next = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(
+      0, n,
+      [&](size_t i) {
+        uint64_t x = i;
+        for (size_t spin = 0; spin < (i * 7919) % 97 * 50; ++spin) {
+          x = x * 6364136223846793005ull + 1442695040888963407ull;
+        }
+        slots[i].assign(4, i);
+        slots[i].push_back(x);
+      },
+      [&](size_t i) {
+        ASSERT_EQ(std::this_thread::get_id(), caller);
+        ASSERT_EQ(i, next) << "commit out of order";
+        ++next;
+        ASSERT_EQ(slots[i].size(), 5u) << "body " << i << " not visible";
+        for (size_t k = 0; k < 4; ++k) ASSERT_EQ(slots[i][k], i);
+      });
+  EXPECT_EQ(next, n);
+}
+
+TEST(OrderedCommitTest, CommitsAscendOnTheCallerAndSeeTheirBodies) {
+  ThreadPool pool(4);
+  ExpectOrderedCommits(pool, 1000);
+}
+
+TEST(OrderedCommitTest, OneWorkerPoolAndEmptyOrSingleRanges) {
+  ThreadPool pool(1);
+  for (size_t n : {0u, 1u, 2u, 100u}) ExpectOrderedCommits(pool, n);
+  ThreadPool four(4);
+  for (size_t n : {0u, 1u}) ExpectOrderedCommits(four, n);
+}
+
+TEST(OrderedCommitTest, NestedInsideAPoolTask) {
+  // The only worker runs a task whose ParallelFor commits: that worker is
+  // the caller, so it must claim and commit every item itself.
+  ThreadPool pool(1);
+  std::promise<void> done;
+  pool.Submit([&] {
+    ExpectOrderedCommits(pool, 200);
+    done.set_value();
+  });
+  done.get_future().wait();
+
+  // Ordered commits inside the bodies of a plain ParallelFor: each body's
+  // thread is a nested caller.
+  ThreadPool four(4);
+  std::atomic<int> finished{0};
+  four.ParallelFor(0, 6, [&](size_t) {
+    ExpectOrderedCommits(four, 100);
+    finished.fetch_add(1);
+  });
+  EXPECT_EQ(finished.load(), 6);
+}
+
+TEST(OrderedCommitTest, TenThousandTinyItems) {
+  // Tiny bodies maximize claim and completion races; the sanitizer jobs
+  // run this suite.
+  ThreadPool pool(4);
+  constexpr size_t kN = 10000;
+  std::vector<uint64_t> slots(kN, 0);
+  uint64_t sum = 0;
+  size_t next = 0;
+  pool.ParallelFor(
+      0, kN, [&](size_t i) { slots[i] = 3 * i + 1; },
+      [&](size_t i) {
+        EXPECT_EQ(i, next++);
+        sum += slots[i];
+      });
+  EXPECT_EQ(next, kN);
+  EXPECT_EQ(sum, 3 * (kN * (kN - 1) / 2) + kN);
+}
+
+// ---------------------------------------------------------------------------
 // Build determinism: the tentpole contract. A parallel build fans the
 // per-point LP solves across workers but commits results in point order,
 // so the persisted image must be byte-identical to a serial build.

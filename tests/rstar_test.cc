@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -506,6 +507,166 @@ TEST(RStarTreeTest, PageAccessesGrowWithTreeNotLinearly) {
   auto info = tree.Info();
   EXPECT_LT(query_reads, info.num_nodes / 4)
       << "kNN should not scan the whole tree";
+}
+
+// The R*-tree ChooseSubtree as first written: every score recomputed in
+// the comparator through allocating HyperRect operations, and every
+// overlap term evaluated. RTreeCore::ChooseSubtree computes each score
+// once and skips overlap terms that are exactly zero; it must pick the
+// same entry.
+size_t ReferenceChooseSubtree(const Node& node, const HyperRect& rect,
+                              bool children_are_leaves) {
+  const size_t n = node.entries.size();
+  size_t best = 0;
+  if (children_are_leaves) {
+    constexpr size_t kOverlapCandidates = 32;
+    std::vector<size_t> order;
+    for (size_t i = 0; i < n; ++i) order.push_back(i);
+    size_t considered = n;
+    if (n > kOverlapCandidates) {
+      considered = kOverlapCandidates;
+      std::partial_sort(order.begin(), order.begin() + considered,
+                        order.end(), [&](size_t a, size_t b) {
+                          double ea = node.entries[a].rect.Enlargement(rect);
+                          double eb = node.entries[b].rect.Enlargement(rect);
+                          if (ea != eb) return ea < eb;
+                          double va = node.entries[a].rect.Volume();
+                          double vb = node.entries[b].rect.Volume();
+                          if (va != vb) return va < vb;
+                          return a < b;
+                        });
+    }
+    double best_overlap = std::numeric_limits<double>::infinity();
+    double best_enlarge = best_overlap, best_area = best_overlap;
+    best = order[0];
+    for (size_t oi = 0; oi < considered; ++oi) {
+      const size_t i = order[oi];
+      HyperRect enlarged = HyperRect::Union(node.entries[i].rect, rect);
+      double overlap_delta = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        overlap_delta +=
+            HyperRect::OverlapVolume(enlarged, node.entries[j].rect) -
+            HyperRect::OverlapVolume(node.entries[i].rect,
+                                     node.entries[j].rect);
+      }
+      double enlarge = node.entries[i].rect.Enlargement(rect);
+      double area = node.entries[i].rect.Volume();
+      if (overlap_delta < best_overlap ||
+          (overlap_delta == best_overlap &&
+           (enlarge < best_enlarge ||
+            (enlarge == best_enlarge && area < best_area)))) {
+        best_overlap = overlap_delta;
+        best_enlarge = enlarge;
+        best_area = area;
+        best = i;
+      }
+    }
+  } else {
+    double best_enlarge = std::numeric_limits<double>::infinity();
+    double best_area = best_enlarge;
+    for (size_t i = 0; i < n; ++i) {
+      double enlarge = node.entries[i].rect.Enlargement(rect);
+      double area = node.entries[i].rect.Volume();
+      if (enlarge < best_enlarge ||
+          (enlarge == best_enlarge && area < best_area)) {
+        best_enlarge = enlarge;
+        best_area = area;
+        best = i;
+      }
+    }
+  }
+  return best;
+}
+
+// A random rectangle of one of four shapes: continuous bounds; bounds on
+// a coarse grid (shared faces, equal volumes, exact duplicates across
+// draws); a degenerate point rectangle, as the point tree stores; or a fat
+// cell-like box reaching a face of the unit cube.
+HyperRect RandomRect(Rng& rng, size_t d, int shape) {
+  std::vector<double> lo(d), hi(d);
+  for (size_t k = 0; k < d; ++k) {
+    double a = rng.NextDouble(), b = rng.NextDouble();
+    switch (shape) {
+      case 1:
+        a = static_cast<double>(rng.NextIndex(5)) / 4.0;
+        b = static_cast<double>(rng.NextIndex(5)) / 4.0;
+        break;
+      case 2:
+        b = a;
+        break;
+      case 3:
+        if (rng.NextIndex(2) == 0) a = 0.0; else b = 1.0;
+        break;
+      default:
+        break;
+    }
+    lo[k] = std::min(a, b);
+    hi[k] = std::max(a, b);
+  }
+  return HyperRect(lo, hi);
+}
+
+TEST(ChooseSubtreeTest, MatchesReferenceOnRandomNodes) {
+  Rng rng(0xc505e);
+  size_t pruned_nodes = 0, zero_enlargement = 0;
+  for (size_t d : {2u, 4u, 16u}) {
+    for (int trial = 0; trial < 150; ++trial) {
+      const size_t n = 2 + rng.NextIndex(399);  // [2, 400]
+      // One shape per node keeps degenerate and grid cases dense; a mixed
+      // node draws the shape per entry.
+      const int node_shape = static_cast<int>(rng.NextIndex(5));
+      auto draw = [&] {
+        return RandomRect(rng, d,
+                          node_shape == 4 ? static_cast<int>(rng.NextIndex(4))
+                                          : node_shape);
+      };
+      Node node;
+      node.is_leaf = false;
+      for (size_t i = 0; i < n; ++i) {
+        Entry e;
+        // Exact duplicates of earlier entries.
+        e.rect = i > 0 && rng.NextIndex(8) == 0
+                     ? node.entries[rng.NextIndex(i)].rect
+                     : draw();
+        e.id = i;
+        node.entries.push_back(std::move(e));
+      }
+      // The new rectangle: a fresh draw, a copy of an entry, or a point
+      // inside an entry (both of zero enlargement for that entry).
+      HyperRect rect;
+      const HyperRect& host = node.entries[rng.NextIndex(n)].rect;
+      switch (rng.NextIndex(3)) {
+        case 0:
+          rect = draw();
+          break;
+        case 1:
+          rect = host;
+          break;
+        default: {
+          std::vector<double> p(d);
+          for (size_t k = 0; k < d; ++k) {
+            p[k] = host.lo(k) + rng.NextDouble() * (host.hi(k) - host.lo(k));
+          }
+          rect = HyperRect::FromPoint(p);
+          break;
+        }
+      }
+      for (bool leaves : {true, false}) {
+        const size_t want = ReferenceChooseSubtree(node, rect, leaves);
+        ASSERT_EQ(RTreeCore::ChooseSubtree(node, rect, leaves), want)
+            << "d=" << d << " n=" << n << " shape=" << node_shape
+            << " leaves=" << leaves;
+        if (leaves && node.entries[want].rect.Enlargement(rect) == 0.0) {
+          ++zero_enlargement;
+        }
+      }
+      if (n > 32) ++pruned_nodes;
+    }
+  }
+  // Both regimes of the leaf-parent rule were exercised.
+  EXPECT_GT(pruned_nodes, 100u);
+  EXPECT_GT(zero_enlargement, 50u);
 }
 
 }  // namespace

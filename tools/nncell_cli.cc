@@ -62,6 +62,7 @@
 
 #include "common/kernels/kernels.h"
 #include "common/metrics.h"
+#include "common/metrics_names.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "nncell/nncell_index.h"
@@ -188,6 +189,22 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
+// The serial share of a bulk build: the caller's time committing solved
+// cells into the cell tree, and its time blocked on cells still being
+// solved (index.build.commit_us / commit_wait_us).
+std::string CommitSummary() {
+  const metrics::Registry& reg = metrics::Registry::Global();
+  char buf[96];
+  std::snprintf(
+      buf, sizeof(buf), "cell-tree commit %.2fs, commit wait %.2fs",
+      static_cast<double>(reg.counter(metrics::kIndexBuildCommitUs)->Value()) /
+          1e6,
+      static_cast<double>(
+          reg.counter(metrics::kIndexBuildCommitWaitUs)->Value()) /
+          1e6);
+  return buf;
+}
+
 int Build(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr, "usage: nncell_cli build <points.csv> <out.nncell>\n");
@@ -219,6 +236,7 @@ int Build(int argc, char** argv) {
   if (const char* t = FlagValue(argc, argv, "--threads")) {
     options.parallel.num_threads = std::strtoul(t, nullptr, 10);
   }
+  metrics::Registry::SetEnabled(true);  // for CommitSummary
 
   size_t shards = 0;
   if (const char* s = FlagValue(argc, argv, "--shards")) {
@@ -257,10 +275,11 @@ int Build(int argc, char** argv) {
     std::printf(
         "built sharded index %s: %zu points, dim=%zu, algorithm=%s, "
         "%zu shards, %.2fs,\n"
-        "  expected candidates per query %.2f\n",
+        "  expected candidates per query %.2f, %s\n",
         argv[3], (*idx)->size(), (*idx)->dim(),
         ApproxAlgorithmName((*idx)->options().algorithm), (*idx)->num_shards(),
-        timer.ElapsedSeconds(), (*idx)->ExpectedCandidates());
+        timer.ElapsedSeconds(), (*idx)->ExpectedCandidates(),
+        CommitSummary().c_str());
     return 0;
   }
 
@@ -282,11 +301,11 @@ int Build(int argc, char** argv) {
     }
     std::printf(
         "built durable index %s: %zu points, dim=%zu, algorithm=%s, %.2fs,\n"
-        "  %zu LP runs, expected candidates per query %.2f\n",
+        "  %zu LP runs, expected candidates per query %.2f, %s\n",
         argv[3], (*idx)->size(), (*idx)->dim(),
         ApproxAlgorithmName((*idx)->options().algorithm),
         timer.ElapsedSeconds(), (*idx)->build_stats().approx.lp_runs,
-        (*idx)->ExpectedCandidates());
+        (*idx)->ExpectedCandidates(), CommitSummary().c_str());
     return 0;
   }
 
@@ -307,10 +326,11 @@ int Build(int argc, char** argv) {
   }
   std::printf(
       "built %s: %zu points, dim=%zu, algorithm=%s, %.2fs,\n"
-      "  %zu LP runs, expected candidates per query %.2f\n",
+      "  %zu LP runs, expected candidates per query %.2f, %s\n",
       argv[3], index.size(), index.dim(),
       ApproxAlgorithmName(index.options().algorithm), secs,
-      index.build_stats().approx.lp_runs, index.ExpectedCandidates());
+      index.build_stats().approx.lp_runs, index.ExpectedCandidates(),
+      CommitSummary().c_str());
   return 0;
 }
 
