@@ -315,7 +315,7 @@ std::vector<double> NNCellIndex::OriginalPoint(uint64_t id) const {
 }
 
 Status NNCellIndex::CheckNewPoint(const std::vector<double>& point) const {
-  if (!space_.ContainsPoint(point)) {
+  if (!space_.ContainsPoint(point.data())) {
     return Status::OutOfRange("point outside the data space [0,1]^d");
   }
   // The point tree holds every live point as a degenerate rectangle, so
@@ -336,7 +336,7 @@ uint64_t NNCellIndex::AddPoint(const std::vector<double>& point,
   alive_.push_back(true);
   ++live_count_;
   if (insert_into_point_tree) {
-    point_tree_->Insert(HyperRect::FromPoint(point), id);
+    point_tree_->Insert(HyperRect::FromPoint(point.data(), dim_), id);
   }
   return id;
 }
@@ -346,8 +346,7 @@ void NNCellIndex::SetCellRects(uint64_t id,
   NNCELL_CHECK(rects.size() <= max_rects_);
   double* out = rect_data_.data() + id * max_rects_ * 2 * dim_;
   for (const HyperRect& rect : rects) {
-    out = std::copy(rect.lo().begin(), rect.lo().end(), out);
-    out = std::copy(rect.hi().begin(), rect.hi().end(), out);
+    out = std::copy_n(rect.lo(), 2 * dim_, out);
   }
   rect_count_[id] = static_cast<uint32_t>(rects.size());
 }
@@ -532,7 +531,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
     };
     std::vector<size_t> order;
     for (size_t i = 0; i < pts.size(); ++i) {
-      if (space_.ContainsPoint(metric.Get(i))) order.push_back(i);  // no NaN
+      if (space_.ContainsPoint(metric[i])) order.push_back(i);  // no NaN
     }
     std::stable_sort(order.begin(), order.end(), less);
     for (size_t j = 1; j < order.size(); ++j) {
@@ -1121,8 +1120,7 @@ double NNCellIndex::ExpectedCandidates() const {
   for (uint64_t id = 0; id < rect_count_.size(); ++id) {
     for (size_t r = 0; r < RectCount(id); ++r) {
       const double* lo = RectBounds(id, r);
-      total += RawOverlapVolume(lo, lo + dim_, space_.lo().data(),
-                                space_.hi().data(), dim_);
+      total += RawOverlapVolume(lo, lo + dim_, space_.lo(), space_.hi(), dim_);
     }
   }
   return total / space_.Volume();
@@ -1133,9 +1131,7 @@ std::vector<HyperRect> NNCellIndex::CellRects(uint64_t id) const {
   std::vector<HyperRect> rects;
   rects.reserve(RectCount(id));
   for (size_t r = 0; r < RectCount(id); ++r) {
-    const double* lo = RectBounds(id, r);
-    rects.emplace_back(std::vector<double>(lo, lo + dim_),
-                       std::vector<double>(lo + dim_, lo + 2 * dim_));
+    rects.push_back(HyperRect::FromBounds(RectBounds(id, r), dim_));
   }
   return rects;
 }
@@ -1210,9 +1206,9 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
       }
       indexed[m.id].push_back(std::move(m.rect));
     }
-    auto rect_less = [](const HyperRect& a, const HyperRect& b) {
-      if (a.lo() != b.lo()) return a.lo() < b.lo();
-      return a.hi() < b.hi();
+    auto rect_less = [this](const HyperRect& a, const HyperRect& b) {
+      return std::lexicographical_compare(a.lo(), a.lo() + 2 * dim_, b.lo(),
+                                          b.lo() + 2 * dim_);
     };
     for (uint64_t id = 0; id < points_.size(); ++id) {
       if (!alive_[id]) continue;
@@ -1225,7 +1221,7 @@ Status NNCellIndex::CheckInvariants(size_t sample_queries,
       std::sort(expect.begin(), expect.end(), rect_less);
       std::sort(it->second.begin(), it->second.end(), rect_less);
       for (size_t r = 0; r < expect.size(); ++r) {
-        if (!(expect[r] == it->second[r])) {
+        if (expect[r] != it->second[r]) {
           return Status::Internal(
               "indexed rectangle bytes differ from the bookkept "
               "approximation");

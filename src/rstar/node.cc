@@ -81,13 +81,10 @@ Node NodeStore::Read(PageId id) const {
 
   size_t offset = AlignedHeaderBytes(num_extra);
   node.entries.resize(num_entries);
-  std::vector<double> coords(2 * dim_);
   for (Entry& e : node.entries) {
-    std::memcpy(coords.data(), stream + offset, 2 * dim_ * sizeof(double));
+    e.rect = HyperRect::FromBounds(
+        reinterpret_cast<const double*>(stream + offset), dim_);
     offset += 2 * dim_ * sizeof(double);
-    e.rect = HyperRect(
-        std::vector<double>(coords.begin(), coords.begin() + dim_),
-        std::vector<double>(coords.begin() + dim_, coords.end()));
     std::memcpy(&e.id, stream + offset, sizeof(e.id));
     offset += sizeof(e.id);
   }
@@ -115,8 +112,7 @@ void NodeStore::Write(PageId id, Node* node) {
   for (PageId extra : node->extra_pages) writer.Put<uint32_t>(extra);
   while (writer.position() % 8 != 0) writer.Put<uint8_t>(0);
   for (const Entry& e : node->entries) {
-    writer.PutDoubles(e.rect.lo().data(), dim_);
-    writer.PutDoubles(e.rect.hi().data(), dim_);
+    writer.PutDoubles(e.rect.lo(), 2 * dim_);
     writer.Put<uint64_t>(e.id);
   }
 

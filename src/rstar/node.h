@@ -17,6 +17,13 @@ struct Entry {
   uint64_t id = 0;
 };
 
+// Tight bounding rectangle of `entries`, grown in order from Empty(dim).
+inline HyperRect MbrOf(const std::vector<Entry>& entries, size_t dim) {
+  HyperRect r = HyperRect::Empty(dim);
+  for (const Entry& e : entries) r.ExpandToRect(e.rect);
+  return r;
+}
+
 // Decoded node. A node's identity is its first page id; supernodes (X-tree)
 // chain additional overflow pages whose ids are recorded in the first
 // page's header, so the identity is stable while the node grows or shrinks.
@@ -26,13 +33,6 @@ struct Node {
   std::vector<Entry> entries;
 
   size_t page_span() const { return 1 + extra_pages.size(); }
-
-  // Tight bounding rectangle over all entries.
-  HyperRect ComputeMbr(size_t dim) const {
-    HyperRect r = HyperRect::Empty(dim);
-    for (const Entry& e : entries) r.ExpandToRect(e.rect);
-    return r;
-  }
 };
 
 // Zero-copy view of one serialized entry; pointers reference the node-scan

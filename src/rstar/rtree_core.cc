@@ -1,7 +1,6 @@
 #include "rstar/rtree_core.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -99,7 +98,7 @@ void RTreeCore::BulkLoad(std::vector<Entry> entries) {
       node.entries = std::move(group);
       store_.Write(pid, &node);
       Entry parent;
-      parent.rect = node.ComputeMbr(options_.dim);
+      parent.rect = MbrOf(node.entries, options_.dim);
       parent.id = pid;
       parents.push_back(std::move(parent));
     }
@@ -114,16 +113,20 @@ size_t RTreeCore::ChooseSubtree(const Node& node, const HyperRect& rect,
   const size_t n = node.entries.size();
   const size_t d = rect.dim();
   NNCELL_CHECK(n > 0);
-  const double* rlo = rect.lo().data();
-  const double* rhi = rect.hi().data();
-  // Every score once: each entry's volume and area enlargement, with the
-  // arithmetic of HyperRect::Volume and HyperRect::Enlargement.
+  // grown = [elo, ehi]: entry i enlarged to also cover rect (E).
+  std::vector<double> grown(2 * d);
+  const double* elo = grown.data();
+  const double* ehi = elo + d;
+  auto grow = [&](size_t i) {
+    std::copy_n(node.entries[i].rect.lo(), 2 * d, grown.begin());
+    RawExpand(grown.data(), grown.data() + d, rect.lo(), rect.hi(), d);
+  };
+  // Every score once: each entry's volume and area enlargement.
   std::vector<double> area(n), enlarge(n);
   for (size_t i = 0; i < n; ++i) {
-    const HyperRect& e = node.entries[i].rect;
-    area[i] = e.Volume();
-    enlarge[i] = RawUnionVolume(e.lo().data(), e.hi().data(), rlo, rhi, d) -
-                 area[i];
+    area[i] = node.entries[i].rect.Volume();
+    grow(i);
+    enlarge[i] = RawVolume(elo, ehi, d) - area[i];
   }
   size_t best = 0;
   if (!children_are_leaves) {
@@ -166,27 +169,25 @@ size_t RTreeCore::ChooseSubtree(const Node& node, const HyperRect& rect,
   // dimension where E differs from i (both volumes then run identical
   // arithmetic), or when its overlap with E is zero (its overlap with i,
   // never larger, is then zero too).
-  std::vector<double> elo(d), ehi(d);
   std::vector<size_t> moved;
   moved.reserve(d);
   double best_overlap = std::numeric_limits<double>::infinity();
   best = order[0];
   for (size_t oi = 0; oi < considered; ++oi) {
     const size_t i = order[oi];
-    const double* ilo = node.entries[i].rect.lo().data();
-    const double* ihi = node.entries[i].rect.hi().data();
+    const double* ilo = node.entries[i].rect.lo();
+    const double* ihi = node.entries[i].rect.hi();
+    grow(i);
     moved.clear();
     for (size_t k = 0; k < d; ++k) {
-      elo[k] = std::min(ilo[k], rlo[k]);
-      ehi[k] = std::max(ihi[k], rhi[k]);
       if (elo[k] != ilo[k] || ehi[k] != ihi[k]) moved.push_back(k);
     }
     double overlap_delta = 0.0;
     if (!moved.empty()) {
       for (size_t j = 0; j < n; ++j) {
         if (j == i) continue;
-        const double* jlo = node.entries[j].rect.lo().data();
-        const double* jhi = node.entries[j].rect.hi().data();
+        const double* jlo = node.entries[j].rect.lo();
+        const double* jhi = node.entries[j].rect.hi();
         bool same = true;
         for (size_t k : moved) {
           if (std::max(elo[k], jlo[k]) != std::max(ilo[k], jlo[k]) ||
@@ -196,8 +197,7 @@ size_t RTreeCore::ChooseSubtree(const Node& node, const HyperRect& rect,
           }
         }
         if (same) continue;
-        const double with_e =
-            RawOverlapVolume(elo.data(), ehi.data(), jlo, jhi, d);
+        const double with_e = RawOverlapVolume(elo, ehi, jlo, jhi, d);
         if (with_e == 0.0) continue;
         overlap_delta += with_e - RawOverlapVolume(ilo, ihi, jlo, jhi, d);
       }
@@ -221,10 +221,10 @@ void RTreeCore::PropagateMbrs(std::vector<PathStep>& path,
     Entry& entry = step.node.entries[step.child_idx];
     // Every stored rectangle is the tight MBR of its child, so once one
     // already holds the new bits, nothing above it changes either.
-    if (SameBits(entry.rect, mbr)) return;
+    if (entry.rect == mbr) return;
     entry.rect = mbr;
     store_.Write(step.pid, &step.node);
-    mbr = step.node.ComputeMbr(options_.dim);
+    mbr = MbrOf(step.node.entries, options_.dim);
   }
 }
 
@@ -250,7 +250,7 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
   while (true) {
     if (node.entries.size() <= MaxEntries(node)) {
       store_.Write(pid, &node);
-      PropagateMbrs(path, node.ComputeMbr(options_.dim));
+      PropagateMbrs(path, MbrOf(node.entries, options_.dim));
       return;
     }
 
@@ -260,11 +260,16 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
     if (!is_root && level < reinserted_.size() && !reinserted_[level]) {
       reinserted_[level] = true;
       // Sort by distance of entry center to node center, farthest first.
-      std::vector<double> center = node.ComputeMbr(options_.dim).Center();
+      const size_t d = options_.dim;
+      auto center_of = [d](const HyperRect& r, double* c) {
+        for (size_t k = 0; k < d; ++k) c[k] = 0.5 * (r.lo(k) + r.hi(k));
+      };
+      std::vector<double> center(d), entry_center(d);
+      center_of(MbrOf(node.entries, d), center.data());
       std::vector<std::pair<double, size_t>> order(node.entries.size());
       for (size_t i = 0; i < node.entries.size(); ++i) {
-        std::vector<double> ec = node.entries[i].rect.Center();
-        order[i] = {L2DistSq(ec, center), i};
+        center_of(node.entries[i].rect, entry_center.data());
+        order[i] = {L2DistSq(entry_center.data(), center.data(), d), i};
       }
       std::sort(order.begin(), order.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -286,7 +291,7 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
       }
       node.entries = std::move(kept);
       store_.Write(pid, &node);
-      PropagateMbrs(path, node.ComputeMbr(options_.dim));
+      PropagateMbrs(path, MbrOf(node.entries, options_.dim));
       // Close reinsert: nearest first.
       std::reverse(removed.begin(), removed.end());
       for (Entry& r : removed) InsertEntry(std::move(r), level);
@@ -298,7 +303,7 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
       // Supernode decision (X-tree): keep the node whole; Write grows its
       // page chain as needed.
       store_.Write(pid, &node);
-      PropagateMbrs(path, node.ComputeMbr(options_.dim));
+      PropagateMbrs(path, MbrOf(node.entries, options_.dim));
       return;
     }
     NNCELL_METRIC_COUNT(Metrics().node_splits, 1);
@@ -314,8 +319,8 @@ void RTreeCore::InsertEntry(Entry entry, size_t target_level) {
     PageId right_pid = store_.AllocateNode();
     store_.Write(pid, &left);
     store_.Write(right_pid, &right);
-    HyperRect left_mbr = left.ComputeMbr(options_.dim);
-    HyperRect right_mbr = right.ComputeMbr(options_.dim);
+    HyperRect left_mbr = MbrOf(left.entries, options_.dim);
+    HyperRect right_mbr = MbrOf(right.entries, options_.dim);
 
     if (is_root) {
       Node new_root;
@@ -361,8 +366,7 @@ void RTreeCore::CollectMatches(const HyperRect* range, const double* q,
                                                   bool is_leaf) {
       bool hit = q != nullptr
                      ? RawContainsPoint(e.lo, e.hi, q, d)
-                     : RawIntersects(e.lo, e.hi, range->lo().data(),
-                                     range->hi().data(), d);
+                     : RawIntersects(e.lo, e.hi, range->lo(), range->hi(), d);
       if (!hit) return;
       if (is_leaf) {
         emit(e);
@@ -381,15 +385,11 @@ std::vector<uint64_t> RTreeCore::PointQuery(const double* q) const {
   return out;
 }
 
-std::vector<RTreeCore::Match> RTreeCore::RangeQuery(
-    const HyperRect& range) const {
+std::vector<Entry> RTreeCore::RangeQuery(const HyperRect& range) const {
   NNCELL_CHECK(range.dim() == options_.dim);
-  const size_t d = options_.dim;
-  std::vector<Match> out;
+  std::vector<Entry> out;
   CollectMatches(&range, nullptr, [&](const EntryView& e) {
-    out.push_back(Match{HyperRect(std::vector<double>(e.lo, e.lo + d),
-                                  std::vector<double>(e.hi, e.hi + d)),
-                        e.id});
+    out.push_back(Entry{HyperRect::FromBounds(e.lo, options_.dim), e.id});
   });
   return out;
 }
@@ -423,7 +423,7 @@ std::vector<uint64_t> RTreeCore::LeafPageSphereQuery(const double* q,
     NNCELL_METRIC_COUNT(Metrics().node_visits, 1);
     if (is_leaf) NNCELL_METRIC_COUNT(Metrics().leaf_visits, 1);
     if (is_leaf && at_root && !root_mbr.IsEmpty() &&
-        root_mbr.MinDistSq(q) > radius_sq) {
+        RawMinDistSq(root_mbr.lo(), root_mbr.hi(), q, d) > radius_sq) {
       out.clear();  // the sole (root) page does not qualify after all
     }
   }
@@ -629,7 +629,7 @@ bool RTreeCore::Delete(const HyperRect& rect, uint64_t id) {
     } else {
       store_.Write(cur_pid, &cur);
       parent.node.entries[parent.child_idx].rect =
-          cur.ComputeMbr(options_.dim);
+          MbrOf(cur.entries, options_.dim);
     }
     cur_pid = parent.pid;
     cur = std::move(parent.node);
@@ -666,7 +666,7 @@ bool RTreeCore::ShrinkEntry(const HyperRect& rect, uint64_t id,
   if (!FindLeafEntry(root_, height_ - 1, rect, id, path, &leaf)) return false;
   leaf.node.entries[leaf.child_idx].rect = shrunk;
   store_.Write(leaf.pid, &leaf.node);
-  PropagateMbrs(path, leaf.node.ComputeMbr(options_.dim));
+  PropagateMbrs(path, MbrOf(leaf.node.entries, options_.dim));
   return true;
 }
 
@@ -676,7 +676,7 @@ bool RTreeCore::FindLeafEntry(PageId pid, size_t level, const HyperRect& rect,
   Node node = store_.Read(pid);
   if (node.is_leaf) {
     for (size_t i = 0; i < node.entries.size(); ++i) {
-      if (node.entries[i].id != id || !(node.entries[i].rect == rect)) continue;
+      if (node.entries[i].id != id || node.entries[i].rect != rect) continue;
       *leaf = PathStep{pid, std::move(node), i};
       return true;
     }
@@ -779,13 +779,9 @@ std::string RTreeCore::ValidateRec(PageId pid, size_t level,
   std::string node_err = ValidateNode(node, pid, expected == nullptr);
   if (!node_err.empty()) return node_err;
   if (expected != nullptr) {
-    HyperRect mbr = node.ComputeMbr(options_.dim);
-    for (size_t i = 0; i < options_.dim; ++i) {
-      if (std::abs(mbr.lo(i) - expected->lo(i)) > 1e-9 ||
-          std::abs(mbr.hi(i) - expected->hi(i)) > 1e-9) {
-        err << "node " << pid << ": parent MBR mismatch";
-        return err.str();
-      }
+    if (MbrOf(node.entries, options_.dim) != *expected) {
+      err << "node " << pid << ": parent MBR mismatch";
+      return err.str();
     }
     // Non-root single-page nodes respect the minimum fill.
     if (node.page_span() == 1 && node.entries.size() < MinFill()) {

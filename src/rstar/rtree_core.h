@@ -24,11 +24,6 @@ namespace nncell {
 // overlap-minimal splits and supernodes.
 class RTreeCore {
  public:
-  struct Match {
-    HyperRect rect;
-    uint64_t id = 0;
-  };
-
   // One k-NN answer: a leaf entry and its squared MINDIST to the query
   // (the squared Euclidean distance for point data).
   struct Hit {
@@ -84,7 +79,7 @@ class RTreeCore {
   std::vector<uint64_t> PointQuery(const double* q) const;
 
   // All leaf entries whose rectangle intersects `range`.
-  std::vector<Match> RangeQuery(const HyperRect& range) const;
+  std::vector<Entry> RangeQuery(const HyperRect& range) const;
 
   // Page-granular query used by the paper's Point/Sphere candidate
   // selection: the ids of ALL entries of every leaf node whose page region
@@ -155,11 +150,12 @@ class RTreeCore {
 
   // Deep structural validation: MBR consistency (parent rectangles are the
   // tight union of their children -- Lemma 1 would silently absorb an
-  // enlarged one, so equality is enforced), uniform leaf depth, minimum
-  // fill, entry count, well-formed rectangles (no NaN / inverted bounds),
-  // page-span bookkeeping, double-reference and double-free detection, and
-  // page reachability: every allocated page of the underlying file is
-  // either part of exactly one node or on the free list (no orphans).
+  // enlarged one, so bit-for-bit equality is enforced), uniform leaf depth,
+  // minimum fill, entry count, well-formed rectangles (no NaN / inverted
+  // bounds), page-span bookkeeping, double-reference and double-free
+  // detection, and page reachability: every allocated page of the
+  // underlying file is either part of exactly one node or on the free list
+  // (no orphans).
   // Subclasses add their own node invariants via ValidateNode. Returns an
   // error description or "". Prefer the rstar::ValidateTree wrapper in
   // validate.h for new call sites.

@@ -7,29 +7,55 @@
 
 namespace nncell {
 
-HyperRect MbrOfRange(const std::vector<Entry>& entries, size_t begin,
-                     size_t end, size_t dim) {
-  HyperRect r = HyperRect::Empty(dim);
-  for (size_t i = begin; i < end; ++i) r.ExpandToRect(entries[i].rect);
-  return r;
-}
-
 namespace {
 
-// Sorts by (lo, hi) or (hi, lo) along `axis`.
-void SortEntries(std::vector<Entry>& entries, size_t axis, bool by_lower) {
+// Sum of side lengths (the R*-tree "margin" surrogate for perimeter); 0
+// for an empty rectangle.
+double Margin(const double* lo, const double* hi, size_t dim) {
+  double m = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    if (lo[i] > hi[i]) return 0.0;
+    m += (hi[i] - lo[i]);
+  }
+  return m;
+}
+
+}  // namespace
+
+void SortOnAxis(std::vector<Entry>& entries, size_t axis, bool by_lower,
+                bool tie_break) {
   std::stable_sort(entries.begin(), entries.end(),
-                   [axis, by_lower](const Entry& a, const Entry& b) {
+                   [=](const Entry& a, const Entry& b) {
                      double ka = by_lower ? a.rect.lo(axis) : a.rect.hi(axis);
                      double kb = by_lower ? b.rect.lo(axis) : b.rect.hi(axis);
-                     if (ka != kb) return ka < kb;
+                     if (ka != kb || !tie_break) return ka < kb;
                      double sa = by_lower ? a.rect.hi(axis) : a.rect.lo(axis);
                      double sb = by_lower ? b.rect.hi(axis) : b.rect.lo(axis);
                      return sa < sb;
                    });
 }
 
-}  // namespace
+void SweepMbrs(const std::vector<Entry>& entries, size_t dim,
+               std::vector<double>* prefix, std::vector<double>* suffix) {
+  const size_t n = entries.size();
+  const size_t w = 2 * dim;
+  prefix->resize(n * w);
+  suffix->resize(n * w);
+  double* p = prefix->data();
+  std::copy_n(entries[0].rect.lo(), w, p);
+  for (size_t i = 1; i < n; ++i) {
+    double* acc = p + i * w;
+    std::copy_n(acc - w, w, acc);
+    RawExpand(acc, acc + dim, entries[i].rect.lo(), entries[i].rect.hi(), dim);
+  }
+  double* s = suffix->data();
+  std::copy_n(entries[n - 1].rect.lo(), w, s + (n - 1) * w);
+  for (size_t i = n - 1; i-- > 0;) {
+    double* acc = s + i * w;
+    std::copy_n(acc + w, w, acc);
+    RawExpand(acc, acc + dim, entries[i].rect.lo(), entries[i].rect.hi(), dim);
+  }
+}
 
 std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
     std::vector<Entry> entries, size_t dim, size_t min_fill) {
@@ -37,6 +63,8 @@ std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
   NNCELL_CHECK(n >= 2);
   size_t m = std::min(min_fill, n / 2);
   m = std::max<size_t>(m, 1);
+  const size_t w = 2 * dim;
+  std::vector<double> prefix, suffix;
 
   // --- ChooseSplitAxis: minimize total margin over all distributions. ---
   size_t best_axis = 0;
@@ -44,20 +72,13 @@ std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
   double best_margin_sum = std::numeric_limits<double>::infinity();
   for (size_t axis = 0; axis < dim; ++axis) {
     for (bool by_lower : {true, false}) {
-      SortEntries(entries, axis, by_lower);
-      // Prefix / suffix MBRs for O(n) margin evaluation.
-      std::vector<HyperRect> prefix(n), suffix(n);
-      prefix[0] = entries[0].rect;
-      for (size_t i = 1; i < n; ++i) {
-        prefix[i] = HyperRect::Union(prefix[i - 1], entries[i].rect);
-      }
-      suffix[n - 1] = entries[n - 1].rect;
-      for (size_t i = n - 1; i-- > 0;) {
-        suffix[i] = HyperRect::Union(suffix[i + 1], entries[i].rect);
-      }
+      SortOnAxis(entries, axis, by_lower, /*tie_break=*/true);
+      SweepMbrs(entries, dim, &prefix, &suffix);
       double margin_sum = 0.0;
       for (size_t k = m; k + m <= n; ++k) {
-        margin_sum += prefix[k - 1].Margin() + suffix[k].Margin();
+        const double* l = prefix.data() + (k - 1) * w;
+        const double* r = suffix.data() + k * w;
+        margin_sum += Margin(l, l + dim, dim) + Margin(r, r + dim, dim);
       }
       if (margin_sum < best_margin_sum) {
         best_margin_sum = margin_sum;
@@ -75,19 +96,13 @@ std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
   double best_overlap = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
   for (bool by_lower : {true, false}) {
-    SortEntries(entries, best_axis, by_lower);
-    std::vector<HyperRect> prefix(n), suffix(n);
-    prefix[0] = entries[0].rect;
-    for (size_t i = 1; i < n; ++i) {
-      prefix[i] = HyperRect::Union(prefix[i - 1], entries[i].rect);
-    }
-    suffix[n - 1] = entries[n - 1].rect;
-    for (size_t i = n - 1; i-- > 0;) {
-      suffix[i] = HyperRect::Union(suffix[i + 1], entries[i].rect);
-    }
+    SortOnAxis(entries, best_axis, by_lower, /*tie_break=*/true);
+    SweepMbrs(entries, dim, &prefix, &suffix);
     for (size_t k = m; k + m <= n; ++k) {
-      double overlap = HyperRect::OverlapVolume(prefix[k - 1], suffix[k]);
-      double area = prefix[k - 1].Volume() + suffix[k].Volume();
+      const double* l = prefix.data() + (k - 1) * w;
+      const double* r = suffix.data() + k * w;
+      double overlap = RawOverlapVolume(l, l + dim, r, r + dim, dim);
+      double area = RawVolume(l, l + dim, dim) + RawVolume(r, r + dim, dim);
       if (overlap < best_overlap ||
           (overlap == best_overlap && area < best_area)) {
         best_overlap = overlap;
@@ -98,7 +113,7 @@ std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
     }
   }
 
-  SortEntries(entries, best_axis, best_by_lower);
+  SortOnAxis(entries, best_axis, best_by_lower, /*tie_break=*/true);
   std::vector<Entry> left(std::make_move_iterator(entries.begin()),
                           std::make_move_iterator(entries.begin() + best_split));
   std::vector<Entry> right(std::make_move_iterator(entries.begin() + best_split),

@@ -8,10 +8,11 @@
 
 namespace nncell {
 
-double SplitOverlap(const HyperRect& a, const HyperRect& b) {
-  double inter = HyperRect::OverlapVolume(a, b);
+double SplitOverlap(const double* alo, const double* ahi, const double* blo,
+                    const double* bhi, size_t dim) {
+  double inter = RawOverlapVolume(alo, ahi, blo, bhi, dim);
   if (inter <= 0.0) return 0.0;
-  double uni = a.Volume() + b.Volume() - inter;
+  double uni = RawVolume(alo, ahi, dim) + RawVolume(blo, bhi, dim) - inter;
   if (uni <= 0.0) return 1.0;  // degenerate: fully coincident flat rects
   return inter / uni;
 }
@@ -29,27 +30,16 @@ OverlapMinimalSplit(std::vector<Entry> entries, size_t dim, size_t min_fill,
   double best_overlap = std::numeric_limits<double>::infinity();
   double best_balance = std::numeric_limits<double>::infinity();
 
+  const size_t w = 2 * dim;
+  std::vector<double> prefix, suffix;
   for (size_t axis = 0; axis < dim; ++axis) {
     for (bool by_lower : {true, false}) {
-      std::stable_sort(entries.begin(), entries.end(),
-                       [axis, by_lower](const Entry& a, const Entry& b) {
-                         double ka =
-                             by_lower ? a.rect.lo(axis) : a.rect.hi(axis);
-                         double kb =
-                             by_lower ? b.rect.lo(axis) : b.rect.hi(axis);
-                         return ka < kb;
-                       });
-      std::vector<HyperRect> prefix(n), suffix(n);
-      prefix[0] = entries[0].rect;
-      for (size_t i = 1; i < n; ++i) {
-        prefix[i] = HyperRect::Union(prefix[i - 1], entries[i].rect);
-      }
-      suffix[n - 1] = entries[n - 1].rect;
-      for (size_t i = n - 1; i-- > 0;) {
-        suffix[i] = HyperRect::Union(suffix[i + 1], entries[i].rect);
-      }
+      SortOnAxis(entries, axis, by_lower, /*tie_break=*/false);
+      SweepMbrs(entries, dim, &prefix, &suffix);
       for (size_t k = m; k + m <= n; ++k) {
-        double overlap = SplitOverlap(prefix[k - 1], suffix[k]);
+        const double* l = prefix.data() + (k - 1) * w;
+        const double* r = suffix.data() + k * w;
+        double overlap = SplitOverlap(l, l + dim, r, r + dim, dim);
         double balance =
             std::abs(static_cast<double>(k) - static_cast<double>(n - k));
         if (overlap < best_overlap - 1e-15 ||
@@ -66,14 +56,7 @@ OverlapMinimalSplit(std::vector<Entry> entries, size_t dim, size_t min_fill,
 
   if (best_split == 0) return std::nullopt;  // no balanced split possible
 
-  std::stable_sort(entries.begin(), entries.end(),
-                   [best_axis, best_by_lower](const Entry& a, const Entry& b) {
-                     double ka = best_by_lower ? a.rect.lo(best_axis)
-                                               : a.rect.hi(best_axis);
-                     double kb = best_by_lower ? b.rect.lo(best_axis)
-                                               : b.rect.hi(best_axis);
-                     return ka < kb;
-                   });
+  SortOnAxis(entries, best_axis, best_by_lower, /*tie_break=*/false);
   if (achieved_overlap != nullptr) *achieved_overlap = best_overlap;
   std::vector<Entry> left(std::make_move_iterator(entries.begin()),
                           std::make_move_iterator(entries.begin() + best_split));

@@ -13,8 +13,10 @@ namespace nncell {
 // X-tree directory split machinery [BKK 96].
 
 // Overlap measure of a binary split: intersection volume over union volume
-// of the two group MBRs (0 = overlap-free, 1 = identical).
-double SplitOverlap(const HyperRect& a, const HyperRect& b);
+// of the two group MBRs [alo, ahi] and [blo, bhi] (0 = overlap-free,
+// 1 = identical).
+double SplitOverlap(const double* alo, const double* ahi, const double* blo,
+                    const double* bhi, size_t dim);
 
 // Searches all axes and sweep positions for the split with minimal overlap
 // between the two groups, requiring at least `min_fill` entries per group.

@@ -40,9 +40,10 @@ XTree::SplitNode(const Node& node) {
 
   // 1. Topological (R*) split attempt.
   auto topo = RStarSplit(node.entries, dim, min_fill);
-  HyperRect left_mbr = MbrOfRange(topo.first, 0, topo.first.size(), dim);
-  HyperRect right_mbr = MbrOfRange(topo.second, 0, topo.second.size(), dim);
-  if (SplitOverlap(left_mbr, right_mbr) <= kMaxOverlap) {
+  const HyperRect left = MbrOf(topo.first, dim);
+  const HyperRect right = MbrOf(topo.second, dim);
+  if (SplitOverlap(left.lo(), left.hi(), right.lo(), right.hi(), dim) <=
+      kMaxOverlap) {
     return topo;
   }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -90,7 +91,6 @@ TEST(HyperRectTest, UnitCube) {
   HyperRect r = HyperRect::UnitCube(4);
   EXPECT_EQ(r.dim(), 4u);
   EXPECT_DOUBLE_EQ(r.Volume(), 1.0);
-  EXPECT_DOUBLE_EQ(r.Margin(), 4.0);
   EXPECT_FALSE(r.IsEmpty());
 }
 
@@ -111,45 +111,84 @@ TEST(HyperRectTest, ContainsAndIntersects) {
   HyperRect c({2.0, 2.0}, {3.0, 3.0});
   EXPECT_TRUE(a.ContainsRect(b));
   EXPECT_FALSE(b.ContainsRect(a));
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
+  EXPECT_TRUE(RawIntersects(a.lo(), a.hi(), b.lo(), b.hi(), 2));
+  EXPECT_FALSE(RawIntersects(a.lo(), a.hi(), c.lo(), c.hi(), 2));
   // Touching rectangles intersect.
   HyperRect t({1.0, 0.0}, {2.0, 1.0});
-  EXPECT_TRUE(a.Intersects(t));
+  EXPECT_TRUE(RawIntersects(a.lo(), a.hi(), t.lo(), t.hi(), 2));
 }
 
 TEST(HyperRectTest, UnionIntersectionOverlap) {
   HyperRect a({0.0, 0.0}, {2.0, 1.0});
   HyperRect b({1.0, 0.5}, {3.0, 2.0});
-  HyperRect u = HyperRect::Union(a, b);
+  HyperRect u = a;
+  u.ExpandToRect(b);
   EXPECT_EQ(u, HyperRect({0.0, 0.0}, {3.0, 2.0}));
   HyperRect i = HyperRect::Intersection(a, b);
   EXPECT_EQ(i, HyperRect({1.0, 0.5}, {2.0, 1.0}));
-  EXPECT_DOUBLE_EQ(HyperRect::OverlapVolume(a, b), 0.5);
+  EXPECT_DOUBLE_EQ(RawOverlapVolume(a.lo(), a.hi(), b.lo(), b.hi(), 2), 0.5);
   HyperRect c({5.0, 5.0}, {6.0, 6.0});
   EXPECT_TRUE(HyperRect::Intersection(a, c).IsEmpty());
-  EXPECT_DOUBLE_EQ(HyperRect::OverlapVolume(a, c), 0.0);
+  EXPECT_DOUBLE_EQ(RawOverlapVolume(a.lo(), a.hi(), c.lo(), c.hi(), 2), 0.0);
 }
 
 TEST(HyperRectTest, Enlargement) {
   HyperRect a({0.0, 0.0}, {1.0, 1.0});
   HyperRect b({1.0, 0.0}, {2.0, 1.0});
-  EXPECT_DOUBLE_EQ(a.Enlargement(b), 1.0);
-  EXPECT_DOUBLE_EQ(a.Enlargement(a), 0.0);
+  // The area enlargement ChooseSubtree scores: the volume a gains when it
+  // grows to also cover r.
+  auto enlargement = [](const HyperRect& r, const HyperRect& by) {
+    HyperRect grown = r;
+    grown.ExpandToRect(by);
+    return grown.Volume() - r.Volume();
+  };
+  EXPECT_DOUBLE_EQ(enlargement(a, b), 1.0);
+  EXPECT_DOUBLE_EQ(enlargement(a, a), 0.0);
+}
+
+TEST(HyperRectTest, FromBoundsReadsLoThenHi) {
+  const double lohi[4] = {0.25, 0.5, 0.75, 1.0};
+  HyperRect r = HyperRect::FromBounds(lohi, 2);
+  EXPECT_EQ(r, HyperRect({0.25, 0.5}, {0.75, 1.0}));
+  EXPECT_EQ(r.hi(), r.lo() + 2);
+  EXPECT_TRUE(SameBits(r, lohi));
+}
+
+TEST(HyperRectTest, EqualityComparesBits) {
+  // -0.0 == +0.0 as doubles, but a rectangle kept on that test would leave
+  // different bytes than one rewritten, so rectangles compare their bits.
+  HyperRect pos({0.0, 0.5}, {1.0, 1.0});
+  HyperRect neg({-0.0, 0.5}, {1.0, 1.0});
+  EXPECT_FALSE(pos == neg);
+  EXPECT_TRUE(pos != neg);
+  EXPECT_FALSE(SameBits(pos, neg.lo()));
+  EXPECT_EQ(pos, HyperRect({0.0, 0.5}, {1.0, 1.0}));
+  EXPECT_FALSE(HyperRect::UnitCube(2) == HyperRect::UnitCube(3));
+}
+
+// MAXDIST: squared distance from p to the farthest corner of r, the upper
+// bound MINMAXDIST must respect.
+double FarthestCornerDistSq(const HyperRect& r, const double* p) {
+  double s = 0.0;
+  for (size_t i = 0; i < r.dim(); ++i) {
+    double d = std::max(std::abs(p[i] - r.lo(i)), std::abs(p[i] - r.hi(i)));
+    s += d * d;
+  }
+  return s;
 }
 
 TEST(HyperRectTest, MinMaxDist) {
   HyperRect r({1.0, 1.0}, {2.0, 2.0});
   double inside[2] = {1.5, 1.5};
-  EXPECT_DOUBLE_EQ(r.MinDistSq(inside), 0.0);
+  EXPECT_DOUBLE_EQ(RawMinDistSq(r.lo(), r.hi(), inside, 2), 0.0);
   double outside[2] = {0.0, 1.5};
-  EXPECT_DOUBLE_EQ(r.MinDistSq(outside), 1.0);
-  EXPECT_DOUBLE_EQ(r.MaxDistSq(outside), 4.0 + 0.25);
+  EXPECT_DOUBLE_EQ(RawMinDistSq(r.lo(), r.hi(), outside, 2), 1.0);
+  EXPECT_DOUBLE_EQ(FarthestCornerDistSq(r, outside), 4.0 + 0.25);
   // MINMAXDIST is between MINDIST and MAXDIST.
   double q[2] = {0.0, 0.0};
-  double mind = r.MinDistSq(q), maxd = r.MaxDistSq(q), mm = r.MinMaxDistSq(q);
-  EXPECT_LE(mind, mm);
-  EXPECT_LE(mm, maxd);
+  double mm = RawMinMaxDistSq(r.lo(), r.hi(), q, 2);
+  EXPECT_LE(RawMinDistSq(r.lo(), r.hi(), q, 2), mm);
+  EXPECT_LE(mm, FarthestCornerDistSq(r, q));
 }
 
 TEST(HyperRectTest, MinMaxDistGuarantee) {
@@ -161,39 +200,9 @@ TEST(HyperRectTest, MinMaxDistGuarantee) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<double> q = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
-    double mm = r.MinMaxDistSq(q.data());
-    EXPECT_GE(mm, r.MinDistSq(q.data()) - 1e-12);
-    EXPECT_LE(mm, r.MaxDistSq(q.data()) + 1e-12);
-  }
-}
-
-TEST(HyperRectTest, RawHelpersMatchObjectMethods) {
-  Rng rng(321);
-  for (int trial = 0; trial < 100; ++trial) {
-    size_t d = 1 + rng.NextIndex(12);
-    std::vector<double> lo(d), hi(d), q(d);
-    for (size_t i = 0; i < d; ++i) {
-      double a = rng.NextDouble(), b = rng.NextDouble();
-      lo[i] = std::min(a, b);
-      hi[i] = std::max(a, b);
-      q[i] = rng.NextDouble(-0.5, 1.5);
-    }
-    HyperRect r(lo, hi);
-    EXPECT_EQ(RawContainsPoint(lo.data(), hi.data(), q.data(), d),
-              r.ContainsPoint(q.data()));
-    EXPECT_DOUBLE_EQ(RawMinDistSq(lo.data(), hi.data(), q.data(), d),
-                     r.MinDistSq(q.data()));
-    EXPECT_DOUBLE_EQ(RawMinMaxDistSq(lo.data(), hi.data(), q.data(), d),
-                     r.MinMaxDistSq(q.data()));
-    std::vector<double> lo2(d), hi2(d);
-    for (size_t i = 0; i < d; ++i) {
-      double a = rng.NextDouble(), b = rng.NextDouble();
-      lo2[i] = std::min(a, b);
-      hi2[i] = std::max(a, b);
-    }
-    HyperRect r2(lo2, hi2);
-    EXPECT_EQ(RawIntersects(lo.data(), hi.data(), lo2.data(), hi2.data(), d),
-              r.Intersects(r2));
+    double mm = RawMinMaxDistSq(r.lo(), r.hi(), q.data(), 3);
+    EXPECT_GE(mm, RawMinDistSq(r.lo(), r.hi(), q.data(), 3) - 1e-12);
+    EXPECT_LE(mm, FarthestCornerDistSq(r, q.data()) + 1e-12);
   }
 }
 

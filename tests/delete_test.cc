@@ -249,10 +249,10 @@ void RunMaintenanceSequence(NNCellIndex* index) {
 // so a sign-of-zero difference changes it.
 uint64_t CellRectFingerprint(const NNCellIndex& index) {
   uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const std::vector<double>& values) {
-    for (double v : values) {
+  auto mix = [&h](const double* values, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
       uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
+      std::memcpy(&bits, &values[i], sizeof(bits));
       for (int b = 0; b < 8; ++b) {
         h ^= (bits >> (8 * b)) & 0xffu;
         h *= 1099511628211ull;
@@ -262,8 +262,7 @@ uint64_t CellRectFingerprint(const NNCellIndex& index) {
   for (uint64_t id = 0; id < index.points().size(); ++id) {
     if (!index.IsAlive(id)) continue;
     for (const HyperRect& rect : index.CellRects(id)) {
-      mix(rect.lo());
-      mix(rect.hi());
+      mix(rect.lo(), 2 * rect.dim());  // lo, then hi
     }
   }
   return h;

@@ -342,7 +342,8 @@ TEST(CellApproximatorTest, ClippedMbrRespectsClipAndCell) {
     for (int s = 0; s < 500; ++s) {
       std::vector<double> x(d);
       for (auto& v : x) v = rng.NextDouble();
-      if (clip.ContainsPoint(x) && IsInCell(x.data(), pts[0], others, d)) {
+      if (clip.ContainsPoint(x.data()) &&
+          IsInCell(x.data(), pts[0], others, d)) {
         for (size_t k = 0; k < d; ++k) {
           EXPECT_GE(x[k], piece.lo(k) - 1e-7);
           EXPECT_LE(x[k], piece.hi(k) + 1e-7);

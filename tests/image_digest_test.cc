@@ -1,11 +1,14 @@
 // Pins the bytes of bulk-built and then written NN-cell indexes with the
-// CRC32C of their Save() images. The cell tree's insert path (ChooseSubtree,
+// CRC32C of their Save() images, and those of an R*-tree and an X-tree
+// grown by Insert past height 2. The cell tree's insert path (ChooseSubtree,
 // forced reinsert, splits, supernodes) and its write path (FindLeafEntry,
 // ShrinkEntry, MBR propagation) decide every byte of the image, so a change
 // that alters any of their choices changes a digest. Re-pin a digest only
 // in a change that means to alter the tree's shape, and say why.
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,10 +18,13 @@
 #include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/metrics_names.h"
+#include "common/rng.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
+#include "rstar/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "xtree/xtree.h"
 
 namespace nncell {
 namespace {
@@ -88,6 +94,76 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DigestCase{"d4", 1200, 4, 5, 0xb474dd66, 0xff443b13},
                       DigestCase{"d16", 400, 16, 6, 0x6a432a82, 0xbf3bf335}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The NN-cell indexes above stay at height 2, so no directory split decides
+// their bytes. These trees grow by Insert past height 2 from points and fat
+// rectangles, so the R* split of directory nodes and, in the X-tree, the
+// overlap test, the overlap-minimal split and supernode growth all run.
+struct TreeDigestCase {
+  const char* name;
+  bool xtree;
+  size_t height;    // tree height after the inserts
+  uint32_t digest;  // CRC32C of the page file after the inserts
+};
+
+class TreeImageDigestTest : public ::testing::TestWithParam<TreeDigestCase> {
+};
+
+TEST_P(TreeImageDigestTest, InsertedTreesMatchPinnedImages) {
+  const TreeDigestCase& c = GetParam();
+  constexpr size_t kDim = 4;
+  PageFile file(1024);
+  BufferPool pool(&file, 4096);
+  TreeOptions opts;
+  opts.dim = kDim;
+  opts.max_supernode_pages = 3;
+  std::unique_ptr<RTreeCore> tree;
+  if (c.xtree) {
+    tree = std::make_unique<XTree>(&pool, opts);
+  } else {
+    tree = std::make_unique<RStarTree>(&pool, opts);
+  }
+  const PointSet pts = GenerateUniform(1200, kDim, 23);
+  Rng rng(29);
+  for (size_t n = 0; n < pts.size(); ++n) {
+    // Every other entry a point, the rest boxes of half-width up to 0.15
+    // around one, clipped to the unit cube.
+    const double half = n % 2 == 0 ? 0.0 : 0.15 * rng.NextDouble();
+    HyperRect rect = HyperRect::FromPoint(pts[n], kDim);
+    for (size_t k = 0; k < kDim; ++k) {
+      rect.lo(k) = std::max(0.0, rect.lo(k) - half);
+      rect.hi(k) = std::min(1.0, rect.hi(k) + half);
+    }
+    tree->Insert(rect, n);
+  }
+  // Height 3 takes a split of a directory root.
+  const RTreeCore::TreeInfo info = tree->Info();
+  ASSERT_GE(info.height, 3u);
+  EXPECT_EQ(info.height, c.height);
+  EXPECT_GT(info.num_nodes - info.num_leaves, 2u) << "directory nodes";
+  if (c.xtree) {
+    EXPECT_GT(static_cast<XTree&>(*tree).supernode_events(), 0u);
+  }
+  ASSERT_EQ(tree->Validate(), "");
+
+  pool.Flush();
+  std::ostringstream out;
+  ASSERT_TRUE(file.SaveTo(out).ok());
+  // The image ends in its own CRC32C; the CRC of data plus its CRC is the
+  // same for every image, so the digest leaves those four bytes out.
+  const std::string image = out.str();
+  ASSERT_GT(image.size(), 4u);
+  const uint32_t digest = Crc32c(image.data(), image.size() - 4);
+  EXPECT_EQ(digest, c.digest) << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inserted, TreeImageDigestTest,
+    ::testing::Values(TreeDigestCase{"rstar", false, 3, 0x2b323654},
+                      TreeDigestCase{"xtree", true, 3, 0x4f3341c7}),
+    [](const ::testing::TestParamInfo<TreeDigestCase>& info) {
       return std::string(info.param.name);
     });
 

@@ -254,11 +254,12 @@ TEST(KernelReferenceTest, MatchesLegacySemantics) {
           BitEqual(branchy, MinDistSqRef(lo.data(), hi.data(), p.data(), dim)))
           << "d=" << dim;
       HyperRect rect(lo, hi);
-      EXPECT_TRUE(BitEqual(rect.MinDistSq(p.data()),
-                           MinDistSqRef(lo.data(), hi.data(), p.data(), dim)));
-      EXPECT_TRUE(BitEqual(
-          rect.MinMaxDistSq(p.data()),
-          MinMaxDistSqRef(lo.data(), hi.data(), p.data(), dim)));
+      EXPECT_TRUE(
+          BitEqual(RawMinDistSq(rect.lo(), rect.hi(), p.data(), dim),
+                   MinDistSqRef(lo.data(), hi.data(), p.data(), dim)));
+      EXPECT_TRUE(
+          BitEqual(RawMinMaxDistSq(rect.lo(), rect.hi(), p.data(), dim),
+                   MinMaxDistSqRef(lo.data(), hi.data(), p.data(), dim)));
     }
   }
 }

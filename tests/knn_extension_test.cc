@@ -104,7 +104,7 @@ TEST(BulkLoadTest, QueriesMatchInsertBuiltTree) {
     for (auto& v : p) v = rng.NextDouble();
     pts.Add(p);
     Entry e;
-    e.rect = HyperRect::FromPoint(p);
+    e.rect = HyperRect::FromPoint(p.data(), p.size());
     e.id = i;
     entries.push_back(e);
   }
@@ -147,7 +147,7 @@ TEST(BulkLoadTest, SupportsSubsequentInsertsAndDeletes) {
     std::vector<double> p = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
     coords.push_back(p);
-    entries[i].rect = HyperRect::FromPoint(p);
+    entries[i].rect = HyperRect::FromPoint(p.data(), p.size());
     entries[i].id = i;
   }
   tree.BulkLoad(entries);
@@ -157,10 +157,10 @@ TEST(BulkLoadTest, SupportsSubsequentInsertsAndDeletes) {
     std::vector<double> p = {rng.NextDouble(), rng.NextDouble(),
                              rng.NextDouble()};
     coords.push_back(p);
-    tree.Insert(HyperRect::FromPoint(p), i);
+    tree.Insert(HyperRect::FromPoint(p.data(), p.size()), i);
   }
   for (size_t i = 0; i < 200; i += 2) {
-    ASSERT_TRUE(tree.Delete(HyperRect::FromPoint(coords[i]), i));
+    ASSERT_TRUE(tree.Delete(HyperRect::FromPoint(coords[i].data(), 3), i));
   }
   ASSERT_EQ(tree.Validate(), "");
   EXPECT_EQ(tree.size(), 600u);

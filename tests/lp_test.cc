@@ -88,7 +88,8 @@ TEST_P(BoxLpTest, MaximizeCoordinateOverBox) {
   }
   p.AddBoxConstraints(box);
   ActiveSetSolver solver;
-  std::vector<double> start = box.Center();
+  std::vector<double> start(d);
+  for (size_t i = 0; i < d; ++i) start[i] = 0.5 * (box.lo(i) + box.hi(i));
   for (size_t i = 0; i < d; ++i) {
     std::vector<double> c(d, 0.0);
     c[i] = 1.0;

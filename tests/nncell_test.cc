@@ -303,7 +303,7 @@ TEST(NNCellIndexTest, CellsUnionCoversSpace) {
     bool covered = false;
     for (uint64_t id = 0; id < pts.size() && !covered; ++id) {
       for (const auto& rect : fx.index->CellRects(id)) {
-        if (rect.ContainsPoint(q)) {
+        if (rect.ContainsPoint(q.data())) {
           covered = true;
           break;
         }

@@ -91,13 +91,14 @@ void MixedWorkloadInvariants(uint64_t seed) {
     if (roll < 0.65 || live.empty()) {
       std::vector<double> p = {rng.NextDouble(), rng.NextDouble(),
                                rng.NextDouble()};
-      tree.Insert(HyperRect::FromPoint(p), next_id);
+      tree.Insert(HyperRect::FromPoint(p.data(), p.size()), next_id);
       live.push_back(Live{p, next_id});
       ++next_id;
     } else {
       size_t pick = rng.NextIndex(live.size());
+      const std::vector<double>& p = live[pick].p;
       ASSERT_TRUE(
-          tree.Delete(HyperRect::FromPoint(live[pick].p), live[pick].id));
+          tree.Delete(HyperRect::FromPoint(p.data(), p.size()), live[pick].id));
       live.erase(live.begin() + pick);
     }
     if (step % 500 == 499) {

@@ -1,6 +1,11 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +17,7 @@
 #include "rstar/rstar_tree.h"
 #include "rstar/split.h"
 #include "rstar/validate.h"
+#include "xtree/xsplit.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "tree_knn_oracle.h"
@@ -20,7 +26,7 @@ namespace nncell {
 namespace {
 
 HyperRect PointRect(const std::vector<double>& p) {
-  return HyperRect::FromPoint(p);
+  return HyperRect::FromPoint(p.data(), p.size());
 }
 
 struct TreeFixture {
@@ -434,9 +440,9 @@ TEST(RStarTreeTest, ShrinkEntryTightensAncestors) {
   ASSERT_TRUE(rstar::ValidateTree(*fx.tree).ok());
   ASSERT_TRUE(fx.pool.AuditPins().ok());
   HyperRect all({-1.0, -1.0}, {2.0, 2.0});
-  std::vector<RTreeCore::Match> matches = fx.tree->RangeQuery(all);
+  std::vector<Entry> matches = fx.tree->RangeQuery(all);
   ASSERT_EQ(matches.size(), n);
-  for (const RTreeCore::Match& m : matches) {
+  for (const Entry& m : matches) {
     EXPECT_TRUE(m.rect == rects[m.id]) << m.id;
   }
   // The old rectangle is gone, and a missing entry is reported.
@@ -444,6 +450,31 @@ TEST(RStarTreeTest, ShrinkEntryTightensAncestors) {
                 {rects[0].hi(0) + 0.01, rects[0].hi(1) + 0.02});
   EXPECT_FALSE(fx.tree->ShrinkEntry(old, 0, rects[0]));
   EXPECT_TRUE(fx.tree->Delete(rects[0], 0));
+}
+
+// Validate holds every directory rectangle to its child's MBR bit for bit:
+// Lemma 1 would absorb an enlarged one silently, and the MBR propagation
+// of the write path stops at the first ancestor whose stored bits match.
+TEST(RStarTreeTest, ValidateRejectsParentWiderByOneUlp) {
+  TreeFixture fx(2);
+  Rng rng(17);
+  for (size_t i = 0; i < 300; ++i) {
+    fx.tree->Insert(PointRect({rng.NextDouble(), rng.NextDouble()}), i);
+  }
+  ASSERT_GE(fx.tree->height(), 2u);
+  ASSERT_EQ(fx.tree->Validate(), "");
+  const PageId root = fx.tree->SaveState().root;
+  {
+    PageGuard guard(&fx.pool, root);
+    uint8_t* page = fx.pool.FetchMutable(root);
+    // lo[0] of the root's first entry, after the 8-byte node header.
+    double lo0;
+    std::memcpy(&lo0, page + 8, sizeof(lo0));
+    lo0 = std::nextafter(lo0, -1.0);
+    std::memcpy(page + 8, &lo0, sizeof(lo0));
+  }
+  const std::string err = fx.tree->Validate();
+  EXPECT_NE(err.find("parent MBR mismatch"), std::string::npos) << err;
 }
 
 TEST(RStarTreeTest, DeleteEverything) {
@@ -509,6 +540,29 @@ TEST(RStarTreeTest, PageAccessesGrowWithTreeNotLinearly) {
       << "kNN should not scan the whole tree";
 }
 
+// The allocating rectangle operations the reference ChooseSubtree and
+// splits below were first written with.
+HyperRect Union(const HyperRect& a, const HyperRect& b) {
+  HyperRect r = a;
+  r.ExpandToRect(b);
+  return r;
+}
+
+double OverlapVolume(const HyperRect& a, const HyperRect& b) {
+  return RawOverlapVolume(a.lo(), a.hi(), b.lo(), b.hi(), a.dim());
+}
+
+double Enlargement(const HyperRect& r, const HyperRect& by) {
+  return Union(r, by).Volume() - r.Volume();
+}
+
+double Margin(const HyperRect& r) {
+  if (r.IsEmpty()) return 0.0;
+  double m = 0.0;
+  for (size_t i = 0; i < r.dim(); ++i) m += (r.hi(i) - r.lo(i));
+  return m;
+}
+
 // The R*-tree ChooseSubtree as first written: every score recomputed in
 // the comparator through allocating HyperRect operations, and every
 // overlap term evaluated. RTreeCore::ChooseSubtree computes each score
@@ -527,8 +581,8 @@ size_t ReferenceChooseSubtree(const Node& node, const HyperRect& rect,
       considered = kOverlapCandidates;
       std::partial_sort(order.begin(), order.begin() + considered,
                         order.end(), [&](size_t a, size_t b) {
-                          double ea = node.entries[a].rect.Enlargement(rect);
-                          double eb = node.entries[b].rect.Enlargement(rect);
+                          double ea = Enlargement(node.entries[a].rect, rect);
+                          double eb = Enlargement(node.entries[b].rect, rect);
                           if (ea != eb) return ea < eb;
                           double va = node.entries[a].rect.Volume();
                           double vb = node.entries[b].rect.Volume();
@@ -541,16 +595,15 @@ size_t ReferenceChooseSubtree(const Node& node, const HyperRect& rect,
     best = order[0];
     for (size_t oi = 0; oi < considered; ++oi) {
       const size_t i = order[oi];
-      HyperRect enlarged = HyperRect::Union(node.entries[i].rect, rect);
+      HyperRect enlarged = Union(node.entries[i].rect, rect);
       double overlap_delta = 0.0;
       for (size_t j = 0; j < n; ++j) {
         if (j == i) continue;
-        overlap_delta +=
-            HyperRect::OverlapVolume(enlarged, node.entries[j].rect) -
-            HyperRect::OverlapVolume(node.entries[i].rect,
-                                     node.entries[j].rect);
+        overlap_delta += OverlapVolume(enlarged, node.entries[j].rect) -
+                         OverlapVolume(node.entries[i].rect,
+                                       node.entries[j].rect);
       }
-      double enlarge = node.entries[i].rect.Enlargement(rect);
+      double enlarge = Enlargement(node.entries[i].rect, rect);
       double area = node.entries[i].rect.Volume();
       if (overlap_delta < best_overlap ||
           (overlap_delta == best_overlap &&
@@ -566,7 +619,7 @@ size_t ReferenceChooseSubtree(const Node& node, const HyperRect& rect,
     double best_enlarge = std::numeric_limits<double>::infinity();
     double best_area = best_enlarge;
     for (size_t i = 0; i < n; ++i) {
-      double enlarge = node.entries[i].rect.Enlargement(rect);
+      double enlarge = Enlargement(node.entries[i].rect, rect);
       double area = node.entries[i].rect.Volume();
       if (enlarge < best_enlarge ||
           (enlarge == best_enlarge && area < best_area)) {
@@ -648,7 +701,7 @@ TEST(ChooseSubtreeTest, MatchesReferenceOnRandomNodes) {
           for (size_t k = 0; k < d; ++k) {
             p[k] = host.lo(k) + rng.NextDouble() * (host.hi(k) - host.lo(k));
           }
-          rect = HyperRect::FromPoint(p);
+          rect = HyperRect::FromPoint(p.data(), p.size());
           break;
         }
       }
@@ -657,7 +710,7 @@ TEST(ChooseSubtreeTest, MatchesReferenceOnRandomNodes) {
         ASSERT_EQ(RTreeCore::ChooseSubtree(node, rect, leaves), want)
             << "d=" << d << " n=" << n << " shape=" << node_shape
             << " leaves=" << leaves;
-        if (leaves && node.entries[want].rect.Enlargement(rect) == 0.0) {
+        if (leaves && Enlargement(node.entries[want].rect, rect) == 0.0) {
           ++zero_enlargement;
         }
       }
@@ -667,6 +720,219 @@ TEST(ChooseSubtreeTest, MatchesReferenceOnRandomNodes) {
   // Both regimes of the leaf-parent rule were exercised.
   EXPECT_GT(pruned_nodes, 100u);
   EXPECT_GT(zero_enlargement, 50u);
+}
+
+// RStarSplit as first written: each sort order re-sorted by its own
+// comparator, and the prefix / suffix MBRs built as allocating HyperRect
+// unions.
+void ReferenceSortEntries(std::vector<Entry>& entries, size_t axis,
+                          bool by_lower) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [axis, by_lower](const Entry& a, const Entry& b) {
+                     double ka = by_lower ? a.rect.lo(axis) : a.rect.hi(axis);
+                     double kb = by_lower ? b.rect.lo(axis) : b.rect.hi(axis);
+                     if (ka != kb) return ka < kb;
+                     double sa = by_lower ? a.rect.hi(axis) : a.rect.lo(axis);
+                     double sb = by_lower ? b.rect.hi(axis) : b.rect.lo(axis);
+                     return sa < sb;
+                   });
+}
+
+std::pair<std::vector<Entry>, std::vector<Entry>> ReferenceRStarSplit(
+    std::vector<Entry> entries, size_t dim, size_t min_fill) {
+  const size_t n = entries.size();
+  size_t m = std::min(min_fill, n / 2);
+  m = std::max<size_t>(m, 1);
+  size_t best_axis = 0;
+  bool best_axis_by_lower = true;
+  double best_margin_sum = std::numeric_limits<double>::infinity();
+  for (size_t axis = 0; axis < dim; ++axis) {
+    for (bool by_lower : {true, false}) {
+      ReferenceSortEntries(entries, axis, by_lower);
+      std::vector<HyperRect> prefix(n), suffix(n);
+      prefix[0] = entries[0].rect;
+      for (size_t i = 1; i < n; ++i) {
+        prefix[i] = Union(prefix[i - 1], entries[i].rect);
+      }
+      suffix[n - 1] = entries[n - 1].rect;
+      for (size_t i = n - 1; i-- > 0;) {
+        suffix[i] = Union(suffix[i + 1], entries[i].rect);
+      }
+      double margin_sum = 0.0;
+      for (size_t k = m; k + m <= n; ++k) {
+        margin_sum += Margin(prefix[k - 1]) + Margin(suffix[k]);
+      }
+      if (margin_sum < best_margin_sum) {
+        best_margin_sum = margin_sum;
+        best_axis = axis;
+        best_axis_by_lower = by_lower;
+      }
+    }
+  }
+  size_t best_split = m;
+  bool best_by_lower = best_axis_by_lower;
+  double best_overlap = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (bool by_lower : {true, false}) {
+    ReferenceSortEntries(entries, best_axis, by_lower);
+    std::vector<HyperRect> prefix(n), suffix(n);
+    prefix[0] = entries[0].rect;
+    for (size_t i = 1; i < n; ++i) {
+      prefix[i] = Union(prefix[i - 1], entries[i].rect);
+    }
+    suffix[n - 1] = entries[n - 1].rect;
+    for (size_t i = n - 1; i-- > 0;) {
+      suffix[i] = Union(suffix[i + 1], entries[i].rect);
+    }
+    for (size_t k = m; k + m <= n; ++k) {
+      double overlap = OverlapVolume(prefix[k - 1], suffix[k]);
+      double area = prefix[k - 1].Volume() + suffix[k].Volume();
+      if (overlap < best_overlap ||
+          (overlap == best_overlap && area < best_area)) {
+        best_overlap = overlap;
+        best_area = area;
+        best_split = k;
+        best_by_lower = by_lower;
+      }
+    }
+  }
+  ReferenceSortEntries(entries, best_axis, best_by_lower);
+  std::vector<Entry> left(entries.begin(), entries.begin() + best_split);
+  std::vector<Entry> right(entries.begin() + best_split, entries.end());
+  return {std::move(left), std::move(right)};
+}
+
+double ReferenceSplitOverlap(const HyperRect& a, const HyperRect& b) {
+  double inter = OverlapVolume(a, b);
+  if (inter <= 0.0) return 0.0;
+  double uni = a.Volume() + b.Volume() - inter;
+  if (uni <= 0.0) return 1.0;
+  return inter / uni;
+}
+
+// OverlapMinimalSplit as first written (sorted by the key alone).
+std::optional<std::pair<std::vector<Entry>, std::vector<Entry>>>
+ReferenceOverlapMinimalSplit(std::vector<Entry> entries, size_t dim,
+                             size_t min_fill, double* achieved_overlap) {
+  const size_t n = entries.size();
+  size_t m = std::min(min_fill, n / 2);
+  m = std::max<size_t>(m, 1);
+  size_t best_axis = 0, best_split = 0;
+  bool best_by_lower = true;
+  double best_overlap = std::numeric_limits<double>::infinity();
+  double best_balance = std::numeric_limits<double>::infinity();
+  auto sort_on = [&entries](size_t axis, bool by_lower) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [axis, by_lower](const Entry& a, const Entry& b) {
+                       double ka = by_lower ? a.rect.lo(axis) : a.rect.hi(axis);
+                       double kb = by_lower ? b.rect.lo(axis) : b.rect.hi(axis);
+                       return ka < kb;
+                     });
+  };
+  for (size_t axis = 0; axis < dim; ++axis) {
+    for (bool by_lower : {true, false}) {
+      sort_on(axis, by_lower);
+      std::vector<HyperRect> prefix(n), suffix(n);
+      prefix[0] = entries[0].rect;
+      for (size_t i = 1; i < n; ++i) {
+        prefix[i] = Union(prefix[i - 1], entries[i].rect);
+      }
+      suffix[n - 1] = entries[n - 1].rect;
+      for (size_t i = n - 1; i-- > 0;) {
+        suffix[i] = Union(suffix[i + 1], entries[i].rect);
+      }
+      for (size_t k = m; k + m <= n; ++k) {
+        double overlap = ReferenceSplitOverlap(prefix[k - 1], suffix[k]);
+        double balance =
+            std::abs(static_cast<double>(k) - static_cast<double>(n - k));
+        if (overlap < best_overlap - 1e-15 ||
+            (overlap <= best_overlap + 1e-15 && balance < best_balance)) {
+          best_overlap = std::min(overlap, best_overlap);
+          best_balance = balance;
+          best_axis = axis;
+          best_split = k;
+          best_by_lower = by_lower;
+        }
+      }
+    }
+  }
+  if (best_split == 0) return std::nullopt;
+  sort_on(best_axis, best_by_lower);
+  *achieved_overlap = best_overlap;
+  std::vector<Entry> left(entries.begin(), entries.begin() + best_split);
+  std::vector<Entry> right(entries.begin() + best_split, entries.end());
+  return std::make_pair(std::move(left), std::move(right));
+}
+
+// Same ids and same rectangle bits, in the same order.
+void ExpectSameGroup(const std::vector<Entry>& got,
+                     const std::vector<Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << "position " << i;
+    ASSERT_TRUE(got[i].rect == want[i].rect) << "position " << i;
+  }
+}
+
+// Both tree splits against their first-written form, on entry sets of up
+// to three pages with duplicates, point rects, shared faces (grid bounds)
+// and zero bounds of either sign, whose order decides which zero an MBR
+// keeps.
+TEST(SplitTest, MatchesReferenceOnRandomEntries) {
+  Rng rng(0x5b1170);
+  size_t signed_zero_sets = 0;
+  for (size_t d : {2u, 4u, 16u}) {
+    // Entries of a 4 KiB page: 2d doubles and an id each, after the
+    // 8-byte header.
+    const size_t capacity = (4096 - 8) / (2 * d * sizeof(double) + 8);
+    for (int trial = 0; trial < 60; ++trial) {
+      const size_t n = 2 + rng.NextIndex(3 * capacity - 1);  // [2, 3 cap]
+      const int set_shape = static_cast<int>(rng.NextIndex(5));
+      std::vector<Entry> entries;
+      bool negative_zero = false;
+      for (size_t i = 0; i < n; ++i) {
+        Entry e;
+        e.rect = i > 0 && rng.NextIndex(8) == 0
+                     ? entries[rng.NextIndex(i)].rect
+                     : RandomRect(rng, d,
+                                  set_shape == 4
+                                      ? static_cast<int>(rng.NextIndex(4))
+                                      : set_shape);
+        for (size_t k = 0; k < d; ++k) {
+          for (double* b : {&e.rect.lo(k), &e.rect.hi(k)}) {
+            if (*b == 0.0 && rng.NextIndex(2) == 0) {
+              *b = -0.0;
+              negative_zero = true;
+            }
+          }
+        }
+        e.id = i;
+        entries.push_back(std::move(e));
+      }
+      if (negative_zero) ++signed_zero_sets;
+      const size_t min_fill = 1 + rng.NextIndex(std::max<size_t>(1, n / 2));
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " n=" << n
+                                        << " shape=" << set_shape
+                                        << " min_fill=" << min_fill);
+
+      auto rstar = RStarSplit(entries, d, min_fill);
+      auto rstar_want = ReferenceRStarSplit(entries, d, min_fill);
+      ExpectSameGroup(rstar.first, rstar_want.first);
+      ExpectSameGroup(rstar.second, rstar_want.second);
+
+      double overlap = -1.0, overlap_want = -2.0;
+      auto minimal = OverlapMinimalSplit(entries, d, min_fill, &overlap);
+      auto minimal_want =
+          ReferenceOverlapMinimalSplit(entries, d, min_fill, &overlap_want);
+      ASSERT_EQ(minimal.has_value(), minimal_want.has_value());
+      if (!minimal.has_value()) continue;
+      ExpectSameGroup(minimal->first, minimal_want->first);
+      ExpectSameGroup(minimal->second, minimal_want->second);
+      EXPECT_EQ(std::memcmp(&overlap, &overlap_want, sizeof(double)), 0)
+          << overlap << " vs " << overlap_want;
+    }
+  }
+  EXPECT_GT(signed_zero_sets, 20u);
 }
 
 }  // namespace

@@ -21,7 +21,11 @@ namespace nncell {
 namespace {
 
 HyperRect PointRect(const std::vector<double>& p) {
-  return HyperRect::FromPoint(p);
+  return HyperRect::FromPoint(p.data(), p.size());
+}
+
+double SplitOverlap(const HyperRect& a, const HyperRect& b) {
+  return nncell::SplitOverlap(a.lo(), a.hi(), b.lo(), b.hi(), a.dim());
 }
 
 TEST(SplitOverlapTest, DisjointIsZero) {
@@ -65,7 +69,9 @@ TEST(OverlapMinimalSplitTest, FindsOverlapFreeSplit) {
   HyperRect left = HyperRect::Empty(2), right = HyperRect::Empty(2);
   for (const auto& e : split->first) left.ExpandToRect(e.rect);
   for (const auto& e : split->second) right.ExpandToRect(e.rect);
-  EXPECT_DOUBLE_EQ(HyperRect::OverlapVolume(left, right), 0.0);
+  EXPECT_DOUBLE_EQ(RawOverlapVolume(left.lo(), left.hi(), right.lo(),
+                                    right.hi(), 2),
+                   0.0);
 }
 
 TEST(OverlapMinimalSplitTest, AllIdenticalRectsNoGoodSplit) {
