@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,6 +38,11 @@ struct DigestCase {
   uint32_t built;    // digest right after BulkBuild
   uint32_t written;  // digest after the fixed insert/delete sequence
 };
+
+// gtest names each case after what this prints. Its default dumps the
+// struct's bytes, and those hold the address of `name`, which moves from run
+// to run, so the registered test names would too.
+void PrintTo(const DigestCase& c, std::ostream* os) { *os << c.name; }
 
 uint32_t ImageDigest(const NNCellIndex& index) {
   std::ostringstream out;
@@ -107,6 +113,8 @@ struct TreeDigestCase {
   size_t height;    // tree height after the inserts
   uint32_t digest;  // CRC32C of the page file after the inserts
 };
+
+void PrintTo(const TreeDigestCase& c, std::ostream* os) { *os << c.name; }
 
 class TreeImageDigestTest : public ::testing::TestWithParam<TreeDigestCase> {
 };
