@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -25,8 +28,10 @@
 #include <gtest/gtest.h>
 
 #include "batch_paths.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "data/generators.h"
 #include "nncell/nncell_index.h"
 #include "shard/shard_format.h"
 #include "storage/buffer_pool.h"
@@ -654,6 +659,150 @@ TEST_F(ShardDurableTest, SingleShardCorruptionDegradesOnlyThatShard) {
   EXPECT_EQ(reb.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(reb.message().find("degraded"), std::string::npos);
 }
+
+// --- pinned state digests --------------------------------------------------
+
+// Pins what a fixed sequence leaves behind: BulkBuild, inserts and deletes
+// (stage 1), then a forced Rebalance that changes the shard count through
+// target_points_per_shard, 1 -> 2 and 3 -> 2 shards (stage 2). Durable: the
+// CRC32C of every file of the directory after each stage, the second after
+// a Checkpoint. In memory: the CRC32C of ShardStatsJson() and of fixed NN,
+// kNN and range answers after each stage. The partition, the cuts, the
+// router map, the shard builds, the scatter-gather merge and its probe
+// counts decide these bytes. Re-pin only in a change that means to alter
+// one of them, and say why.
+struct ShardDigestCase {
+  const char* name;
+  size_t shards;
+  uint32_t durable;  // directory files after both stages
+  uint32_t memory;   // ShardStatsJson() and the answers after both stages
+};
+
+void PrintTo(const ShardDigestCase& c, std::ostream* os) { *os << c.name; }
+
+constexpr size_t kDigestDim = 2;
+
+ShardedOptions DigestOptions(size_t k) {
+  ShardedOptions s = Sharded(k);
+  s.target_points_per_shard = 700;  // 1,206 live points -> 2 shards
+  return s;
+}
+
+// Stage 1: BulkBuild, inserts and deletes.
+void RunDigestWrites(ShardedIndex* idx) {
+  ASSERT_TRUE(idx->BulkBuild(GenerateUniform(1200, kDigestDim, 11)).ok());
+  const PointSet extra = GenerateUniform(12, kDigestDim, 12);
+  std::vector<uint64_t> inserted;
+  for (size_t i = 0; i < extra.size(); ++i) {
+    auto id = idx->Insert(extra.Get(i));
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    inserted.push_back(*id);
+  }
+  for (uint64_t id : {uint64_t{0}, uint64_t{7}, uint64_t{600},
+                      uint64_t{1199}, inserted[2], inserted[9]}) {
+    ASSERT_TRUE(idx->Delete(id).ok());
+  }
+  ASSERT_TRUE(idx->CheckInvariants(20).ok());
+}
+
+// Stage 2: the forced Rebalance.
+void RunDigestRebalance(ShardedIndex* idx) {
+  ASSERT_TRUE(idx->Rebalance(/*force=*/true).ok());
+  ASSERT_EQ(idx->num_shards(), 2u);
+  ASSERT_TRUE(idx->CheckInvariants(20).ok());
+}
+
+uint32_t ExtendResult(uint32_t crc, const NNCellIndex::QueryResult& r) {
+  uint64_t words[2] = {r.id, 0};
+  std::memcpy(&words[1], &r.dist, sizeof(double));
+  return Crc32cExtend(crc, words, sizeof(words));
+}
+
+// Every regular file under `dir` as (relative path, bytes), sorted by path.
+uint32_t ExtendDirectory(uint32_t crc, const std::string& dir) {
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.is_regular_file()) {
+      files.push_back(std::filesystem::relative(e.path(), dir).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  for (const std::string& f : files) {
+    std::ifstream in(dir + "/" + f, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    crc = Crc32cExtend(crc, f.data(), f.size());
+    crc = Crc32cExtend(crc, bytes.data(), bytes.size());
+  }
+  return crc;
+}
+
+// NN (id, distance bits, candidates), kNN and range answers of fixed
+// queries, then ShardStatsJson(), which counts their probes.
+uint32_t ExtendAnswers(uint32_t crc, const ShardedIndex& idx) {
+  const PointSet queries = GenerateUniform(8, kDigestDim, 13);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto nn = idx.Query(queries[i]);
+    EXPECT_TRUE(nn.ok());
+    if (!nn.ok()) return crc;
+    crc = ExtendResult(crc, *nn);
+    const uint64_t candidates = nn->candidates;
+    crc = Crc32cExtend(crc, &candidates, sizeof(candidates));
+    auto knn = idx.KnnQuery(queries[i], 5);
+    EXPECT_TRUE(knn.ok());
+    if (!knn.ok()) return crc;
+    for (const auto& r : *knn) crc = ExtendResult(crc, r);
+    auto range = idx.RangeSearch(queries[i], 0.1);
+    EXPECT_TRUE(range.ok());
+    if (!range.ok()) return crc;
+    for (const auto& r : *range) crc = ExtendResult(crc, r);
+  }
+  const std::string stats = idx.ShardStatsJson();
+  return Crc32cExtend(crc, stats.data(), stats.size());
+}
+
+class ShardDigestTest : public ::testing::TestWithParam<ShardDigestCase> {};
+
+TEST_P(ShardDigestTest, DurableFilesMatchPinnedDigest) {
+  const ShardDigestCase& c = GetParam();
+  const std::string dir =
+      ::testing::TempDir() + "shard_digest_durable_" + c.name;
+  std::filesystem::remove_all(dir);
+  NNCellOptions opts = Options(ApproxAlgorithm::kSphere);
+  opts.parallel.num_threads = 2;
+  auto idx = ShardedIndex::Open(dir, kDigestDim, opts, Durable(),
+                                DigestOptions(c.shards));
+  ASSERT_TRUE(idx.ok()) << idx.status().message();
+  RunDigestWrites(idx->get());
+  uint32_t crc = ExtendDirectory(0, dir);
+  RunDigestRebalance(idx->get());
+  ASSERT_TRUE((*idx)->Checkpoint().ok());
+  crc = ExtendDirectory(crc, dir);
+  EXPECT_EQ(crc, c.durable) << std::hex << crc;
+  idx->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(ShardDigestTest, MemoryStateAndAnswersMatchPinnedDigest) {
+  const ShardDigestCase& c = GetParam();
+  auto idx = ShardedIndex::Create(kDigestDim, Options(ApproxAlgorithm::kSphere),
+                                  DigestOptions(c.shards));
+  ASSERT_TRUE(idx.ok()) << idx.status().message();
+  RunDigestWrites(idx->get());
+  uint32_t crc = ExtendAnswers(0, **idx);
+  RunDigestRebalance(idx->get());
+  crc = ExtendAnswers(crc, **idx);
+  EXPECT_EQ(crc, c.memory) << std::hex << crc << "\n"
+                           << (*idx)->ShardStatsJson();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RebalancedShards, ShardDigestTest,
+    ::testing::Values(ShardDigestCase{"k1", 1, 0x063d742d, 0x7aad2211},
+                      ShardDigestCase{"k3", 3, 0x1a61aff2, 0x483320d0}),
+    [](const ::testing::TestParamInfo<ShardDigestCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- crash matrix over the rebalance install protocol ---------------------
 
