@@ -76,16 +76,16 @@ void BM_XTreeSupernodeBudget(benchmark::State& state) {
     rects.emplace_back(lo, hi);
   }
   PointSet queries = GenerateQueries(32, dim, 15);
+  // Built once per budget: the queries read the tree and start each from a
+  // cold, zeroed pool.
+  PageFile file(4096);
+  BufferPool pool(&file, 8192);
+  TreeOptions opts;
+  opts.dim = dim;
+  opts.max_supernode_pages = budget;
+  XTree tree(&pool, opts);
+  for (size_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
   for (auto _ : state) {
-    state.PauseTiming();
-    PageFile file(4096);
-    BufferPool pool(&file, 8192);
-    TreeOptions opts;
-    opts.dim = dim;
-    opts.max_supernode_pages = budget;
-    XTree tree(&pool, opts);
-    for (size_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
-    state.ResumeTiming();
     uint64_t pages = 0;
     for (size_t q = 0; q < queries.size(); ++q) {
       pool.DropCache();

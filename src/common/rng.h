@@ -27,9 +27,10 @@ class Rng {
   // Standard normal variate (Box-Muller, no caching).
   double NextGaussian();
 
- private:
+  // One step of splitmix64 (advances *state), which seeds the generator.
   static uint64_t SplitMix64(uint64_t* state);
 
+ private:
   uint64_t s_[4];
 };
 

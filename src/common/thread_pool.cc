@@ -154,4 +154,46 @@ std::chrono::nanoseconds ThreadPool::ParallelFor(
   return blocked;
 }
 
+void ResizePool(size_t num_threads, std::unique_ptr<ThreadPool>* pool) {
+  const size_t resolved =
+      num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
+  if (resolved <= 1) {
+    pool->reset();
+  } else if (*pool == nullptr || (*pool)->num_threads() != resolved) {
+    *pool = std::make_unique<ThreadPool>(resolved);
+  }
+}
+
+std::chrono::nanoseconds ParallelFor(
+    ThreadPool* pool, size_t n, const std::function<void(size_t)>& body,
+    const std::function<void(size_t)>& commit) {
+  if (pool != nullptr && n > 1) return pool->ParallelFor(0, n, body, commit);
+  for (size_t i = 0; i < n; ++i) {
+    body(i);
+    if (commit) commit(i);
+  }
+  return std::chrono::nanoseconds(0);
+}
+
+Status ParallelTry(ThreadPool* pool, size_t n,
+                   const std::function<Status(size_t)>& fn) {
+  Mutex mu;
+  size_t first_error = n;  // under mu
+  Status error;            // the status of index first_error, under mu
+  ParallelFor(pool, n, [&](size_t i) {
+    {
+      MutexLock lock(mu);
+      if (first_error < i) return;
+    }
+    Status st = fn(i);
+    if (st.ok()) return;
+    MutexLock lock(mu);
+    if (i < first_error) {
+      first_error = i;
+      error = std::move(st);
+    }
+  });
+  return error;
+}
+
 }  // namespace nncell

@@ -82,38 +82,38 @@ class ThreadPool {
   bool stop_ NNCELL_GUARDED_BY(wake_mu_) = false;
 };
 
+// Points *pool at a pool of `num_threads` workers (0 = DefaultThreads()),
+// keeping the current pool when it already has that many, or at nothing
+// when that resolves to 1 (serial).
+void ResizePool(size_t num_threads, std::unique_ptr<ThreadPool>* pool);
+
+// pool->ParallelFor(0, n, body, commit) when `pool` is non-null and n > 1,
+// else the same iterations on the calling thread in ascending order
+// (body(i), then commit(i)), which then never blocks. The one choice
+// between the pool and a serial loop.
+std::chrono::nanoseconds ParallelFor(
+    ThreadPool* pool, size_t n, const std::function<void(size_t)>& body,
+    const std::function<void(size_t)>& commit = nullptr);
+
+// Runs fn(i) -> Status for every i in [0, n) as ParallelFor(pool, n, ...)
+// does (fn must be safe to call from several threads at once when it can
+// fan out) and returns the status of the lowest failing index, as the
+// serial loop would. No index above a failure already seen starts.
+Status ParallelTry(ThreadPool* pool, size_t n,
+                   const std::function<Status(size_t)>& fn);
+
 // Evaluates fn(i) -> StatusOr<T> for every i in [0, n) into slot i of the
-// result: serially when `pool` is null or n <= 1, else across the pool
-// (fn must then be safe to call from several threads at once). Fails with
-// the status of the lowest failing index, as the serial loop would.
+// result, as ParallelTry runs it.
 template <class T, class Fn>
 StatusOr<std::vector<T>> ParallelMap(ThreadPool* pool, size_t n,
                                      const Fn& fn) {
   std::vector<T> out(n);
-  if (pool == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<T> r = fn(i);
-      if (!r.ok()) return r.status();
-      out[i] = std::move(*r);
-    }
-    return out;
-  }
-  Mutex mu;
-  size_t first_error = n;  // written under mu; read after ParallelFor
-  Status error;
-  pool->ParallelFor(0, n, [&](size_t i) {
+  NNCELL_RETURN_IF_ERROR(ParallelTry(pool, n, [&](size_t i) -> Status {
     StatusOr<T> r = fn(i);
-    if (r.ok()) {
-      out[i] = std::move(*r);
-      return;
-    }
-    MutexLock lock(mu);
-    if (i < first_error) {
-      first_error = i;
-      error = r.status();
-    }
-  });
-  if (first_error < n) return error;
+    if (!r.ok()) return r.status();
+    out[i] = std::move(*r);
+    return Status::OK();
+  }));
   return out;
 }
 

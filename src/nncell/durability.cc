@@ -46,7 +46,8 @@ Status NNCellIndex::LogInsert(const std::vector<double>& original) {
   if (original.size() != dim_) {
     return Status::InvalidArgument("dimension mismatch");
   }
-  NNCELL_RETURN_IF_ERROR(CheckNewPoint(ToMetricSpace(original.data())));
+  NNCELL_RETURN_IF_ERROR(CheckNewPoint(
+      ToMetricSpace(original.data(), dim_, options_.weights)));
   return wal_->Append(walrec::EncodeInsert(points_.size(), original));
 }
 

@@ -130,20 +130,30 @@ constexpr double kCodeLevels = 255.0;
 // live point in debug builds (AuditCertifiedCell).
 [[maybe_unused]] constexpr size_t kAuditedCertificatesPerWrite = 4;
 
-// Data space under the sqrt(weight) isometry: [0, sqrt(w_i)] per dim.
+}  // namespace
+
+double ToMetricCoord(double x, size_t i, const std::vector<double>& weights) {
+  return weights.empty() ? x : x * std::sqrt(weights[i]);
+}
+
+std::vector<double> ToMetricSpace(const double* x, size_t dim,
+                                  const std::vector<double>& weights) {
+  std::vector<double> y(dim);
+  for (size_t i = 0; i < dim; ++i) y[i] = ToMetricCoord(x[i], i, weights);
+  return y;
+}
+
 HyperRect MetricSpaceBox(size_t dim, const std::vector<double>& weights) {
   HyperRect box = HyperRect::UnitCube(dim);
   if (!weights.empty()) {
     NNCELL_CHECK_MSG(weights.size() == dim, "weight vector dim mismatch");
     for (size_t i = 0; i < dim; ++i) {
       NNCELL_CHECK_MSG(weights[i] > 0.0, "metric weights must be positive");
-      box.hi(i) = std::sqrt(weights[i]);
+      box.hi(i) = ToMetricCoord(1.0, i, weights);
     }
   }
   return box;
 }
-
-}  // namespace
 
 NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
     : dim_(dim),
@@ -175,13 +185,7 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
 
 void NNCellIndex::SetNumThreads(size_t num_threads) {
   options_.parallel.num_threads = num_threads;
-  size_t resolved = options_.parallel.Resolve();
-  if (resolved <= 1) {
-    thread_pool_.reset();
-  } else if (thread_pool_ == nullptr ||
-             thread_pool_->num_threads() != resolved) {
-    thread_pool_ = std::make_unique<ThreadPool>(resolved);
-  }
+  ResizePool(num_threads, &thread_pool_);
 }
 
 NNCellIndex::~NNCellIndex() = default;
@@ -289,14 +293,6 @@ std::vector<HyperRect> NNCellIndex::ComputeCellRects(
   HyperRect full = approximator_.ApproximateMbr(owner, candidates, stats);
   return DecomposeCell(approximator_, owner, candidates, full,
                        options_.decomposition, stats);
-}
-
-std::vector<double> NNCellIndex::ToMetricSpace(const double* x) const {
-  std::vector<double> y(x, x + dim_);
-  if (!options_.weights.empty()) {
-    for (size_t i = 0; i < dim_; ++i) y[i] *= std::sqrt(options_.weights[i]);
-  }
-  return y;
 }
 
 std::vector<double> NNCellIndex::FromMetricSpace(
@@ -420,7 +416,8 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
 
 StatusOr<uint64_t> NNCellIndex::ApplyInsert(
     const std::vector<double>& original) {
-  std::vector<double> point = ToMetricSpace(original.data());
+  std::vector<double> point =
+      ToMetricSpace(original.data(), dim_, options_.weights);
   NNCELL_RETURN_IF_ERROR(CheckNewPoint(point));
   // 1. Find the cells the new point will shrink. Stale approximations
   // remain correct supersets of the shrunk cells, so maintenance is a
@@ -522,7 +519,9 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   // grown insert-by-insert, so it cannot find duplicates within the batch:
   // sort the batch instead, stably, and keep each first occurrence.
   PointSet metric(dim_);
-  for (size_t i = 0; i < pts.size(); ++i) metric.Add(ToMetricSpace(pts[i]));
+  for (size_t i = 0; i < pts.size(); ++i) {
+    metric.Add(ToMetricSpace(pts[i], dim_, options_.weights));
+  }
   std::vector<bool> repeat(pts.size(), false);
   if (fresh) {
     auto less = [&](size_t a, size_t b) {
@@ -581,7 +580,7 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
   auto solve = [&](size_t i) {
     computed[i] = ComputeCellRects(points_[ids[i]], ids[i], &solve_stats[i]);
   };
-  std::chrono::nanoseconds commit_time{0}, commit_wait{0};
+  std::chrono::nanoseconds commit_time{0};
   auto commit = [&](size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
     const ApproxStats& s = solve_stats[i];
@@ -601,14 +600,8 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
     computed[i] = {};
     commit_time += std::chrono::steady_clock::now() - t0;
   };
-  if (thread_pool_ != nullptr) {
-    commit_wait = thread_pool_->ParallelFor(0, ids.size(), solve, commit);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      solve(i);
-      commit(i);
-    }
-  }
+  const std::chrono::nanoseconds commit_wait =
+      ParallelFor(thread_pool_.get(), ids.size(), solve, commit);
   NNCELL_METRIC_COUNT(BuildMetrics().commit_us, commit_time.count() / 1000);
   NNCELL_METRIC_COUNT(BuildMetrics().commit_wait_us,
                       commit_wait.count() / 1000);
@@ -822,7 +815,8 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
     pool_before = tree_->pool()->stats();
   }
 
-  std::vector<double> q_vec = ToMetricSpace(q_original);
+  std::vector<double> q_vec =
+      ToMetricSpace(q_original, dim_, options_.weights);
   const double* q = q_vec.data();
   size_t candidates = 0;
   uint64_t distance_computations = 0;
@@ -940,7 +934,8 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   std::vector<QueryResult> results;
   if (k == 0) return results;
   k = std::min(k, live_count_);
-  std::vector<double> q_vec = ToMetricSpace(q_original);
+  std::vector<double> q_vec =
+      ToMetricSpace(q_original, dim_, options_.weights);
 
   // Certified / bounded best-first search over the point X-tree. The cell
   // index cannot drive this tier: a cell approximation's MINDIST does not
@@ -1011,7 +1006,8 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
   if (approx.enabled()) return ApproxTraversalQuery(q_original, k, approx);
   if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
   NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
-  std::vector<double> q_vec = ToMetricSpace(q_original);
+  std::vector<double> q_vec =
+      ToMetricSpace(q_original, dim_, options_.weights);
   const double* q = q_vec.data();
   std::vector<QueryResult> results;
   if (k == 0) return results;
@@ -1079,7 +1075,8 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
     return Status::InvalidArgument("non-finite radius");
   }
   NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
-  std::vector<double> q_vec = ToMetricSpace(q_original);
+  std::vector<double> q_vec =
+      ToMetricSpace(q_original, dim_, options_.weights);
   CountPlan(plan_);
 
   size_t candidates = 0;

@@ -45,10 +45,6 @@ struct ParallelOptions {
   // Threads used for BulkBuild LP fan-out and QueryBatch. 1 = serial
   // (no pool is created); 0 = one thread per hardware core.
   size_t num_threads = 1;
-
-  size_t Resolve() const {
-    return num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
-  }
 };
 
 // Which executor answers the exact queries (Query / QueryBatch, KnnQuery,
@@ -69,6 +65,15 @@ const char* ExactPlanName(ExactPlan plan);
 // infinite: the check every index entry point (plain and sharded) applies
 // to the coordinates it is given.
 Status CheckFinite(const double* x, size_t n);
+
+// The sqrt(weight) isometry of a weighted metric (NNCellOptions::weights;
+// the identity when `weights` is empty), which both index classes search
+// and route in: coordinate i of a point maps to x * sqrt(w_i).
+double ToMetricCoord(double x, size_t i, const std::vector<double>& weights);
+std::vector<double> ToMetricSpace(const double* x, size_t dim,
+                                  const std::vector<double>& weights);
+// The data space [0,1]^d under the isometry: [0, sqrt(w_i)] per dimension.
+HyperRect MetricSpaceBox(size_t dim, const std::vector<double>& weights);
 
 // The pool a batch of `n` queries runs over: `pool` when the batch's
 // expected work, n * `query_cost` coordinate operations, reaches
@@ -448,8 +453,7 @@ class NNCellIndex final : public IndexBackend {
 
   double SphereRadius() const;
 
-  // Applies / inverts the sqrt(weight) isometry (identity when unweighted).
-  std::vector<double> ToMetricSpace(const double* x) const;
+  // Inverts the sqrt(weight) isometry (identity when unweighted).
   std::vector<double> FromMetricSpace(const std::vector<double>& x) const;
 
   // Insert / Delete without the WAL append and without working out the

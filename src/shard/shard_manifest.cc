@@ -20,10 +20,6 @@
 namespace nncell {
 namespace shard {
 
-namespace {
-
-// Evaluates a non-write failpoint site: kCrash exits the process, any
-// other armed action fails the operation before it starts.
 Status CheckSite(const char* name) {
   switch (failpoint::Check(name)) {
     case failpoint::Action::kOff:
@@ -34,6 +30,8 @@ Status CheckSite(const char* name) {
       return Status::Internal(std::string("failpoint ") + name);
   }
 }
+
+namespace {
 
 Status SyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);

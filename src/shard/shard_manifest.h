@@ -81,6 +81,10 @@ struct RouterLogOp {
 };
 StatusOr<RouterLogOp> DecodeRouterOp(const std::vector<uint8_t>& payload);
 
+// A failpoint site that writes nothing: kCrash exits, any other armed
+// action fails the operation before it starts.
+Status CheckSite(const char* name);
+
 // Path helpers.
 std::string ShardDirName(size_t i);                      // "shard-<i>"
 std::string JoinPath(const std::string& a, const std::string& b);

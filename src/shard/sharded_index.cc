@@ -5,17 +5,16 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <mutex>
+#include <set>
 #include <utility>
 
 #include "common/check.h"
 #include "common/distance.h"
-#include "common/failpoint.h"
+#include "common/rng.h"
 #include "shard/shard_format.h"
 #include "storage/fs_util.h"
 #include "storage/page_file.h"
-#include "storage/wal.h"
 
 namespace nncell {
 
@@ -31,35 +30,12 @@ namespace {
 constexpr double kPruneSlack = 1.0 + 1e-9;
 constexpr double kPruneSlackAbs = 1e-300;
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // In-memory shards: private page file + pool per shard (the durable path
 // sizes storage via DurableOptions instead).
 constexpr size_t kMemoryShardPageSize = 4096;
 constexpr size_t kMemoryShardPoolPages = 1024;
-
-// Non-write failpoint: kCrash exits, any other armed action fails the
-// operation before it starts.
-Status CheckSite(const char* name) {
-  switch (failpoint::Check(name)) {
-    case failpoint::Action::kOff:
-      return Status::OK();
-    case failpoint::Action::kCrash:
-      failpoint::Crash();
-    default:
-      return Status::Internal(std::string("failpoint ") + name);
-  }
-}
-
-// Deterministic splitmix64 for the sampled cross-shard differential.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-double UnitUniform(uint64_t* state) {
-  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
-}
 
 // Folds one probed shard's certificate into the merged one: flags OR'd,
 // leaf visits summed, bound = min (`into->bound` starts at +infinity).
@@ -76,9 +52,11 @@ void MergeCertificate(const ApproxCertificate& from, ApproxCertificate* into) {
 ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
                            std::string dir)
     : options_(std::move(options)), sopts_(sopts), dir_(std::move(dir)) {
+  sopts_.num_shards = std::max<size_t>(
+      1, std::min<size_t>(sopts_.num_shards, shard::kMaxShards));
   // Shards run serial internally; this layer owns the cross-shard /
-  // cross-query parallelism, with the caller's thread count (Create and
-  // Open size the pool from it before this overwrite).
+  // cross-query parallelism, with the caller's thread count.
+  SetNumThreads(options_.parallel.num_threads);
   options_.parallel.num_threads = 1;
   auto& reg = metrics::Registry::Global();
   m_count_ = reg.gauge(metrics::kShardCount);
@@ -93,21 +71,52 @@ ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
 
 ShardedIndex::~ShardedIndex() = default;
 
-double ShardedIndex::RouteCoord(const double* original) const {
-  double c = original[manifest_.route_dim];
-  if (!options_.weights.empty()) {
-    c *= std::sqrt(options_.weights[manifest_.route_dim]);
+Status ShardedIndex::InitManifest(size_t dim) {
+  if (sopts_.route_dim >= dim) {
+    return Status::InvalidArgument("route_dim out of range");
   }
-  return c;
+  const size_t k = sopts_.num_shards;
+  manifest_.shard_count = static_cast<uint32_t>(k);
+  manifest_.route_dim = sopts_.route_dim;
+  manifest_.dim = static_cast<uint32_t>(dim);
+  const double hi =
+      MetricSpaceBox(dim, options_.weights).hi()[sopts_.route_dim];
+  for (size_t j = 1; j < k; ++j) {
+    manifest_.cuts.push_back(hi * static_cast<double>(j) /
+                             static_cast<double>(k));
+  }
+  return Status::OK();
 }
 
-Status ShardedIndex::MakeMemoryShard(Shard* s) const {
+void ShardedIndex::InstallEpoch() {
+  probe_counts_.resize(shards_.size());
+  for (auto& p : probe_counts_) {
+    p = std::make_unique<std::atomic<uint64_t>>(0);
+  }
+  if (metrics::Registry::Enabled()) {
+    m_count_->Set(static_cast<int64_t>(shards_.size()));
+    m_epoch_->Set(static_cast<int64_t>(manifest_.epoch));
+  }
+}
+
+double ShardedIndex::RouteCoord(const double* original) const {
+  return ToMetricCoord(original[manifest_.route_dim], manifest_.route_dim,
+                       options_.weights);
+}
+
+size_t ShardedIndex::ShardCountFor(size_t live) const {
+  const size_t target = sopts_.target_points_per_shard;
+  if (target == 0) return manifest_.shard_count;
+  return std::max<size_t>(
+      1, std::min<size_t>((live + target - 1) / target, shard::kMaxShards));
+}
+
+void ShardedIndex::MakeMemoryShard(Shard* s) const {
   s->file = std::make_unique<PageFile>(kMemoryShardPageSize);
   s->pool = std::make_unique<BufferPool>(s->file.get(), kMemoryShardPoolPages);
   s->index =
       std::make_unique<NNCellIndex>(s->pool.get(), manifest_.dim, options_);
   s->status = Status::OK();
-  return Status::OK();
 }
 
 Status ShardedIndex::OpenDurableShard(size_t i, Shard* s,
@@ -128,38 +137,13 @@ Status ShardedIndex::OpenDurableShard(size_t i, Shard* s,
 StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
     size_t dim, NNCellOptions options, ShardedOptions sopts) {
   if (dim == 0) return Status::InvalidArgument("dimension must be positive");
-  if (sopts.route_dim >= dim) {
-    return Status::InvalidArgument("route_dim out of range");
-  }
-  sopts.num_shards = std::max<size_t>(
-      1, std::min<size_t>(sopts.num_shards, shard::kMaxShards));
-  const size_t threads = options.parallel.num_threads;
   std::unique_ptr<ShardedIndex> idx(
       // nncell-lint: allow(naked-new) private constructor; the unique_ptr on this statement owns it
       new ShardedIndex(std::move(options), sopts, ""));
-  idx->manifest_.shard_count = static_cast<uint32_t>(sopts.num_shards);
-  idx->manifest_.epoch = 0;
-  idx->manifest_.route_dim = sopts.route_dim;
-  idx->manifest_.dim = static_cast<uint32_t>(dim);
-  const double hi = idx->options_.weights.empty()
-                        ? 1.0
-                        : std::sqrt(idx->options_.weights[sopts.route_dim]);
-  for (size_t j = 1; j < sopts.num_shards; ++j) {
-    idx->manifest_.cuts.push_back(hi * static_cast<double>(j) /
-                                  static_cast<double>(sopts.num_shards));
-  }
-  idx->shards_.resize(sopts.num_shards);
-  for (Shard& s : idx->shards_) {
-    NNCELL_RETURN_IF_ERROR(idx->MakeMemoryShard(&s));
-  }
-  idx->probe_counts_.resize(sopts.num_shards);
-  for (auto& p : idx->probe_counts_) {
-    p = std::make_unique<std::atomic<uint64_t>>(0);
-  }
-  idx->SetNumThreads(threads);
-  if (metrics::Registry::Enabled()) {
-    idx->m_count_->Set(static_cast<int64_t>(sopts.num_shards));
-  }
+  NNCELL_RETURN_IF_ERROR(idx->InitManifest(dim));
+  idx->shards_.resize(idx->manifest_.shard_count);
+  for (Shard& s : idx->shards_) idx->MakeMemoryShard(&s);
+  idx->InstallEpoch();
   return idx;
 }
 
@@ -179,9 +163,6 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
   NNCELL_RETURN_IF_ERROR(
       shard::DiscardStagingIfPresent(dir, &ri->discarded_staging));
 
-  sopts.num_shards = std::max<size_t>(
-      1, std::min<size_t>(sopts.num_shards, shard::kMaxShards));
-  const size_t threads = options.parallel.num_threads;
   std::unique_ptr<ShardedIndex> idx(
       // nncell-lint: allow(naked-new) private constructor; the unique_ptr on this statement owns it
       new ShardedIndex(std::move(options), sopts, dir));
@@ -209,23 +190,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
       return Status::InvalidArgument(
           "cannot create a sharded index without a dimension");
     }
-    if (idx->sopts_.route_dim >= dim) {
-      return Status::InvalidArgument("route_dim out of range");
-    }
-    idx->manifest_.shard_count =
-        static_cast<uint32_t>(idx->sopts_.num_shards);
-    idx->manifest_.epoch = 0;
-    idx->manifest_.route_dim = idx->sopts_.route_dim;
-    idx->manifest_.dim = static_cast<uint32_t>(dim);
-    const double hi =
-        idx->options_.weights.empty()
-            ? 1.0
-            : std::sqrt(idx->options_.weights[idx->sopts_.route_dim]);
-    for (size_t j = 1; j < idx->sopts_.num_shards; ++j) {
-      idx->manifest_.cuts.push_back(
-          hi * static_cast<double>(j) /
-          static_cast<double>(idx->sopts_.num_shards));
-    }
+    NNCELL_RETURN_IF_ERROR(idx->InitManifest(dim));
     NNCELL_RETURN_IF_ERROR(
         shard::WriteManifest(manifest_path, idx->manifest_));
     ri->created = true;
@@ -246,22 +211,22 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
     }
   }
 
-  NNCELL_RETURN_IF_ERROR(idx->RecoverRouter(dopts, ri));
-
-  idx->probe_counts_.resize(idx->manifest_.shard_count);
-  for (auto& p : idx->probe_counts_) {
-    p = std::make_unique<std::atomic<uint64_t>>(0);
-  }
-  idx->SetNumThreads(threads);
-  if (metrics::Registry::Enabled()) {
-    idx->m_count_->Set(static_cast<int64_t>(idx->manifest_.shard_count));
-    idx->m_epoch_->Set(static_cast<int64_t>(idx->manifest_.epoch));
-  }
+  NNCELL_RETURN_IF_ERROR(idx->RecoverRouter(ri));
+  idx->InstallEpoch();
   return idx;
 }
 
-Status ShardedIndex::RecoverRouter(NNCellIndex::DurableOptions dopts,
-                                   RecoveryInfo* info) {
+Status ShardedIndex::OpenRouterLog(uint64_t covered_lsn,
+                                   WriteAheadLog::RecoverResult* rr) {
+  StatusOr<std::unique_ptr<WriteAheadLog>> wal = WriteAheadLog::Open(
+      shard::JoinPath(dir_, shard::kRouterLogFileName), covered_lsn,
+      /*group_sync=*/1, /*strict_header=*/false, rr);
+  if (!wal.ok()) return wal.status();
+  router_wal_ = std::move(*wal);
+  return Status::OK();
+}
+
+Status ShardedIndex::RecoverRouter(RecoveryInfo* info) {
   const std::string snap_path =
       shard::JoinPath(dir_, shard::kRouterSnapshotFileName);
   shard::RouterSnapshot snap;
@@ -275,12 +240,7 @@ Status ShardedIndex::RecoverRouter(NNCellIndex::DurableOptions dopts,
   router_ = std::move(snap.entries);
 
   WriteAheadLog::RecoverResult rr;
-  StatusOr<std::unique_ptr<WriteAheadLog>> wal = WriteAheadLog::Open(
-      shard::JoinPath(dir_, shard::kRouterLogFileName), snap.covered_lsn,
-      /*group_sync=*/1, /*strict_header=*/false, &rr);
-  if (!wal.ok()) return wal.status();
-  router_wal_ = std::move(*wal);
-
+  NNCELL_RETURN_IF_ERROR(OpenRouterLog(snap.covered_lsn, &rr));
   // Per-shard registration counts (locals are dense in registration
   // order), seeded from the snapshot entries.
   std::vector<uint64_t> shard_total(manifest_.shard_count, 0);
@@ -374,7 +334,6 @@ Status ShardedIndex::RecoverRouter(NNCellIndex::DurableOptions dopts,
     }
     sh.local_to_global.push_back(g);
   }
-  (void)dopts;
   return Status::OK();
 }
 
@@ -406,18 +365,14 @@ StatusOr<NNCellIndex::QueryResult> ShardedIndex::Query(
   return QueryLocked(q, approx);
 }
 
-ShardedIndex::ProbePlan ShardedIndex::PlanProbes(const double* q) const {
+StatusOr<ShardedIndex::ProbePlan> ShardedIndex::PlanProbes(
+    const double* q) const {
   ProbePlan plan;
   for (const Shard& s : shards_) {
     if (s.index != nullptr) plan.live += s.index->size();
   }
-  const size_t dim = manifest_.dim;
-  plan.qm.assign(q, q + dim);
-  if (!options_.weights.empty()) {
-    for (size_t i = 0; i < dim; ++i) {
-      plan.qm[i] *= std::sqrt(options_.weights[i]);
-    }
-  }
+  if (plan.live == 0) return Status::FailedPrecondition("index is empty");
+  plan.qm = ToMetricSpace(q, manifest_.dim, options_.weights);
   const double qc = plan.qm[manifest_.route_dim];
 
   // Nearest slab first, so once a slab cannot beat or tie the best,
@@ -434,60 +389,89 @@ ShardedIndex::ProbePlan ShardedIndex::PlanProbes(const double* q) const {
   return plan;
 }
 
-StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
-    const double* q, const ApproxOptions& approx) const {
-  const ProbePlan plan = PlanProbes(q);
-  if (plan.live == 0) return Status::FailedPrecondition("index is empty");
+StatusOr<ShardedIndex::Gathered> ShardedIndex::Gather(
+    const double* q, const ProbePlan& plan, size_t k, double limit_d2,
+    const ApproxOptions& approx, const ShardQuery& query) const {
   NNCELL_RETURN_IF_ERROR(CheckFinite(q, manifest_.dim));
-  const std::vector<Probe>& order = plan.order;
+  Gathered out;
+  if (k == 0) return out;
 
-  NNCellIndex::QueryResult best;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  uint64_t best_gid = 0;
-  bool have_best = false;
+  // Answers keyed exactly like the unsharded sort: (squared distance,
+  // global id) ascending.
+  struct Keyed {
+    double d2;
+    uint64_t gid;
+    QueryResult res;
+  };
+  std::vector<Keyed> merged;
   size_t probed = 0;
-  size_t candidates = 0;
-  bool fallback = false;
   ApproxCertificate cert;
-  cert.bound = std::numeric_limits<double>::infinity();
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    const Probe& pr = order[oi];
-    if (have_best && pr.slab_d2 > best_d2 * kPruneSlack + kPruneSlackAbs) {
-      NNCELL_METRIC_COUNT(m_pruned_, order.size() - oi);
+  cert.bound = kInf;
+  for (size_t oi = 0; oi < plan.order.size(); ++oi) {
+    const Probe& pr = plan.order[oi];
+    double bound_d2 = limit_d2;
+    if (merged.size() >= k) bound_d2 = std::min(bound_d2, merged[k - 1].d2);
+    if (pr.slab_d2 > bound_d2 * kPruneSlack + kPruneSlackAbs) {
+      NNCELL_METRIC_COUNT(m_pruned_, plan.order.size() - oi);
       // Every unprobed shard's points are at least its slab distance away,
       // and later slabs are no closer than this one.
       cert.bound = std::min(cert.bound, std::sqrt(pr.slab_d2));
       break;
     }
     const Shard& sh = shards_[pr.idx];
-    StatusOr<NNCellIndex::QueryResult> r = sh.index->Query(q, approx);
+    StatusOr<std::vector<QueryResult>> r = query(*sh.index);
     if (!r.ok()) return r.status();
     ++probed;
     // nncell-lint: allow(relaxed-atomics) monotonic stats counter; readers only ever see a point-in-time sum, no ordering with shard state
     probe_counts_[pr.idx]->fetch_add(1, std::memory_order_relaxed);
-    candidates += r->candidates;
-    fallback = fallback || r->used_fallback;
-    MergeCertificate(r->approx, &cert);
-    // Exact merge key: the pair-kernel squared distance (bit-equal to the
-    // shard's internal winner) plus the global id, exactly the unsharded
-    // scan's comparison.
-    const double d2 =
-        L2DistSq(sh.index->points()[r->id], plan.qm.data(), manifest_.dim);
-    const uint64_t gid = sh.local_to_global[r->id];
-    if (!have_best || d2 < best_d2 || (d2 == best_d2 && gid < best_gid)) {
-      have_best = true;
-      best = std::move(*r);
-      best.id = gid;
-      best_d2 = d2;
-      best_gid = gid;
+    if (!r->empty()) MergeCertificate(r->front().approx, &cert);
+    for (QueryResult& res : *r) {
+      out.candidates += res.candidates;
+      out.used_fallback = out.used_fallback || res.used_fallback;
+      // Exact merge key: the pair-kernel squared distance (bit-equal to
+      // the shard's internal ranking) plus the global id, exactly the
+      // unsharded scan's comparison.
+      Keyed m;
+      m.d2 = L2DistSq(sh.index->points()[res.id], plan.qm.data(),
+                      manifest_.dim);
+      m.gid = sh.local_to_global[res.id];
+      res.id = m.gid;
+      m.res = std::move(res);
+      merged.push_back(std::move(m));
     }
+    std::sort(merged.begin(), merged.end(), [](const Keyed& a, const Keyed& b) {
+      return a.d2 < b.d2 || (a.d2 == b.d2 && a.gid < b.gid);
+    });
+    if (merged.size() > k) merged.resize(k);
   }
-  NNCELL_CHECK(have_best);
-  best.candidates = candidates;
-  best.used_fallback = fallback;
-  if (approx.enabled()) best.approx = cert;
   NNCELL_METRIC_RECORD(m_fanout_, probed);
   NNCELL_METRIC_COUNT(m_probes_, probed);
+  out.results.reserve(merged.size());
+  for (Keyed& m : merged) {
+    if (approx.enabled()) m.res.approx = cert;
+    out.results.push_back(std::move(m.res));
+  }
+  return out;
+}
+
+StatusOr<NNCellIndex::QueryResult> ShardedIndex::QueryLocked(
+    const double* q, const ApproxOptions& approx) const {
+  StatusOr<ProbePlan> plan = PlanProbes(q);
+  if (!plan.ok()) return plan.status();
+  StatusOr<Gathered> g = Gather(
+      q, *plan, 1, kInf, approx,
+      [&](const NNCellIndex& s) -> StatusOr<std::vector<QueryResult>> {
+        StatusOr<QueryResult> r = s.Query(q, approx);
+        if (!r.ok()) return r.status();
+        std::vector<QueryResult> one;
+        one.push_back(std::move(*r));
+        return one;
+      });
+  if (!g.ok()) return g.status();
+  NNCELL_CHECK(!g->results.empty());
+  QueryResult best = std::move(g->results.front());
+  best.candidates = g->candidates;
+  best.used_fallback = g->used_fallback;
   return best;
 }
 
@@ -516,99 +500,34 @@ double ShardedIndex::QueryCostLocked() const {
   return cost;
 }
 
-StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::MergeListQuery(
-    const double* q, size_t k, double radius, bool is_range,
-    const ApproxOptions& approx) const {
-  const ProbePlan plan = PlanProbes(q);
-  if (plan.live == 0) return Status::FailedPrecondition("index is empty");
-  if (is_range && radius < 0.0) {
-    return Status::InvalidArgument("negative radius");
-  }
-  if (is_range && !std::isfinite(radius)) {
-    return Status::InvalidArgument("non-finite radius");
-  }
-  NNCELL_RETURN_IF_ERROR(CheckFinite(q, manifest_.dim));
-  std::vector<NNCellIndex::QueryResult> out;
-  if (!is_range) {
-    if (k == 0) return out;
-    k = std::min(k, plan.live);
-  }
-  const std::vector<Probe>& order = plan.order;
-
-  // Merged candidates keyed exactly like the unsharded sort: (squared
-  // distance, global id) ascending.
-  struct Merged {
-    double d2;
-    uint64_t gid;
-    NNCellIndex::QueryResult res;
-  };
-  std::vector<Merged> merged;
-  const double radius_bound =
-      is_range ? radius * radius * kPruneSlack + kPruneSlackAbs : 0.0;
-  size_t probed = 0;
-  ApproxCertificate cert;
-  cert.bound = std::numeric_limits<double>::infinity();
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    const Probe& pr = order[oi];
-    bool skip;
-    if (is_range) {
-      skip = pr.slab_d2 > radius_bound;
-    } else {
-      skip = merged.size() >= k &&
-             pr.slab_d2 >
-                 merged[k - 1].d2 * kPruneSlack + kPruneSlackAbs;
-    }
-    if (skip) {
-      NNCELL_METRIC_COUNT(m_pruned_, order.size() - oi);
-      // Every unprobed shard's points are at least its slab distance away,
-      // and later slabs are no closer than this one.
-      cert.bound = std::min(cert.bound, std::sqrt(pr.slab_d2));
-      break;
-    }
-    const Shard& sh = shards_[pr.idx];
-    StatusOr<std::vector<NNCellIndex::QueryResult>> r =
-        is_range ? sh.index->RangeSearch(q, radius)
-                 : sh.index->KnnQuery(q, k, approx);
-    if (!r.ok()) return r.status();
-    ++probed;
-    if (!r->empty()) MergeCertificate(r->front().approx, &cert);
-    // nncell-lint: allow(relaxed-atomics) monotonic stats counter; readers only ever see a point-in-time sum, no ordering with shard state
-    probe_counts_[pr.idx]->fetch_add(1, std::memory_order_relaxed);
-    for (NNCellIndex::QueryResult& res : *r) {
-      Merged m;
-      m.d2 = L2DistSq(sh.index->points()[res.id], plan.qm.data(),
-                      manifest_.dim);
-      m.gid = sh.local_to_global[res.id];
-      res.id = m.gid;
-      m.res = std::move(res);
-      merged.push_back(std::move(m));
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const Merged& a, const Merged& b) {
-                return a.d2 < b.d2 || (a.d2 == b.d2 && a.gid < b.gid);
-              });
-    if (!is_range && merged.size() > k) merged.resize(k);
-  }
-  NNCELL_METRIC_RECORD(m_fanout_, probed);
-  NNCELL_METRIC_COUNT(m_probes_, probed);
-  out.reserve(merged.size());
-  for (Merged& m : merged) out.push_back(std::move(m.res));
-  if (approx.enabled()) {
-    for (NNCellIndex::QueryResult& res : out) res.approx = cert;
-  }
-  return out;
-}
-
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::KnnQuery(
     const double* q, size_t k, const ApproxOptions& approx) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return MergeListQuery(q, k, 0.0, /*is_range=*/false, approx);
+  StatusOr<ProbePlan> plan = PlanProbes(q);
+  if (!plan.ok()) return plan.status();
+  k = std::min(k, plan->live);  // what every probed shard is asked for
+  StatusOr<Gathered> g =
+      Gather(q, *plan, k, kInf, approx,
+             [&](const NNCellIndex& s) { return s.KnnQuery(q, k, approx); });
+  if (!g.ok()) return g.status();
+  return std::move(g->results);
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> ShardedIndex::RangeSearch(
     const double* q, double radius) const {
   std::shared_lock<std::shared_mutex> lock(epoch_mu_);
-  return MergeListQuery(q, 0, radius, /*is_range=*/true, ApproxOptions{});
+  StatusOr<ProbePlan> plan = PlanProbes(q);
+  if (!plan.ok()) return plan.status();
+  if (radius < 0.0) return Status::InvalidArgument("negative radius");
+  if (!std::isfinite(radius)) {
+    return Status::InvalidArgument("non-finite radius");
+  }
+  StatusOr<Gathered> g =
+      Gather(q, *plan, std::numeric_limits<size_t>::max(), radius * radius,
+             ApproxOptions{},
+             [&](const NNCellIndex& s) { return s.RangeSearch(q, radius); });
+  if (!g.ok()) return g.status();
+  return std::move(g->results);
 }
 
 StatusOr<uint64_t> ShardedIndex::Insert(const std::vector<double>& point) {
@@ -673,6 +592,59 @@ Status ShardedIndex::Delete(uint64_t global_id) {
   return Status::OK();
 }
 
+ShardedIndex::Partition ShardedIndex::Cut(shard::ShardManifest m,
+                                          const PointSet& pts,
+                                          const std::vector<uint64_t>& gids,
+                                          size_t n_global) const {
+  const size_t k = m.shard_count;
+  if (pts.size() > 0) {
+    // Quantile-balanced cuts over the metric route coordinates.
+    std::vector<double> coords;
+    coords.reserve(pts.size());
+    for (size_t i = 0; i < pts.size(); ++i) {
+      coords.push_back(RouteCoord(pts[i]));
+    }
+    std::sort(coords.begin(), coords.end());
+    m.cuts.clear();
+    for (size_t j = 1; j < k; ++j) {
+      m.cuts.push_back(coords[j * coords.size() / k]);
+    }
+  }
+  Partition part;
+  part.points.assign(k, PointSet(m.dim));
+  part.gids.resize(k);
+  part.router.assign(n_global, {shard::kRouterShardNone, 0, false});
+  for (size_t i = 0; i < pts.size(); ++i) {
+    const size_t s = m.Route(RouteCoord(pts[i]));
+    part.router[gids[i]] = {static_cast<uint32_t>(s), part.gids[s].size(),
+                            /*alive=*/true};
+    part.points[s].Add(pts[i]);
+    part.gids[s].push_back(gids[i]);
+  }
+  part.manifest = std::move(m);
+  return part;
+}
+
+Status ShardedIndex::BuildShards(const Partition& part,
+                                 std::vector<Shard>* shards,
+                                 const ShardFactory& make) const {
+  return ParallelTry(thread_pool_.get(), shards->size(), [&](size_t s) {
+    Shard& sh = (*shards)[s];
+    if (make) NNCELL_RETURN_IF_ERROR(make(s, &sh));
+    if (part.points[s].size() == 0) return Status::OK();
+    return sh.index->BulkBuild(part.points[s]);
+  });
+}
+
+void ShardedIndex::InstallPartition(Partition* part,
+                                    std::vector<Shard>* shards) {
+  manifest_ = std::move(part->manifest);
+  router_ = std::move(part->router);
+  for (size_t s = 0; s < shards->size(); ++s) {
+    (*shards)[s].local_to_global = std::move(part->gids[s]);
+  }
+}
+
 Status ShardedIndex::BulkBuild(const PointSet& pts) {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   if (pts.dim() != manifest_.dim) {
@@ -691,109 +663,50 @@ Status ShardedIndex::BulkBuild(const PointSet& pts) {
 
   // Deduplicate exactly like the unsharded build (duplicates are skipped,
   // first occurrence wins), so global ids match the oracle's.
-  std::map<std::vector<double>, bool> seen;
-  std::vector<size_t> unique;
-  unique.reserve(pts.size());
+  std::set<std::vector<double>> seen;
+  PointSet unique(manifest_.dim);
+  std::vector<uint64_t> gids;
   for (size_t i = 0; i < pts.size(); ++i) {
-    auto ins = seen.emplace(pts.Get(i), true);
-    if (ins.second) unique.push_back(i);
+    if (!seen.insert(pts.Get(i)).second) continue;
+    gids.push_back(unique.size());
+    unique.Add(pts[i]);
   }
-
-  const size_t k = manifest_.shard_count;
-  if (!unique.empty()) {
-    // Quantile-balanced cuts over the metric route coordinates.
-    std::vector<double> coords;
-    coords.reserve(unique.size());
-    for (size_t i : unique) coords.push_back(RouteCoord(pts[i]));
-    std::sort(coords.begin(), coords.end());
-    manifest_.cuts.clear();
-    for (size_t j = 1; j < k; ++j) {
-      manifest_.cuts.push_back(coords[j * coords.size() / k]);
-    }
-    // The manifest must describe the data before any shard holds it: a
-    // crash after shard builds but before a manifest write would leave
-    // points routed by cuts the manifest does not record.
-    if (durable()) {
-      NNCELL_RETURN_IF_ERROR(shard::WriteManifest(
-          shard::JoinPath(dir_, shard::kShardManifestFileName), manifest_));
-    }
+  Partition part = Cut(manifest_, unique, gids, gids.size());
+  // The manifest must describe the data before any shard holds it: a
+  // crash after shard builds but before a manifest write would leave
+  // points routed by cuts the manifest does not record.
+  manifest_ = part.manifest;
+  if (durable() && !gids.empty()) {
+    NNCELL_RETURN_IF_ERROR(shard::WriteManifest(
+        shard::JoinPath(dir_, shard::kShardManifestFileName), manifest_));
   }
-
-  std::vector<PointSet> parts(k, PointSet(manifest_.dim));
-  std::vector<std::vector<uint64_t>> gids(k);
-  uint64_t gid = 0;
-  for (size_t i : unique) {
-    const size_t s = manifest_.Route(RouteCoord(pts[i]));
-    parts[s].Add(pts[i]);
-    gids[s].push_back(gid++);
-  }
-
-  std::vector<Status> errors(k, Status::OK());
-  auto build_one = [&](size_t s) {
-    if (parts[s].size() == 0) return;
-    errors[s] = shards_[s].index->BulkBuild(parts[s]);
-  };
-  if (thread_pool_ != nullptr && k > 1) {
-    thread_pool_->ParallelFor(0, k, build_one);
-  } else {
-    for (size_t s = 0; s < k; ++s) build_one(s);
-  }
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-
-  router_.assign(gid, shard::RouterEntry());
-  for (size_t s = 0; s < k; ++s) {
-    shards_[s].local_to_global = gids[s];
-    for (size_t l = 0; l < gids[s].size(); ++l) {
-      router_[gids[s][l]] = {static_cast<uint32_t>(s), l, /*alive=*/true};
-    }
-  }
-  if (durable()) {
-    const uint64_t lsn = router_wal_->last_lsn();
-    NNCELL_RETURN_IF_ERROR(WriteRouterStateLocked(
-        shard::JoinPath(dir_, shard::kRouterSnapshotFileName), lsn));
-    NNCELL_RETURN_IF_ERROR(router_wal_->Truncate(lsn));
-  }
-  return Status::OK();
+  NNCELL_RETURN_IF_ERROR(BuildShards(part, &shards_, nullptr));
+  InstallPartition(&part, &shards_);
+  return durable() ? FoldRouterLog() : Status::OK();
 }
 
 Status ShardedIndex::Checkpoint() {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-  return CheckpointLocked();
-}
-
-Status ShardedIndex::CheckpointLocked() {
   if (!durable()) {
     return Status::FailedPrecondition(
         "Checkpoint() requires a durable index (use ShardedIndex::Open)");
   }
-  const size_t k = shards_.size();
-  std::vector<Status> errors(k, Status::OK());
-  auto ckpt_one = [&](size_t s) {
-    if (shards_[s].index == nullptr || !shards_[s].index->durable()) return;
-    errors[s] = shards_[s].index->Checkpoint();
-  };
-  if (thread_pool_ != nullptr && k > 1) {
-    thread_pool_->ParallelFor(0, k, ckpt_one);
-  } else {
-    for (size_t s = 0; s < k; ++s) ckpt_one(s);
-  }
-  for (const Status& st : errors) {
-    if (!st.ok()) return st;
-  }
-  const uint64_t lsn = router_wal_->last_lsn();
-  NNCELL_RETURN_IF_ERROR(WriteRouterStateLocked(
-      shard::JoinPath(dir_, shard::kRouterSnapshotFileName), lsn));
-  return router_wal_->Truncate(lsn);
+  NNCELL_RETURN_IF_ERROR(
+      ParallelTry(thread_pool_.get(), shards_.size(), [&](size_t s) {
+        const Shard& sh = shards_[s];
+        if (sh.index == nullptr || !sh.index->durable()) return Status::OK();
+        return sh.index->Checkpoint();
+      }));
+  return FoldRouterLog();
 }
 
-Status ShardedIndex::WriteRouterStateLocked(const std::string& path,
-                                            uint64_t covered_lsn) const {
+Status ShardedIndex::FoldRouterLog() {
   shard::RouterSnapshot snap;
-  snap.covered_lsn = covered_lsn;
+  snap.covered_lsn = router_wal_->last_lsn();
   snap.entries = router_;
-  return shard::WriteRouterSnapshot(path, snap);
+  NNCELL_RETURN_IF_ERROR(shard::WriteRouterSnapshot(
+      shard::JoinPath(dir_, shard::kRouterSnapshotFileName), snap));
+  return router_wal_->Truncate(snap.covered_lsn);
 }
 
 bool ShardedIndex::ShouldAutoRebalance() const {
@@ -806,13 +719,7 @@ bool ShardedIndex::ShouldAutoRebalance() const {
     max_live = std::max(max_live, l);
   }
   if (live < sopts_.min_rebalance_points) return false;
-  if (sopts_.target_points_per_shard > 0) {
-    const size_t want = std::max<size_t>(
-        1, std::min<size_t>((live + sopts_.target_points_per_shard - 1) /
-                                sopts_.target_points_per_shard,
-                            shard::kMaxShards));
-    if (want != shards_.size()) return true;
-  }
+  if (ShardCountFor(live) != shards_.size()) return true;
   const double mean =
       static_cast<double>(live) / static_cast<double>(shards_.size());
   return static_cast<double>(max_live) > sopts_.max_skew * mean;
@@ -843,96 +750,48 @@ Status ShardedIndex::RebalanceLocked(bool force) {
   }
   if (live_gids.empty()) return Status::OK();
 
-  size_t new_k = manifest_.shard_count;
-  if (sopts_.target_points_per_shard > 0) {
-    new_k = std::max<size_t>(
-        1, std::min<size_t>((live_gids.size() +
-                             sopts_.target_points_per_shard - 1) /
-                                sopts_.target_points_per_shard,
-                            shard::kMaxShards));
-  }
-  std::vector<double> coords;
-  coords.reserve(live_gids.size());
-  for (size_t i = 0; i < live_pts.size(); ++i) {
-    coords.push_back(RouteCoord(live_pts[i]));
-  }
-  std::sort(coords.begin(), coords.end());
   shard::ShardManifest next = manifest_;
-  next.shard_count = static_cast<uint32_t>(new_k);
+  next.shard_count = static_cast<uint32_t>(ShardCountFor(live_gids.size()));
   next.epoch = manifest_.epoch + 1;
-  next.cuts.clear();
-  for (size_t j = 1; j < new_k; ++j) {
-    next.cuts.push_back(coords[j * coords.size() / new_k]);
-  }
+  Partition part = Cut(std::move(next), live_pts, live_gids, router_.size());
 
-  // Partition by the new cuts.
-  std::vector<PointSet> parts(new_k, PointSet(manifest_.dim));
-  std::vector<std::vector<uint64_t>> gids(new_k);
-  for (size_t i = 0; i < live_pts.size(); ++i) {
-    const size_t s = next.Route(RouteCoord(live_pts[i]));
-    parts[s].Add(live_pts[i]);
-    gids[s].push_back(live_gids[i]);
-  }
+  NNCELL_RETURN_IF_ERROR(shard::CheckSite("shard.rebalance.stage"));
 
-  NNCELL_RETURN_IF_ERROR(CheckSite("shard.rebalance.stage"));
-
-  std::vector<Shard> next_shards(new_k);
-  std::vector<Status> errors(new_k, Status::OK());
-  uint64_t covered_lsn = 0;
+  std::vector<Shard> next_shards(part.manifest.shard_count);
   if (durable()) {
     NNCELL_RETURN_IF_ERROR(shard::DiscardStagingIfPresent(dir_, nullptr));
     const std::string staging =
         shard::JoinPath(dir_, shard::kRebalanceStagingDirName);
     NNCELL_RETURN_IF_ERROR(fs::EnsureDirectory(staging));
-    auto build_one = [&](size_t s) {
-      NNCellIndex::RecoveryInfo ri;
-      StatusOr<std::unique_ptr<NNCellIndex>> idx = NNCellIndex::Open(
-          shard::JoinPath(staging, shard::ShardDirName(s)), manifest_.dim,
-          options_, dopts_, &ri);
-      if (!idx.ok()) {
-        errors[s] = idx.status();
-        return;
-      }
-      if (parts[s].size() > 0) {
-        errors[s] = (*idx)->BulkBuild(parts[s]);
-      }
-      // Close the staged shard before the directory is renamed under it.
-      idx->reset();
-    };
-    if (thread_pool_ != nullptr && new_k > 1) {
-      thread_pool_->ParallelFor(0, new_k, build_one);
-    } else {
-      for (size_t s = 0; s < new_k; ++s) build_one(s);
-    }
-    for (const Status& st : errors) {
-      if (!st.ok()) return st;
-    }
+    NNCELL_RETURN_IF_ERROR(
+        BuildShards(part, &next_shards, [&](size_t s, Shard* sh) {
+          NNCellIndex::RecoveryInfo ri;
+          StatusOr<std::unique_ptr<NNCellIndex>> idx = NNCellIndex::Open(
+              shard::JoinPath(staging, shard::ShardDirName(s)),
+              manifest_.dim, options_, dopts_, &ri);
+          if (!idx.ok()) return idx.status();
+          sh->index = std::move(*idx);
+          return Status::OK();
+        }));
+    // Close the staged shards before the directory is renamed under them.
+    for (Shard& sh : next_shards) sh.index.reset();
     NNCELL_RETURN_IF_ERROR(router_wal_->Sync());
-    covered_lsn = router_wal_->last_lsn();
     // Staged router snapshot with the *new* mapping.
     shard::RouterSnapshot snap;
-    snap.covered_lsn = covered_lsn;
-    snap.entries.assign(router_.size(), shard::RouterEntry());
-    for (uint64_t g = 0; g < router_.size(); ++g) {
-      snap.entries[g] = {shard::kRouterShardNone, 0, false};
-    }
-    for (size_t s = 0; s < new_k; ++s) {
-      for (size_t l = 0; l < gids[s].size(); ++l) {
-        snap.entries[gids[s][l]] = {static_cast<uint32_t>(s), l, true};
-      }
-    }
+    snap.covered_lsn = router_wal_->last_lsn();
+    snap.entries = part.router;
     NNCELL_RETURN_IF_ERROR(shard::WriteRouterSnapshot(
         shard::JoinPath(staging, shard::kRouterSnapshotFileName), snap));
     NNCELL_RETURN_IF_ERROR(shard::WriteManifest(
-        shard::JoinPath(staging, shard::kShardManifestFileName), next));
+        shard::JoinPath(staging, shard::kShardManifestFileName),
+        part.manifest));
 
     // Commit + finalize: one atomic rename makes the new epoch durable.
     NNCELL_RETURN_IF_ERROR(shard::CommitStagedInstall(dir_));
     NNCELL_RETURN_IF_ERROR(shard::FinalizeInstallIfPresent(dir_, nullptr));
 
     // Reopen the installed shards and the recreated router log.
-    manifest_ = next;
-    for (size_t s = 0; s < new_k; ++s) {
+    for (size_t s = 0; s < next_shards.size(); ++s) {
       NNCellIndex::RecoveryInfo ri;
       Status st = OpenDurableShard(s, &next_shards[s], &ri);
       if (!st.ok()) {
@@ -942,54 +801,21 @@ Status ShardedIndex::RebalanceLocked(bool force) {
     }
     router_wal_.reset();
     WriteAheadLog::RecoverResult rr;
-    StatusOr<std::unique_ptr<WriteAheadLog>> wal = WriteAheadLog::Open(
-        shard::JoinPath(dir_, shard::kRouterLogFileName), covered_lsn,
-        /*group_sync=*/1, /*strict_header=*/false, &rr);
-    if (!wal.ok()) return wal.status();
-    router_wal_ = std::move(*wal);
+    NNCELL_RETURN_IF_ERROR(OpenRouterLog(snap.covered_lsn, &rr));
   } else {
-    auto build_one = [&](size_t s) {
-      Status st = MakeMemoryShard(&next_shards[s]);
-      if (!st.ok()) {
-        errors[s] = st;
-        return;
-      }
-      if (parts[s].size() > 0) {
-        errors[s] = next_shards[s].index->BulkBuild(parts[s]);
-      }
-    };
-    if (thread_pool_ != nullptr && new_k > 1) {
-      thread_pool_->ParallelFor(0, new_k, build_one);
-    } else {
-      for (size_t s = 0; s < new_k; ++s) build_one(s);
-    }
-    for (const Status& st : errors) {
-      if (!st.ok()) return st;
-    }
-    manifest_ = next;
+    NNCELL_RETURN_IF_ERROR(BuildShards(part, &next_shards, [&](size_t,
+                                                               Shard* sh) {
+      MakeMemoryShard(sh);
+      return Status::OK();
+    }));
   }
 
   // Install the new epoch in memory.
-  for (uint64_t g = 0; g < router_.size(); ++g) {
-    router_[g] = {shard::kRouterShardNone, 0, false};
-  }
-  for (size_t s = 0; s < new_k; ++s) {
-    next_shards[s].local_to_global = gids[s];
-    for (size_t l = 0; l < gids[s].size(); ++l) {
-      router_[gids[s][l]] = {static_cast<uint32_t>(s), l, true};
-    }
-  }
+  InstallPartition(&part, &next_shards);
   shards_ = std::move(next_shards);
-  probe_counts_.resize(new_k);
-  for (auto& p : probe_counts_) {
-    p = std::make_unique<std::atomic<uint64_t>>(0);
-  }
+  InstallEpoch();
   NNCELL_METRIC_COUNT(m_rebalances_, 1);
   NNCELL_METRIC_COUNT(m_moved_, live_gids.size());
-  if (metrics::Registry::Enabled()) {
-    m_count_->Set(static_cast<int64_t>(new_k));
-    m_epoch_->Set(static_cast<int64_t>(manifest_.epoch));
-  }
   return Status::OK();
 }
 
@@ -1159,13 +985,11 @@ Status ShardedIndex::CheckInvariants(size_t sample_queries,
     const size_t n = std::min<size_t>(sample_queries, 25);
     for (size_t t = 0; t < n; ++t) {
       std::vector<double> q(manifest_.dim);
-      for (double& v : q) v = UnitUniform(&rng);
-      std::vector<double> qm = q;
-      if (!options_.weights.empty()) {
-        for (size_t i = 0; i < qm.size(); ++i) {
-          qm[i] *= std::sqrt(options_.weights[i]);
-        }
+      for (double& v : q) {
+        v = static_cast<double>(Rng::SplitMix64(&rng) >> 11) * 0x1.0p-53;
       }
+      const std::vector<double> qm =
+          ToMetricSpace(q.data(), manifest_.dim, options_.weights);
       double best_d2 = std::numeric_limits<double>::infinity();
       uint64_t best_gid = 0;
       bool have = false;
@@ -1197,14 +1021,7 @@ Status ShardedIndex::CheckInvariants(size_t sample_queries,
 }
 
 void ShardedIndex::SetNumThreads(size_t num_threads) {
-  const size_t resolved =
-      num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
-  if (resolved <= 1) {
-    thread_pool_.reset();
-  } else if (thread_pool_ == nullptr ||
-             thread_pool_->num_threads() != resolved) {
-    thread_pool_ = std::make_unique<ThreadPool>(resolved);
-  }
+  ResizePool(num_threads, &thread_pool_);
 }
 
 size_t ShardedIndex::num_threads() const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -15,6 +16,7 @@
 #include "nncell/index_backend.h"
 #include "nncell/nncell_index.h"
 #include "shard/shard_manifest.h"
+#include "storage/wal.h"
 
 namespace nncell {
 
@@ -230,20 +232,65 @@ class ShardedIndex final : public IndexBackend {
     std::vector<uint64_t> local_to_global;
   };
 
+  // Points cut into the slabs of a manifest, with the router map that
+  // cut makes: what BulkBuild and a rebalance build and install.
+  struct Partition {
+    shard::ShardManifest manifest;            // with the quantile cuts
+    std::vector<PointSet> points;             // per shard, ascending gid
+    std::vector<std::vector<uint64_t>> gids;  // per shard: local -> global
+    std::vector<shard::RouterEntry> router;   // global -> (shard, local)
+  };
+  // Puts an empty shard `s` of the next epoch in place.
+  using ShardFactory = std::function<Status(size_t s, Shard* shard)>;
+
+  // Clamps sopts.num_shards to [1, shard::kMaxShards] and sizes the pool
+  // from options.parallel (the shards themselves then run serial).
   ShardedIndex(NNCellOptions options, ShardedOptions sopts, std::string dir);
+
+  // A fresh index's manifest (Create, and Open of an empty directory):
+  // sopts_.num_shards equal-width slabs of the metric route coordinate.
+  Status InitManifest(size_t dim);
+  // After Create, Open and a rebalance set shards_ and manifest_: zeroes
+  // the per-shard probe counts, publishes the shard.count / shard.epoch
+  // gauges.
+  void InstallEpoch();
 
   // The metric-space routing coordinate of an original-space point.
   double RouteCoord(const double* original) const;
+  // The shard count a rebalance picks for `live` points:
+  // ceil(live / target_points_per_shard) in [1, shard::kMaxShards], or
+  // the current count when target_points_per_shard is 0.
+  size_t ShardCountFor(size_t live) const;
 
-  Status MakeMemoryShard(Shard* s) const;
+  // Cuts `pts` (global ids `gids`, ascending) into m.shard_count
+  // quantile-balanced slabs (m's cuts stay when `pts` is empty), and maps
+  // every global id below `n_global` to its new (shard, local) pair, or to
+  // none when `gids` leaves it out.
+  Partition Cut(shard::ShardManifest m, const PointSet& pts,
+                const std::vector<uint64_t>& gids, size_t n_global) const;
+  // Bulk-builds part.points[s] into (*shards)[s] for every shard, across
+  // the pool; `make`, when given, first puts each empty shard in place.
+  Status BuildShards(const Partition& part, std::vector<Shard>* shards,
+                     const ShardFactory& make) const;
+  // Makes `part` the routing in force: its manifest, its router map and
+  // each of `shards` local -> global ids.
+  void InstallPartition(Partition* part, std::vector<Shard>* shards);
+
+  void MakeMemoryShard(Shard* s) const;
   Status OpenDurableShard(size_t i, Shard* s,
                           NNCellIndex::RecoveryInfo* info) const;
   // Router recovery: snapshot + log replay + shard reconciliation.
-  Status RecoverRouter(NNCellIndex::DurableOptions dopts, RecoveryInfo* info);
+  Status RecoverRouter(RecoveryInfo* info);
+  // (Re)opens the router log past `covered_lsn` into router_wal_.
+  Status OpenRouterLog(uint64_t covered_lsn, WriteAheadLog::RecoverResult* rr);
+  // Writes router_ as the router snapshot covering the router log's last
+  // record, then truncates the log.
+  Status FoldRouterLog();
 
   // What every scatter-gather query starts from: the live count, the
   // query in metric space, and the non-empty healthy shards in probe
   // order (nearest slab first; the owner's slab distance is 0).
+  // FailedPrecondition when the index is empty.
   struct Probe {
     size_t idx;
     double slab_d2;
@@ -253,22 +300,31 @@ class ShardedIndex final : public IndexBackend {
     std::vector<double> qm;
     std::vector<Probe> order;
   };
-  ProbePlan PlanProbes(const double* q) const;
+  StatusOr<ProbePlan> PlanProbes(const double* q) const;
+
+  // The scatter-gather loop every query kind runs (docs/SHARDING.md,
+  // "Scatter-gather and the pruning invariant"): probes the shards of
+  // `plan` in order through `query` until a slab lies beyond `limit_d2`
+  // or beyond the k-th best squared distance so far, and keeps the k best
+  // answers by (squared metric distance, global id). Results carry global
+  // ids and, with approx.enabled(), the merged certificate.
+  struct Gathered {
+    std::vector<QueryResult> results;
+    size_t candidates = 0;       // summed over every probed shard's answers
+    bool used_fallback = false;  // OR'd over them
+  };
+  using ShardQuery =
+      std::function<StatusOr<std::vector<QueryResult>>(const NNCellIndex&)>;
+  StatusOr<Gathered> Gather(const double* q, const ProbePlan& plan, size_t k,
+                            double limit_d2, const ApproxOptions& approx,
+                            const ShardQuery& query) const;
 
   StatusOr<QueryResult> QueryLocked(const double* q,
                                     const ApproxOptions& approx) const;
   double QueryCostLocked() const;
-  StatusOr<std::vector<QueryResult>> MergeListQuery(
-      const double* q, size_t k, double radius, bool is_range,
-      const ApproxOptions& approx) const;
 
   bool ShouldAutoRebalance() const;
   Status RebalanceLocked(bool force);
-  Status CheckpointLocked();
-  // Writes the current router state as a snapshot at `path` covering
-  // `covered_lsn`.
-  Status WriteRouterStateLocked(const std::string& path,
-                                uint64_t covered_lsn) const;
 
   NNCellOptions options_;       // shards run with parallel.num_threads = 1
   ShardedOptions sopts_;

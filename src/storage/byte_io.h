@@ -26,6 +26,7 @@ class ByteWriter {
 
   void PutDoubles(const double* values, size_t count) {
     NNCELL_CHECK(pos_ + count * sizeof(double) <= size_);
+    if (count == 0) return;  // `values` may be null (an empty vector's data)
     std::memcpy(data_ + pos_, values, count * sizeof(double));
     pos_ += count * sizeof(double);
   }
@@ -55,6 +56,7 @@ class ByteReader {
 
   void GetDoubles(double* out, size_t count) {
     NNCELL_CHECK(pos_ + count * sizeof(double) <= size_);
+    if (count == 0) return;  // `out` may be null (an empty vector's data)
     std::memcpy(out, data_ + pos_, count * sizeof(double));
     pos_ += count * sizeof(double);
   }

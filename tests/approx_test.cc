@@ -35,6 +35,7 @@
 #include "shard/sharded_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "test_printers.h"
 
 namespace nncell {
 namespace {

@@ -137,10 +137,13 @@ TEST(ThreadPoolTest, TinyParallelForsLeaveNoLateHelperBehind) {
 
 TEST(ThreadPoolTest, ParallelMapReportsLowestFailureOnBothSides) {
   // BatchPool picks the serial loop just below kFanOutWork and the pool
-  // at it; either way the lowest failing index's status wins.
+  // at it; either way the lowest failing index's status wins, and the
+  // serial loop stops there.
   ThreadPool pool(4);
   constexpr size_t kN = 64;
-  auto fn = [](size_t i) -> StatusOr<size_t> {
+  std::atomic<size_t> calls{0};
+  auto fn = [&calls](size_t i) -> StatusOr<size_t> {
+    calls.fetch_add(1);
     if (i == 5 || i == 37 || i == 60) {
       return Status::Internal("slot " + std::to_string(i));
     }
@@ -149,9 +152,13 @@ TEST(ThreadPoolTest, ParallelMapReportsLowestFailureOnBothSides) {
   const double at = NNCellIndex::kFanOutWork / kN;
   BatchPaths paths;
   for (double cost : {at * 0.99, at}) {
+    calls = 0;
     auto failed = ParallelMap<size_t>(BatchPool(&pool, kN, cost), kN, fn);
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.status().message(), "slot 5") << cost;
+    if (cost < at) {
+      EXPECT_EQ(calls.load(), 6u) << "serial: slots 0..5 only";
+    }
     auto all = ParallelMap<size_t>(
         BatchPool(&pool, kN, cost), kN,
         [](size_t i) -> StatusOr<size_t> { return 2 * i; });

@@ -36,6 +36,7 @@
 #include "shard/shard_format.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "test_printers.h"
 
 namespace nncell {
 namespace {
