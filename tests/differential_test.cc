@@ -10,7 +10,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "batch_paths.h"
+#include "common/crc32c.h"
 #include "common/distance.h"
 #include "common/metrics.h"
 #include "common/metrics_names.h"
@@ -25,6 +29,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
+#include "nncell/query_trace.h"
 #include "scan/sequential_scan.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -493,6 +498,231 @@ TEST(ExactPlanBatchTest, ConcurrentScanBatchesEqualCellProbe) {
       EXPECT_EQ(Bits((*batch)[i].dist), Bits(want[i].dist)) << i;
       EXPECT_EQ((*batch)[i].candidates, t.index->size()) << i;
     }
+  }
+}
+
+// Pins every field of the exact answers with a CRC32C: id, distance and
+// point bits, candidates and used_fallback of each answer, and the stage
+// names, item counts and totals of each NN query's trace. Queries: NN,
+// 5-NN, the range at the 3rd-NN distance (the last one on a smaller
+// index), and k > size on some. Both
+// forced plans, on each configuration. Some queries lie outside [0,1]^d,
+// where no cell approximation contains them, so the cell probe falls back
+// to the scan. Re-pin a digest only in a change that means to alter an
+// answer, a candidate count or a trace, and say why.
+struct QueryDigestCase {
+  const char* name;
+  size_t dim;
+  size_t n;
+  size_t max_partitions;  // decomposition; 1 = one MBR per cell
+  bool weighted;          // weights 0.5, 1.5, 2.5, ... per axis
+  bool churn;             // inserts and deletes after the bulk build
+  uint32_t probe;         // digest under the forced cell probe
+  uint32_t scan;          // digest under the forced scan
+};
+
+void PrintTo(const QueryDigestCase& c, std::ostream* os) { *os << c.name; }
+
+uint32_t ExtendAnswer(uint32_t crc, const NNCellIndex::QueryResult& r) {
+  const uint64_t words[4] = {r.id, Bits(r.dist), r.candidates,
+                             r.used_fallback ? 1u : 0u};
+  crc = Crc32cExtend(crc, words, sizeof(words));
+  return Crc32cExtend(crc, r.point.data(), r.point.size() * sizeof(double));
+}
+
+uint32_t ExtendTrace(uint32_t crc, const QueryTrace& trace) {
+  for (const QueryTrace::Stage& s : trace.stages) {
+    crc = Crc32cExtend(crc, s.name.data(), s.name.size());
+    crc = Crc32cExtend(crc, &s.items, sizeof(s.items));
+  }
+  const uint64_t totals[3] = {trace.candidates, trace.distance_computations,
+                              trace.used_fallback ? 1u : 0u};
+  return Crc32cExtend(crc, totals, sizeof(totals));
+}
+
+// The query counters the answers imply: NN queries with their candidates,
+// distances and fallbacks, and the kNN and range queries.
+struct QueryCounts {
+  uint64_t nn = 0, candidates = 0, distances = 0, fallbacks = 0, exact = 0;
+};
+
+uint32_t AnswersDigest(const NNCellIndex& index, const PointSet& queries,
+                       QueryCounts* counts) {
+  uint32_t crc = 0;
+  for (size_t t = 0; t < queries.size(); ++t) {
+    QueryTrace trace;
+    auto nn = index.Query(queries[t], &trace);
+    EXPECT_TRUE(nn.ok()) << nn.status().ToString();
+    if (!nn.ok()) return crc;
+    crc = ExtendTrace(ExtendAnswer(crc, *nn), trace);
+    ++counts->nn;
+    counts->candidates += nn->candidates;
+    counts->distances += trace.distance_computations;
+    counts->fallbacks += nn->used_fallback ? 1 : 0;
+
+    const size_t k = std::min<size_t>(5, index.size());
+    auto knn = index.KnnQuery(queries[t], 5);
+    EXPECT_TRUE(knn.ok() && knn->size() == k) << knn.status().ToString();
+    if (!knn.ok() || knn->size() != k) return crc;
+    for (const auto& r : *knn) crc = ExtendAnswer(crc, r);
+    auto range =
+        index.RangeSearch(queries[t], (*knn)[std::min<size_t>(2, k - 1)].dist);
+    EXPECT_TRUE(range.ok()) << range.status().ToString();
+    if (!range.ok()) return crc;
+    for (const auto& r : *range) crc = ExtendAnswer(crc, r);
+    counts->exact += 2;
+
+    if (t % 4 == 0) {
+      auto all = index.KnnQuery(queries[t], index.size() + 3);
+      EXPECT_TRUE(all.ok() && all->size() == index.size());
+      if (!all.ok()) return crc;
+      for (const auto& r : *all) crc = ExtendAnswer(crc, r);
+      ++counts->exact;
+    }
+  }
+  return crc;
+}
+
+class QueryDigestTest : public testing::TestWithParam<QueryDigestCase> {};
+
+TEST_P(QueryDigestTest, AnswersMatchPinnedDigest) {
+  const QueryDigestCase& c = GetParam();
+  NNCellOptions options;
+  options.decomposition.max_partitions = c.max_partitions;
+  if (c.weighted) {
+    for (size_t i = 0; i < c.dim; ++i) {
+      options.weights.push_back(0.5 + static_cast<double>(i));
+    }
+  }
+  IndexUnderTest t = MakeIndex(c.dim, options);
+  ASSERT_TRUE(t.index->BulkBuild(GenerateUniform(c.n, c.dim, 61)).ok());
+  if (c.churn) {
+    const PointSet extra = GenerateUniform(20, c.dim, 62);
+    for (size_t i = 0; i < extra.size(); ++i) {
+      ASSERT_TRUE(t.index->Insert(extra.Get(i)).ok());
+    }
+    for (uint64_t id = 3; id < c.n; id += c.n / 20) {
+      ASSERT_TRUE(t.index->Delete(id).ok());
+    }
+  }
+
+  // 12 queries in the data space, then 4 outside it.
+  PointSet queries = GenerateQueries(12, c.dim, 63);
+  std::vector<double> q(queries[0], queries[0] + c.dim);
+  q[0] = 1.02;
+  queries.Add(q);
+  q[0] = -0.03;
+  q[c.dim - 1] = 1.1;
+  queries.Add(q);
+  std::fill(q.begin(), q.end(), 2.0);
+  queries.Add(q);
+  std::fill(q.begin(), q.end(), -0.5);
+  queries.Add(q);
+
+  const bool was_enabled = metrics::Registry::Enabled();
+  metrics::Registry::SetEnabled(true);
+  const metrics::Registry& reg = metrics::Registry::Global();
+  for (ExactPlan plan : {ExactPlan::kCellProbe, ExactPlan::kScan}) {
+    t.index->SetExactPlan(plan);
+    const char* plan_counter = plan == ExactPlan::kScan
+                                   ? metrics::kQueryPlanScan
+                                   : metrics::kQueryPlanCellProbe;
+    const QueryCounts before = {
+        reg.counter(metrics::kQueryCount)->Value(),
+        reg.counter(metrics::kQueryCandidates)->Value(),
+        reg.counter(metrics::kQueryDistanceComputations)->Value(),
+        reg.counter(metrics::kQueryFallbacks)->Value(),
+        reg.counter(plan_counter)->Value()};
+    QueryCounts counts;
+    const uint32_t crc = AnswersDigest(*t.index, queries, &counts);
+    EXPECT_EQ(crc, plan == ExactPlan::kScan ? c.scan : c.probe)
+        << ExactPlanName(plan) << " " << std::hex << crc;
+    if (plan == ExactPlan::kScan) {
+      EXPECT_EQ(counts.fallbacks, 0u);
+    } else {
+      // Every query outside the data space takes the fallback.
+      EXPECT_GE(counts.fallbacks, 4u);
+    }
+#if NNCELL_METRICS
+    EXPECT_EQ(reg.counter(metrics::kQueryCount)->Value() - before.nn,
+              counts.nn);
+    EXPECT_EQ(reg.counter(metrics::kQueryCandidates)->Value() -
+                  before.candidates,
+              counts.candidates);
+    EXPECT_EQ(reg.counter(metrics::kQueryDistanceComputations)->Value() -
+                  before.distances,
+              counts.distances);
+    EXPECT_EQ(reg.counter(metrics::kQueryFallbacks)->Value() -
+                  before.fallbacks,
+              counts.fallbacks);
+    EXPECT_EQ(reg.counter(plan_counter)->Value() - before.exact,
+              counts.nn + counts.exact);
+#else
+    (void)before;
+#endif
+  }
+  metrics::Registry::SetEnabled(was_enabled);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, QueryDigestTest,
+    testing::Values(
+        QueryDigestCase{"plain_d4", 4, 2000, 1, false, false, 0x44cb067b,
+                        0x77c04725},
+        QueryDigestCase{"decomposed_d4", 4, 400, 4, false, false, 0x2c7bba67,
+                        0xb7d91b0f},
+        QueryDigestCase{"weighted_d3", 3, 1000, 1, true, false, 0xbbeccc4d,
+                        0xfb5d1ffe},
+        QueryDigestCase{"churned_d4", 4, 600, 1, false, true, 0xc6376c02,
+                        0xafc646fb},
+        // So few points that most queries lie in every cell approximation.
+        QueryDigestCase{"tiny_d2", 2, 2, 1, false, false, 0xd3c1b919,
+                        0x9258baf1}),
+    [](const testing::TestParamInfo<QueryDigestCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The status of each bad query, and which check wins when several fail:
+// empty index, then (RangeSearch) negative and non-finite radius, then a
+// non-finite coordinate, then k = 0.
+TEST(QueryStatusTest, BadInputsFailInOrder) {
+  IndexUnderTest t = MakeIndex(2, NNCellOptions{});
+  const NNCellIndex& index = *t.index;
+  ApproxOptions approx;
+  approx.epsilon = 0.1;
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bad = {0.5, nan};
+  auto message = [](const auto& r) { return r.status().ToString(); };
+  const std::string empty = "FAILED_PRECONDITION: index is empty";
+  EXPECT_EQ(message(index.Query(bad.data())), empty);
+  EXPECT_EQ(message(index.Query(bad.data(), approx)), empty);
+  EXPECT_EQ(message(index.KnnQuery(bad.data(), 0)), empty);
+  EXPECT_EQ(message(index.KnnQuery(bad.data(), 0, approx)), empty);
+  EXPECT_EQ(message(index.RangeSearch(bad.data(), -1.0)), empty);
+
+  ASSERT_TRUE(t.index->Insert({0.25, 0.5}).ok());
+  const std::string non_finite = "INVALID_ARGUMENT: non-finite coordinate";
+  EXPECT_EQ(message(index.Query(bad.data())), non_finite);
+  EXPECT_EQ(message(index.Query(bad.data(), approx)), non_finite);
+  EXPECT_EQ(message(index.KnnQuery(bad.data(), 0)), non_finite);
+  EXPECT_EQ(message(index.KnnQuery(bad.data(), 0, approx)), non_finite);
+  EXPECT_EQ(message(index.RangeSearch(bad.data(), 0.1)), non_finite);
+  EXPECT_EQ(message(index.RangeSearch(bad.data(), -inf)),
+            "INVALID_ARGUMENT: negative radius");
+  EXPECT_EQ(message(index.RangeSearch(bad.data(), inf)),
+            "INVALID_ARGUMENT: non-finite radius");
+  EXPECT_EQ(message(index.RangeSearch(bad.data(), nan)),
+            "INVALID_ARGUMENT: non-finite radius");
+  const std::vector<double> good = {0.5, 0.5};
+  for (ExactPlan plan : {ExactPlan::kCellProbe, ExactPlan::kScan}) {
+    t.index->SetExactPlan(plan);
+    auto none = index.KnnQuery(good.data(), 0);
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(none->empty());
+    auto approx_none = index.KnnQuery(good.data(), 0, approx);
+    ASSERT_TRUE(approx_none.ok());
+    EXPECT_TRUE(approx_none->empty());
   }
 }
 

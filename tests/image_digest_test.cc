@@ -37,6 +37,7 @@ struct DigestCase {
   uint64_t seed;
   uint32_t built;    // digest right after BulkBuild
   uint32_t written;  // digest after the fixed insert/delete sequence
+  ApproxAlgorithm algorithm = ApproxAlgorithm::kSphere;
 };
 
 // gtest names each case after what this prints. Its default dumps the
@@ -60,7 +61,9 @@ TEST_P(ImageDigestTest, BuildAndWritesMatchPinnedImages) {
   // has more than 32 children, so the candidate-pruned ChooseSubtree runs.
   PageFile file(2048);
   BufferPool pool(&file, 1024);
-  NNCellIndex index(&pool, c.dim, NNCellOptions());
+  NNCellOptions options;
+  options.algorithm = c.algorithm;
+  NNCellIndex index(&pool, c.dim, options);
   Status built = index.BulkBuild(GenerateUniform(c.n, c.dim, c.seed));
   ASSERT_TRUE(built.ok()) << built.ToString();
   const RTreeCore::TreeInfo info = index.TreeInfo();
@@ -98,7 +101,10 @@ TEST_P(ImageDigestTest, BuildAndWritesMatchPinnedImages) {
 INSTANTIATE_TEST_SUITE_P(
     Uniform, ImageDigestTest,
     ::testing::Values(DigestCase{"d4", 1200, 4, 5, 0xb474dd66, 0xff443b13},
-                      DigestCase{"d16", 400, 16, 6, 0x6a432a82, 0xbf3bf335}),
+                      DigestCase{"d16", 400, 16, 6, 0x6a432a82, 0xbf3bf335},
+                      // The NN-Direction selector picks every cell's rows.
+                      DigestCase{"d4_nn_direction", 1200, 4, 5, 0x44ff98b0,
+                                 0x267ecb6f, ApproxAlgorithm::kNNDirection}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.name);
     });
