@@ -78,17 +78,6 @@ void Arm(const std::string& name, Action action, int skip) {
   site.skip = skip;
 }
 
-void Disarm(const std::string& name) {
-  SiteRegistry& reg = Reg();
-  MutexLock lock(reg.mu);
-  auto it = reg.sites.find(name);
-  if (it != reg.sites.end() && it->second.armed) {
-    it->second.armed = false;
-    // nncell-lint: allow(relaxed-atomics) mutated under the registry mutex
-    internal::g_armed_count.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void DisarmAll() {
   SiteRegistry& reg = Reg();
   MutexLock lock(reg.mu);

@@ -67,8 +67,7 @@ inline Action Check(const char* name) {
 // Re-arming an armed site replaces its configuration.
 void Arm(const std::string& name, Action action, int skip = 0);
 
-// Disarms one site / every site (tests call DisarmAll in teardown).
-void Disarm(const std::string& name);
+// Disarms every site (tests call it in teardown).
 void DisarmAll();
 
 // How many times `name` was evaluated since the last DisarmAll, counted
@@ -80,7 +79,6 @@ uint64_t Evaluations(const std::string& name);
 
 inline Action Check(const char*) { return Action::kOff; }
 inline void Arm(const std::string&, Action, int = 0) {}
-inline void Disarm(const std::string&) {}
 inline void DisarmAll() {}
 inline uint64_t Evaluations(const std::string&) { return 0; }
 

@@ -95,13 +95,6 @@ const SnapshotEntry* Snapshot::Find(std::string_view name) const {
   return nullptr;
 }
 
-uint64_t Snapshot::Value(std::string_view name) const {
-  const SnapshotEntry* e = Find(name);
-  if (e == nullptr) return 0;
-  if (e->kind == Kind::kGauge) return static_cast<uint64_t>(e->gauge);
-  return e->value;
-}
-
 Snapshot Registry::TakeSnapshot() const {
   Snapshot snap;
   snap.entries.reserve(slots_.size());

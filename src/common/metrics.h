@@ -160,9 +160,6 @@ struct Snapshot {
   std::vector<SnapshotEntry> entries;  // sorted by name
 
   const SnapshotEntry* Find(std::string_view name) const;
-  // Convenience for tests/benches: counter value or histogram count; 0 for
-  // unknown names.
-  uint64_t Value(std::string_view name) const;
 };
 
 // The process-wide registry. Construction registers exactly the metrics of

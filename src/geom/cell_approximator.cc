@@ -233,22 +233,10 @@ double DefaultSphereRadius(size_t n, size_t dim) {
                         1.0 / static_cast<double>(dim));
 }
 
-std::vector<size_t> SelectSphereCandidates(const PointSet& pts,
-                                           size_t owner_idx, double radius) {
-  std::vector<size_t> out;
-  const double* owner = pts[owner_idx];
-  const double r2 = radius * radius;
-  for (size_t j = 0; j < pts.size(); ++j) {
-    if (j == owner_idx) continue;
-    if (L2DistSq(pts[j], owner, pts.dim()) <= r2) out.push_back(j);
-  }
-  return out;
-}
-
-std::vector<size_t> SelectNNDirectionCandidates(const PointSet& pts,
-                                                size_t owner_idx) {
+std::vector<size_t> SelectNNDirectionCandidates(
+    const PointSet& pts, const double* owner, size_t self,
+    const std::vector<bool>& alive) {
   const size_t d = pts.dim();
-  const double* owner = pts[owner_idx];
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
   // For each of the 2d signed axis directions: the nearest point whose
@@ -259,7 +247,7 @@ std::vector<size_t> SelectNNDirectionCandidates(const PointSet& pts,
   std::vector<double> ax_best(2 * d, -1.0);  // cosine, larger is better
 
   for (size_t j = 0; j < pts.size(); ++j) {
-    if (j == owner_idx) continue;
+    if (j == self || !alive[j]) continue;
     const double* p = pts[j];
     double dist2 = L2DistSq(p, owner, d);
     if (dist2 == 0.0) continue;  // duplicate; contributes no half-space

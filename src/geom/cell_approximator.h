@@ -108,15 +108,14 @@ class CellApproximator {
 // nearest-neighbor distance of n uniform points in [0,1]^d.
 double DefaultSphereRadius(size_t n, size_t dim);
 
-// All points (by index into pts, excluding `owner_idx`) within `radius`.
-std::vector<size_t> SelectSphereCandidates(const PointSet& pts,
-                                           size_t owner_idx, double radius);
-
 // NN-Direction heuristic: for each of the 2d axis directions, the nearest
-// point lying in that half-space, plus the point with the smallest angular
-// deviation from that axis. At most 4d candidates (duplicates removed).
-std::vector<size_t> SelectNNDirectionCandidates(const PointSet& pts,
-                                                size_t owner_idx);
+// point of `pts` lying in that half-space around `owner`, plus the point
+// with the smallest angular deviation from that axis. Skips index `self`
+// (the owner's own id, or any id not in pts for a new point) and every j
+// with !alive[j]. At most 4d candidates, ascending, duplicates removed.
+std::vector<size_t> SelectNNDirectionCandidates(
+    const PointSet& pts, const double* owner, size_t self,
+    const std::vector<bool>& alive);
 
 }  // namespace nncell
 

@@ -22,18 +22,9 @@ namespace {
 
 constexpr uint64_t kInvalidId = std::numeric_limits<uint64_t>::max();
 
-// out[j] = L2DistSq(points[ids[j]], q) through the batched gather kernel,
-// four owners per call; bit-equal to the per-pair kernel.
-void BatchOwnerDistSq(const PointSet& points, const uint64_t* ids, size_t n,
-                      const double* q, size_t dim, double* out) {
-  const double* ptrs[4];
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    for (size_t t = 0; t < 4; ++t) ptrs[t] = points[ids[j + t]];
-    kernels::L2DistSqBatch4(q, ptrs, dim, out + j);
-  }
-  for (; j < n; ++j) out[j] = L2DistSq(points[ids[j]], q, dim);
-}
+// The executor an exact NN query falls back on when its point query finds
+// no owner.
+constexpr ExactPlan kFallbackPlan = ExactPlan::kScan;
 
 // Registry handles for the query pipeline (resolved once per process).
 struct QueryMetrics {
@@ -236,46 +227,10 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
     case ApproxAlgorithm::kNNDirection: {
       // Directional nearest neighbors; a scan with the same semantics as
       // the paper's 4d index queries.
-      // The selector needs the probe point inside the set; when the point
-      // is new we scan manually.
-      const size_t d = dim_;
-      constexpr size_t kNone = std::numeric_limits<size_t>::max();
-      std::vector<size_t> nn_idx(2 * d, kNone), ax_idx(2 * d, kNone);
-      std::vector<double> nn_best(2 * d,
-                                  std::numeric_limits<double>::infinity());
-      std::vector<double> ax_best(2 * d, -1.0);
-      for (size_t j = 0; j < points_.size(); ++j) {
-        if (j == self || !alive_[j]) continue;
-        const double* p = points_[j];
-        double dist2 = L2DistSq(p, point, d);
-        if (dist2 == 0.0) continue;
-        double inv_norm = 1.0 / std::sqrt(dist2);
-        for (size_t i = 0; i < d; ++i) {
-          double comp = p[i] - point[i];
-          for (int sign = 0; sign < 2; ++sign) {
-            double along = sign ? -comp : comp;
-            if (along <= 0.0) continue;
-            size_t slot = 2 * i + sign;
-            if (dist2 < nn_best[slot]) {
-              nn_best[slot] = dist2;
-              nn_idx[slot] = j;
-            }
-            double cosine = along * inv_norm;
-            if (cosine > ax_best[slot]) {
-              ax_best[slot] = cosine;
-              ax_idx[slot] = j;
-            }
-          }
-        }
+      for (size_t id : SelectNNDirectionCandidates(points_, point, self,
+                                                   alive_)) {
+        candidates.push_back(points_[id]);
       }
-      std::vector<size_t> ids;
-      for (size_t s = 0; s < 2 * d; ++s) {
-        if (nn_idx[s] != kNone) ids.push_back(nn_idx[s]);
-        if (ax_idx[s] != kNone) ids.push_back(ax_idx[s]);
-      }
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      for (size_t id : ids) candidates.push_back(points_[id]);
       break;
     }
   }
@@ -783,14 +738,55 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::Query(
   return ExactQuery(q_original, plan_, trace);
 }
 
+StatusOr<std::vector<double>> NNCellIndex::MetricQuery(
+    const double* q_original, const Status& arg) const {
+  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
+  NNCELL_RETURN_IF_ERROR(arg);
+  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
+  return ToMetricSpace(q_original, dim_, options_.weights);
+}
+
 template <class Visit>
-void NNCellIndex::ScanLive(const double* q, Visit visit) const {
+size_t NNCellIndex::VisitCandidates(const double* q, double r, ExactPlan plan,
+                                    bool distinct, QueryTrace* trace,
+                                    Visit visit) const {
+  const bool scan = plan == ExactPlan::kScan;
+  std::vector<uint64_t> owners;
+  if (!scan) {
+    // Stage 1: query the cell index. Every owner in the ball has a cell
+    // approximation meeting it (the approximation contains its owner), so
+    // the owners whose approximation meets the ball's bounding box include
+    // them all.
+    TraceTimer probe_timer;
+    if (r == 0.0) {
+      owners = tree_->PointQuery(q);
+    } else {
+      HyperRect ball_box = HyperRect::Empty(dim_);
+      for (size_t i = 0; i < dim_; ++i) {
+        ball_box.lo(i) = q[i] - r;
+        ball_box.hi(i) = q[i] + r;
+      }
+      for (const Entry& m : tree_->RangeQuery(ball_box)) {
+        owners.push_back(m.id);
+      }
+    }
+    if (distinct) {
+      std::sort(owners.begin(), owners.end());
+      owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+    }
+    if (trace != nullptr) {
+      trace->stages.push_back(
+          {"index_probe", probe_timer.ElapsedMicros(), owners.size()});
+    }
+  }
+
+  // Stage 2: exact distance checks, four owners per gather-kernel call.
+  TraceTimer scan_timer;
   uint64_t id4[4];
   const double* ptr4[4];
   double d4[4];
   size_t fill = 0;
-  for (uint64_t id = 0; id < points_.size(); ++id) {
-    if (!alive_[id]) continue;
+  auto check = [&](uint64_t id) {
     id4[fill] = id;
     ptr4[fill] = points_[id];
     if (++fill == 4) {
@@ -798,16 +794,31 @@ void NNCellIndex::ScanLive(const double* q, Visit visit) const {
       for (size_t t = 0; t < 4; ++t) visit(id4[t], d4[t]);
       fill = 0;
     }
+  };
+  if (scan) {
+    // The cell MBRs cannot prune: every live point is a candidate.
+    for (uint64_t id = 0; id < points_.size(); ++id) {
+      if (alive_[id]) check(id);
+    }
+  } else {
+    for (uint64_t id : owners) check(id);
   }
   for (size_t t = 0; t < fill; ++t) {
     visit(id4[t], L2DistSq(ptr4[t], q, dim_));
   }
+  const size_t checked = scan ? live_count_ : owners.size();
+  if (trace != nullptr) {
+    trace->stages.push_back(
+        {"distance_scan", scan_timer.ElapsedMicros(), checked});
+  }
+  return checked;
 }
 
 StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
     const double* q_original, ExactPlan plan, QueryTrace* trace) const {
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
-  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
+  StatusOr<std::vector<double>> q_vec = MetricQuery(q_original);
+  if (!q_vec.ok()) return q_vec.status();
+  const double* q = q_vec->data();
 
   BufferStats pool_before;
   if (trace != nullptr) {
@@ -815,12 +826,6 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
     pool_before = tree_->pool()->stats();
   }
 
-  std::vector<double> q_vec =
-      ToMetricSpace(q_original, dim_, options_.weights);
-  const double* q = q_vec.data();
-  size_t candidates = 0;
-  uint64_t distance_computations = 0;
-  bool used_fallback = false;
   double best = std::numeric_limits<double>::infinity();
   uint64_t best_id = kInvalidId;
   auto keep_nearest = [&](uint64_t id, double d2) {
@@ -830,51 +835,22 @@ StatusOr<NNCellIndex::QueryResult> NNCellIndex::ExactQuery(
     }
   };
 
-  if (plan == ExactPlan::kScan) {
-    // The cell MBRs cannot prune: skip the probe and distance-check every
-    // live point.
-    TraceTimer scan_timer;
-    ScanLive(q, keep_nearest);
-    candidates = distance_computations = live_count_;
+  // The paper's point query (Lemma 2: the true NN's cell approximation
+  // contains q, so its owner is among the candidates).
+  const size_t candidates =
+      VisitCandidates(q, 0.0, plan, /*distinct=*/false, trace, keep_nearest);
+  uint64_t distance_computations = candidates;
+  const bool used_fallback = best_id == kInvalidId;
+  if (used_fallback) {
+    // Numeric edge (query on a cell face lost to LP tolerance) or query
+    // outside the data space: fall back to the scan executor. Lemma 2
+    // makes this rare; the flag lets benchmarks count it.
+    TraceTimer fallback_timer;
+    distance_computations += VisitCandidates(
+        q, 0.0, kFallbackPlan, /*distinct=*/false, nullptr, keep_nearest);
     if (trace != nullptr) {
       trace->stages.push_back(
-          {"distance_scan", scan_timer.ElapsedMicros(), live_count_});
-    }
-  } else {
-    // Stage 1: point query on the cell index (Lemma 2: the true NN's cell
-    // approximation contains q, so its owner is among the matches).
-    TraceTimer probe_timer;
-    std::vector<uint64_t> owners = tree_->PointQuery(q);
-    if (trace != nullptr) {
-      trace->stages.push_back(
-          {"index_probe", probe_timer.ElapsedMicros(), owners.size()});
-    }
-    candidates = distance_computations = owners.size();
-
-    // Stage 2: exact distance checks on the candidate owners, four at a
-    // time through the batched gather kernel.
-    TraceTimer scan_timer;
-    std::vector<double> d2s(owners.size());
-    BatchOwnerDistSq(points_, owners.data(), owners.size(), q, dim_,
-                     d2s.data());
-    for (size_t i = 0; i < owners.size(); ++i) keep_nearest(owners[i], d2s[i]);
-    if (trace != nullptr) {
-      trace->stages.push_back(
-          {"distance_scan", scan_timer.ElapsedMicros(), owners.size()});
-    }
-
-    if (best_id == kInvalidId) {
-      // Numeric edge (query on a cell face lost to LP tolerance) or query
-      // outside the data space: fall back to the scan executor. Lemma 2
-      // makes this rare; the flag lets benchmarks count it.
-      used_fallback = true;
-      TraceTimer fallback_timer;
-      ScanLive(q, keep_nearest);
-      distance_computations += live_count_;
-      if (trace != nullptr) {
-        trace->stages.push_back(
-            {"fallback_scan", fallback_timer.ElapsedMicros(), live_count_});
-      }
+          {"fallback_scan", fallback_timer.ElapsedMicros(), live_count_});
     }
   }
 
@@ -929,13 +905,11 @@ NNCellIndex::QueryResult NNCellIndex::MakeResult(uint64_t id, double d2,
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
     ApproxTraversalQuery(const double* q_original, size_t k,
                          const ApproxOptions& approx) const {
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
-  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
+  StatusOr<std::vector<double>> q_vec = MetricQuery(q_original);
+  if (!q_vec.ok()) return q_vec.status();
   std::vector<QueryResult> results;
   if (k == 0) return results;
   k = std::min(k, live_count_);
-  std::vector<double> q_vec =
-      ToMetricSpace(q_original, dim_, options_.weights);
 
   // Certified / bounded best-first search over the point X-tree. The cell
   // index cannot drive this tier: a cell approximation's MINDIST does not
@@ -943,7 +917,7 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
   // MINDIST 0), so the (1+epsilon) proof runs against the points
   // themselves. Entry MINDIST on a degenerate (point) rectangle is
   // bit-equal to the pair distance kernel.
-  RTreeCore::ApproxNnResult r = point_tree_->KnnQuery(q_vec.data(), k, approx);
+  RTreeCore::ApproxNnResult r = point_tree_->KnnQuery(q_vec->data(), k, approx);
   NNCELL_CHECK(!r.hits.empty());
 
   ApproxCertificate cert;
@@ -970,33 +944,12 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::
 }
 
 std::vector<std::pair<double, uint64_t>> NNCellIndex::Within(
-    const double* q, double r, double r_sq, ExactPlan plan,
-    size_t* candidates) const {
+    const double* q, double r, double r_sq, size_t* candidates) const {
   std::vector<std::pair<double, uint64_t>> within;
-  if (plan == ExactPlan::kScan) {
-    ScanLive(q, [&](uint64_t id, double d2) {
-      if (d2 <= r_sq) within.emplace_back(d2, id);
-    });
-    *candidates = live_count_;
-  } else {
-    HyperRect ball_box = HyperRect::Empty(dim_);
-    for (size_t i = 0; i < dim_; ++i) {
-      ball_box.lo(i) = q[i] - r;
-      ball_box.hi(i) = q[i] + r;
-    }
-    auto in_box = tree_->RangeQuery(ball_box);
-    std::vector<uint64_t> ids;
-    for (const auto& m : in_box) ids.push_back(m.id);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    *candidates = ids.size();
-
-    std::vector<double> d2s(ids.size());
-    BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, d2s.data());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (d2s[i] <= r_sq) within.emplace_back(d2s[i], ids[i]);
-    }
-  }
+  *candidates = VisitCandidates(q, r, plan_, /*distinct=*/true, nullptr,
+                                [&](uint64_t id, double d2) {
+                                  if (d2 <= r_sq) within.emplace_back(d2, id);
+                                });
   std::sort(within.begin(), within.end());
   return within;
 }
@@ -1004,84 +957,67 @@ std::vector<std::pair<double, uint64_t>> NNCellIndex::Within(
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
     const double* q_original, size_t k, const ApproxOptions& approx) const {
   if (approx.enabled()) return ApproxTraversalQuery(q_original, k, approx);
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
-  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
-  std::vector<double> q_vec =
-      ToMetricSpace(q_original, dim_, options_.weights);
-  const double* q = q_vec.data();
+  StatusOr<std::vector<double>> q_vec = MetricQuery(q_original);
+  if (!q_vec.ok()) return q_vec.status();
+  const double* q = q_vec->data();
   std::vector<QueryResult> results;
   if (k == 0) return results;
   k = std::min(k, live_count_);
   CountPlan(plan_);
 
-  if (plan_ == ExactPlan::kScan) {
-    std::vector<std::pair<double, uint64_t>> all;
-    all.reserve(live_count_);
-    ScanLive(q, [&](uint64_t id, double d2) { all.emplace_back(d2, id); });
-    std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(k),
-                      all.end());
-    results.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      results.push_back(MakeResult(all[i].second, all[i].first, live_count_));
-    }
-    return results;
-  }
-
   // Seed radius from the point-query candidates: if they already cover k
   // distinct owners, the k-th smallest owner distance bounds the k-NN
   // radius from above.
-  std::vector<uint64_t> ids = tree_->PointQuery(q);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  std::vector<double> dists(ids.size());
-  BatchOwnerDistSq(points_, ids.data(), ids.size(), q, dim_, dists.data());
-  std::sort(dists.begin(), dists.end());
-
-  double radius_sq;
-  if (dists.size() >= k) {
-    radius_sq = dists[k - 1];
-  } else if (!dists.empty()) {
-    radius_sq = std::max(dists.back(), 1e-12);
-  } else {
-    radius_sq = 1e-6;  // numeric edge: start tiny and grow
-  }
-
-  // Ball query on the cell index, growing the radius until k owners lie
-  // within it. Each point's approximation contains the point itself, so
-  // the ball query cannot miss an owner inside the ball.
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    size_t candidates = 0;
-    std::vector<std::pair<double, uint64_t>> within =
-        Within(q, std::sqrt(radius_sq), radius_sq, ExactPlan::kCellProbe,
-               &candidates);
+  std::vector<std::pair<double, uint64_t>> within;
+  size_t candidates = VisitCandidates(
+      q, 0.0, plan_, /*distinct=*/true, nullptr,
+      [&](uint64_t id, double d2) { within.emplace_back(d2, id); });
+  // Range query, growing the radius until k owners lie within it. When the
+  // seed checked every live point (always under the scan), each of them
+  // meets the first ball too, so the seed is that ball's answer.
+  if (candidates < live_count_) {
+    double radius_sq;
     if (within.size() >= k) {
-      results.reserve(k);
-      for (size_t i = 0; i < k; ++i) {
-        results.push_back(
-            MakeResult(within[i].second, within[i].first, candidates));
-      }
-      return results;
+      std::nth_element(within.begin(), within.begin() + (k - 1), within.end());
+      radius_sq = within[k - 1].first;
+    } else if (!within.empty()) {
+      radius_sq =
+          std::max(std::max_element(within.begin(), within.end())->first,
+                   1e-12);
+    } else {
+      radius_sq = 1e-6;  // numeric edge: start tiny and grow
     }
-    radius_sq *= 4.0;  // double the radius and retry
+    within.clear();
+    for (int attempt = 0; attempt < 64 && within.size() < k; ++attempt) {
+      within = Within(q, std::sqrt(radius_sq), radius_sq, &candidates);
+      radius_sq *= 4.0;  // double the radius for the next attempt
+    }
+    if (within.size() < k) {
+      return Status::Internal("kNN radius search did not converge");
+    }
   }
-  return Status::Internal("kNN radius search did not converge");
+  std::partial_sort(within.begin(), within.begin() + k, within.end());
+  results.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    results.push_back(
+        MakeResult(within[i].second, within[i].first, candidates));
+  }
+  return results;
 }
 
 StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::RangeSearch(
     const double* q_original, double radius) const {
-  if (live_count_ == 0) return Status::FailedPrecondition("index is empty");
-  if (radius < 0.0) return Status::InvalidArgument("negative radius");
-  if (!std::isfinite(radius)) {
-    return Status::InvalidArgument("non-finite radius");
-  }
-  NNCELL_RETURN_IF_ERROR(CheckFinite(q_original, dim_));
-  std::vector<double> q_vec =
-      ToMetricSpace(q_original, dim_, options_.weights);
+  const Status radius_ok =
+      radius < 0.0             ? Status::InvalidArgument("negative radius")
+      : !std::isfinite(radius) ? Status::InvalidArgument("non-finite radius")
+                               : Status::OK();
+  StatusOr<std::vector<double>> q_vec = MetricQuery(q_original, radius_ok);
+  if (!q_vec.ok()) return q_vec.status();
   CountPlan(plan_);
 
   size_t candidates = 0;
   std::vector<std::pair<double, uint64_t>> within =
-      Within(q_vec.data(), radius, radius * radius, plan_, &candidates);
+      Within(q_vec->data(), radius, radius * radius, &candidates);
   std::vector<QueryResult> results;
   results.reserve(within.size());
   for (const auto& [d2, id] : within) {

@@ -466,23 +466,37 @@ class NNCellIndex final : public IndexBackend {
   // cells.
   void UpdatePlan();
 
+  // The preamble of every query body: FailedPrecondition on an empty
+  // index, then `arg` (a query's own argument check) when it is an error,
+  // then InvalidArgument on a non-finite coordinate; else q_original
+  // mapped into metric space.
+  StatusOr<std::vector<double>> MetricQuery(const double* q_original,
+                                            const Status& arg = Status()) const;
+
+  // The one candidate source of the exact queries: calls visit(id, squared
+  // distance to q) for each candidate owner of Ball(q, r), q in metric
+  // space, and returns how many it checked; r = 0 is the paper's point
+  // query. The candidates are every live point under kScan, in ascending
+  // id order, and under kCellProbe the owners whose cell approximation
+  // contains q (r = 0) or meets the ball's bounding box. `distinct` visits
+  // each of them once, in ascending id order; otherwise an owner comes
+  // once per rectangle the point query returns. Distances come four per
+  // gather-kernel call (bit-equal to the pair kernel). A non-null `trace`
+  // gets the executor's stages.
+  template <class Visit>
+  size_t VisitCandidates(const double* q, double r, ExactPlan plan,
+                         bool distinct, QueryTrace* trace, Visit visit) const;
+
   // The exact nearest neighbor through `plan`'s executor (not kAuto).
   StatusOr<QueryResult> ExactQuery(const double* q_original, ExactPlan plan,
                                    QueryTrace* trace) const;
 
-  // The scan executor: calls visit(id, squared distance to q) for every
-  // live point in ascending id order, four points per gather-kernel call
-  // (bit-equal to the pair kernel). q is in metric space.
-  template <class Visit>
-  void ScanLive(const double* q, Visit visit) const;
-
   // The (squared distance, id) pairs of every live point within
   // Ball(q, r), r_sq = r * r, q in metric space, ascending; shared by
-  // KnnQuery and RangeSearch. The cell probe distance-checks each owner
-  // whose cell approximation meets the ball's bounding box (every owner in
-  // the ball has one). *candidates receives the owners checked.
+  // KnnQuery and RangeSearch. *candidates receives the distinct owners
+  // checked.
   std::vector<std::pair<double, uint64_t>> Within(const double* q, double r,
-                                                  double r_sq, ExactPlan plan,
+                                                  double r_sq,
                                                   size_t* candidates) const;
 
   // OK when the metric-space `point` may join the index: inside the data

@@ -15,6 +15,23 @@ const uint8_t* Bytes(std::string_view s) {
   return reinterpret_cast<const uint8_t*>(s.data());
 }
 
+// Reads n coordinates into *out and rejects a NaN or infinite one; `what`
+// ("point" or "batch") prefixes the error message.
+Status ReadCoordinates(wire::Reader* r, size_t n, const char* what,
+                       std::vector<double>* out) {
+  out->assign(n, 0.0);
+  for (double& v : *out) {
+    if (!r->GetF64(&v)) {
+      return Status::InvalidArgument(std::string(what) + ": truncated");
+    }
+  }
+  if (!AllFinite(out->data(), n)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": non-finite coordinate");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeFrame(uint8_t type, uint64_t request_id, std::string_view payload,
@@ -77,24 +94,15 @@ void EncodePointPayload(const std::vector<double>& point, std::string* out) {
 }
 
 Status DecodePointPayload(std::string_view payload, std::vector<double>* out) {
-  wire::Reader r(Bytes(payload), payload.size());
-  uint32_t dim = 0;
-  if (!r.GetU32(&dim)) return Status::InvalidArgument("point: truncated");
-  if (dim == 0 || dim > kMaxPointDim) {
-    return Status::InvalidArgument("point: bad dimension " +
-                                   std::to_string(dim));
-  }
-  if (r.remaining() != dim * sizeof(double)) {
+  ApproxOptions approx;
+  bool has_approx = false;
+  Status st = DecodePointPayloadWithApprox(payload, out, &approx, &has_approx);
+  // An INSERT carries no approx block: its size is a mismatch, whatever
+  // the bytes in it.
+  if (has_approx) {
     return Status::InvalidArgument("point: payload size mismatch");
   }
-  out->assign(dim, 0.0);
-  for (double& v : *out) {
-    if (!r.GetF64(&v)) return Status::InvalidArgument("point: truncated");
-  }
-  if (!AllFinite(out->data(), dim)) {
-    return Status::InvalidArgument("point: non-finite coordinate");
-  }
-  return Status::OK();
+  return st;
 }
 
 void EncodeBatchPayload(const std::vector<std::vector<double>>& points,
@@ -105,36 +113,6 @@ void EncodeBatchPayload(const std::vector<std::vector<double>>& points,
   for (const auto& p : points) {
     for (double v : p) wire::PutF64(out, v);
   }
-}
-
-Status DecodeBatchPayload(std::string_view payload, size_t* dim,
-                          std::vector<double>* flat, size_t* count) {
-  wire::Reader r(Bytes(payload), payload.size());
-  uint32_t n = 0;
-  uint32_t d = 0;
-  if (!r.GetU32(&n) || !r.GetU32(&d)) {
-    return Status::InvalidArgument("batch: truncated");
-  }
-  if (n == 0 || n > kMaxBatchQueries) {
-    return Status::InvalidArgument("batch: bad count " + std::to_string(n));
-  }
-  if (d == 0 || d > kMaxPointDim) {
-    return Status::InvalidArgument("batch: bad dimension " +
-                                   std::to_string(d));
-  }
-  if (r.remaining() != static_cast<size_t>(n) * d * sizeof(double)) {
-    return Status::InvalidArgument("batch: payload size mismatch");
-  }
-  flat->assign(static_cast<size_t>(n) * d, 0.0);
-  for (double& v : *flat) {
-    if (!r.GetF64(&v)) return Status::InvalidArgument("batch: truncated");
-  }
-  if (!AllFinite(flat->data(), flat->size())) {
-    return Status::InvalidArgument("batch: non-finite coordinate");
-  }
-  *dim = d;
-  *count = n;
-  return Status::OK();
 }
 
 namespace {
@@ -182,13 +160,7 @@ Status DecodePointPayloadWithApprox(std::string_view payload,
     return Status::InvalidArgument("point: payload size mismatch");
   }
   *has_approx = r.remaining() == coords + kApproxRequestBytes;
-  out->assign(dim, 0.0);
-  for (double& v : *out) {
-    if (!r.GetF64(&v)) return Status::InvalidArgument("point: truncated");
-  }
-  if (!AllFinite(out->data(), dim)) {
-    return Status::InvalidArgument("point: non-finite coordinate");
-  }
+  NNCELL_RETURN_IF_ERROR(ReadCoordinates(&r, dim, "point", out));
   *approx = ApproxOptions{};
   if (*has_approx) NNCELL_RETURN_IF_ERROR(ReadApproxBlock(&r, approx));
   return Status::OK();
@@ -222,13 +194,8 @@ Status DecodeBatchPayloadWithApprox(std::string_view payload, size_t* dim,
     return Status::InvalidArgument("batch: payload size mismatch");
   }
   *has_approx = r.remaining() == coords + kApproxRequestBytes;
-  flat->assign(static_cast<size_t>(n) * d, 0.0);
-  for (double& v : *flat) {
-    if (!r.GetF64(&v)) return Status::InvalidArgument("batch: truncated");
-  }
-  if (!AllFinite(flat->data(), flat->size())) {
-    return Status::InvalidArgument("batch: non-finite coordinate");
-  }
+  NNCELL_RETURN_IF_ERROR(
+      ReadCoordinates(&r, static_cast<size_t>(n) * d, "batch", flat));
   *approx = ApproxOptions{};
   if (*has_approx) NNCELL_RETURN_IF_ERROR(ReadApproxBlock(&r, approx));
   *dim = d;

@@ -45,14 +45,14 @@ Status VerifyPayloadCrc(const FrameHeader& header, std::string_view payload);
 // per request, before it can reach a batch shared with other clients.
 
 // QUERY / INSERT payload: u32 dim, dim * f64 coordinates.
+// DecodePointPayload decodes an INSERT: DecodePointPayloadWithApprox,
+// with a trailing approx block rejected as a size mismatch.
 void EncodePointPayload(const std::vector<double>& point, std::string* out);
 Status DecodePointPayload(std::string_view payload, std::vector<double>* out);
 
 // QUERY_BATCH payload: u32 count, u32 dim, count * dim * f64 coordinates.
 void EncodeBatchPayload(const std::vector<std::vector<double>>& points,
                         std::string* out);
-Status DecodeBatchPayload(std::string_view payload, size_t* dim,
-                          std::vector<double>* flat, size_t* count);
 
 // --- approximate query tier ------------------------------------------------
 // A QUERY / QUERY_BATCH request may append one optional approx block
@@ -60,7 +60,7 @@ Status DecodeBatchPayload(std::string_view payload, size_t* dim,
 // coordinates. The Decode*WithApprox variants accept payloads with or
 // without the block and report which form arrived; the With variants of
 // the encoders always append it. INSERT payloads never carry the block
-// (DecodePointPayload stays exact-size).
+// (DecodePointPayload refuses it).
 
 void EncodePointPayloadWithApprox(const std::vector<double>& point,
                                   const ApproxOptions& approx,

@@ -156,18 +156,6 @@ PageId BufferPool::AllocatePage() {
   return id;
 }
 
-PageId BufferPool::AllocateRun(size_t count) {
-  PageId first = file_->AllocateRun(count);
-  for (size_t i = 0; i < count; ++i) {
-    PageId id = first + static_cast<PageId>(i);
-    Shard& shard = ShardOf(id);
-    MutexLock lock(shard.mu);
-    Frame& f = GetFrame(shard, id, /*load_from_disk=*/false);
-    MarkDirty(shard, f);
-  }
-  return first;
-}
-
 void BufferPool::FreePage(PageId id) {
   Shard& shard = ShardOf(id);
   {

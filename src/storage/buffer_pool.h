@@ -72,7 +72,6 @@ class BufferPool {
   // Allocates a fresh page and returns its id; the zeroed frame is cached
   // and dirty. Writer-exclusive.
   PageId AllocatePage();
-  PageId AllocateRun(size_t count);
 
   // Frees a page; drops its frame without write-back. The page must not be
   // pinned. Writer-exclusive.

@@ -491,8 +491,6 @@ TEST(ApproxWireTest, RejectsNonFiniteCoordinates) {
     std::vector<double> flat;
     payload.clear();
     srv::EncodeBatchPayload({{0.1, 0.2}, p}, &payload);
-    EXPECT_FALSE(srv::DecodeBatchPayload(payload, &dim, &flat, &count).ok())
-        << bad;
     EXPECT_FALSE(srv::DecodeBatchPayloadWithApprox(payload, &dim, &flat, &count,
                                                    &decoded, &has_approx)
                      .ok())

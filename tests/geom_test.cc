@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -371,28 +372,6 @@ TEST(SelectorTest, SphereRadiusShrinksWithN) {
   EXPECT_GT(DefaultSphereRadius(1000, 16), DefaultSphereRadius(1000, 4));
 }
 
-TEST(SelectorTest, SphereCandidatesAreWithinRadius) {
-  Rng rng(31);
-  PointSet pts(4);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> p(4);
-    for (auto& v : p) v = rng.NextDouble();
-    pts.Add(p);
-  }
-  double radius = 0.4;
-  auto cands = SelectSphereCandidates(pts, 0, radius);
-  for (size_t j : cands) {
-    EXPECT_NE(j, 0u);
-    EXPECT_LE(L2Dist(pts[j], pts[0], 4), radius + 1e-12);
-  }
-  // Complement check.
-  size_t inside = 0;
-  for (size_t j = 1; j < pts.size(); ++j) {
-    if (L2Dist(pts[j], pts[0], 4) <= radius) ++inside;
-  }
-  EXPECT_EQ(cands.size(), inside);
-}
-
 TEST(SelectorTest, NNDirectionBudgetAndContents) {
   Rng rng(32);
   const size_t d = 6;
@@ -402,7 +381,8 @@ TEST(SelectorTest, NNDirectionBudgetAndContents) {
     for (auto& v : p) v = rng.NextDouble();
     pts.Add(p);
   }
-  auto cands = SelectNNDirectionCandidates(pts, 0);
+  auto cands = SelectNNDirectionCandidates(
+      pts, pts[0], 0, std::vector<bool>(pts.size(), true));
   EXPECT_LE(cands.size(), 4 * d);
   EXPECT_GT(cands.size(), 0u);
   for (size_t j : cands) EXPECT_NE(j, 0u);
@@ -429,8 +409,28 @@ TEST(SelectorTest, NNDirectionOnAxisPoints) {
   pts.Add({0.1, 0.5, 0.5});  // -x
   pts.Add({0.5, 0.9, 0.5});  // +y
   pts.Add({0.5, 0.5, 0.1});  // -z
-  auto cands = SelectNNDirectionCandidates(pts, 0);
+  auto cands = SelectNNDirectionCandidates(
+      pts, pts[0], 0, std::vector<bool>(pts.size(), true));
   EXPECT_EQ(cands.size(), 4u);
+}
+
+// The index's form of the call: a new owner outside the set (self names
+// no point) and tombstoned ids, which must never become constraints.
+TEST(SelectorTest, NNDirectionSkipsSelfAndDeadIds) {
+  PointSet pts(2);
+  pts.Add({0.9, 0.5});  // +x
+  pts.Add({0.1, 0.5});  // -x
+  pts.Add({0.5, 0.9});  // +y
+  const double owner[2] = {0.5, 0.5};
+  constexpr size_t kNew = std::numeric_limits<size_t>::max();
+  std::vector<bool> alive(pts.size(), true);
+  EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, kNew, alive),
+            (std::vector<size_t>{0, 1, 2}));
+  alive[1] = false;
+  EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, kNew, alive),
+            (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, 0, alive),
+            (std::vector<size_t>{2}));
 }
 
 TEST(ApproxAlgorithmTest, Names) {

@@ -125,12 +125,32 @@ TEST(FrameTest, BatchPayloadRoundTrip) {
   EncodeBatchPayload(points, &payload);
   size_t dim = 0, count = 0;
   std::vector<double> flat;
-  ASSERT_TRUE(DecodeBatchPayload(payload, &dim, &flat, &count).ok());
+  ApproxOptions approx;
+  bool has_approx = true;
+  ASSERT_TRUE(DecodeBatchPayloadWithApprox(payload, &dim, &flat, &count,
+                                           &approx, &has_approx)
+                  .ok());
+  EXPECT_FALSE(has_approx);
   EXPECT_EQ(dim, 2u);
   EXPECT_EQ(count, 3u);
   EXPECT_EQ(flat, (std::vector<double>{1, 2, 3, 4, 5, 6}));
-  EXPECT_FALSE(DecodeBatchPayload(payload.substr(0, 9), &dim, &flat, &count)
+  EXPECT_FALSE(DecodeBatchPayloadWithApprox(payload.substr(0, 9), &dim, &flat,
+                                            &count, &approx, &has_approx)
                    .ok());
+}
+
+// An INSERT payload with the approx block appended is a size mismatch,
+// whatever the block and the coordinates hold.
+TEST(FrameTest, PointPayloadRefusesApproxBlock) {
+  ApproxOptions approx;
+  approx.epsilon = -1.0;
+  for (double x : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    std::string payload;
+    EncodePointPayloadWithApprox({0.25, x}, approx, &payload);
+    std::vector<double> back;
+    EXPECT_EQ(DecodePointPayload(payload, &back).ToString(),
+              "INVALID_ARGUMENT: point: payload size mismatch");
+  }
 }
 
 TEST(FrameTest, DeletePayloadRoundTrip) {
