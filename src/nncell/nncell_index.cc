@@ -781,12 +781,17 @@ size_t NNCellIndex::VisitCandidates(const double* q, double r, ExactPlan plan,
   }
 
   // Stage 2: exact distance checks, four owners per gather-kernel call.
+  // Under the scan the cell MBRs cannot prune: every live point is a
+  // candidate.
   TraceTimer scan_timer;
   uint64_t id4[4];
   const double* ptr4[4];
   double d4[4];
   size_t fill = 0;
-  auto check = [&](uint64_t id) {
+  const size_t n = scan ? points_.size() : owners.size();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t id = scan ? i : owners[i];
+    if (scan && !alive_[id]) continue;
     id4[fill] = id;
     ptr4[fill] = points_[id];
     if (++fill == 4) {
@@ -794,14 +799,6 @@ size_t NNCellIndex::VisitCandidates(const double* q, double r, ExactPlan plan,
       for (size_t t = 0; t < 4; ++t) visit(id4[t], d4[t]);
       fill = 0;
     }
-  };
-  if (scan) {
-    // The cell MBRs cannot prune: every live point is a candidate.
-    for (uint64_t id = 0; id < points_.size(); ++id) {
-      if (alive_[id]) check(id);
-    }
-  } else {
-    for (uint64_t id : owners) check(id);
   }
   for (size_t t = 0; t < fill; ++t) {
     visit(id4[t], L2DistSq(ptr4[t], q, dim_));
@@ -967,25 +964,30 @@ StatusOr<std::vector<NNCellIndex::QueryResult>> NNCellIndex::KnnQuery(
 
   // Seed radius from the point-query candidates: if they already cover k
   // distinct owners, the k-th smallest owner distance bounds the k-NN
-  // radius from above.
+  // radius from above. `within` keeps the k nearest of them, a max-heap.
   std::vector<std::pair<double, uint64_t>> within;
   size_t candidates = VisitCandidates(
-      q, 0.0, plan_, /*distinct=*/true, nullptr,
-      [&](uint64_t id, double d2) { within.emplace_back(d2, id); });
+      q, 0.0, plan_, /*distinct=*/true, nullptr, [&](uint64_t id, double d2) {
+        const std::pair<double, uint64_t> pair(d2, id);
+        if (within.size() == k) {
+          if (!(pair < within.front())) return;
+          std::pop_heap(within.begin(), within.end());
+          within.back() = pair;
+        } else {
+          within.push_back(pair);
+        }
+        std::push_heap(within.begin(), within.end());
+      });
   // Range query, growing the radius until k owners lie within it. When the
   // seed checked every live point (always under the scan), each of them
-  // meets the first ball too, so the seed is that ball's answer.
+  // meets the first ball too, so the seed's k nearest are that ball's
+  // answer.
   if (candidates < live_count_) {
-    double radius_sq;
-    if (within.size() >= k) {
-      std::nth_element(within.begin(), within.begin() + (k - 1), within.end());
-      radius_sq = within[k - 1].first;
+    double radius_sq = 1e-6;  // numeric edge: no candidate, start tiny
+    if (within.size() == k) {
+      radius_sq = within.front().first;
     } else if (!within.empty()) {
-      radius_sq =
-          std::max(std::max_element(within.begin(), within.end())->first,
-                   1e-12);
-    } else {
-      radius_sq = 1e-6;  // numeric edge: start tiny and grow
+      radius_sq = std::max(within.front().first, 1e-12);
     }
     within.clear();
     for (int attempt = 0; attempt < 64 && within.size() < k; ++attempt) {
