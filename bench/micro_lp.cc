@@ -66,7 +66,7 @@ void BM_CellMbrPipeline(benchmark::State& state) {
   CellApproxOptions opts;
   opts.prune_bisectors = optimized;
   opts.warm_start = optimized;
-  CellApproximator approx(dim, HyperRect::UnitCube(dim), LpOptions(), opts);
+  CellApproximator approx(dim, HyperRect::UnitCube(dim), opts);
   ApproxStats stats;
   size_t owner = 0;
   std::vector<const double*> others;

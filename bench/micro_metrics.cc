@@ -85,7 +85,7 @@ void BM_CellMbrPipeline(benchmark::State& state) {
   CellApproxOptions opts;
   opts.prune_bisectors = true;
   opts.warm_start = true;
-  CellApproximator approx(dim, HyperRect::UnitCube(dim), LpOptions(), opts);
+  CellApproximator approx(dim, HyperRect::UnitCube(dim), opts);
   ApproxStats stats;
   size_t owner = 0;
   std::vector<const double*> others;

@@ -70,12 +70,8 @@ struct LpMetrics {
 }  // namespace
 
 CellApproximator::CellApproximator(size_t dim, HyperRect space,
-                                   LpOptions lp_opts,
                                    CellApproxOptions approx_opts)
-    : dim_(dim),
-      space_(std::move(space)),
-      lp_opts_(lp_opts),
-      approx_opts_(approx_opts) {
+    : dim_(dim), space_(std::move(space)), approx_opts_(approx_opts) {
   NNCELL_CHECK(space_.dim() == dim_);
 }
 
@@ -161,7 +157,6 @@ HyperRect CellApproximator::SolveMbr(const LpProblem& problem,
                                      ApproxStats* stats,
                                      std::vector<double>* optima) const {
   FaceSolveSession& session = LocalScratch().session;
-  session.set_options(lp_opts_);
   session.BeginCell(approx_opts_.warm_start);
   session.PrepareFaces(problem, start);  // no-op when warm starts are off
   return SolveFaces(session, problem, start, stats, optima);
@@ -218,8 +213,8 @@ HyperRect CellApproximator::ApproximateClippedMbr(
   for (size_t i = 0; i < dim_; ++i) {
     hint[i] = std::clamp(hint[i], clip.lo(i), clip.hi(i));
   }
-  StatusOr<std::vector<double>> start = FindFeasiblePoint(
-      problem, hint, LpOptions(), &sc.session.phase_one_scratch());
+  StatusOr<std::vector<double>> start =
+      FindFeasiblePoint(problem, hint, &sc.session.phase_one_scratch());
   if (!start.ok()) return HyperRect::Empty(dim_);  // empty slice
   return SolveMbr(problem, start.value(), stats);
 }

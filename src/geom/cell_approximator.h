@@ -57,7 +57,6 @@ struct ApproxStats {
 class CellApproximator {
  public:
   explicit CellApproximator(size_t dim, HyperRect space,
-                            LpOptions lp_opts = LpOptions(),
                             CellApproxOptions approx_opts = CellApproxOptions());
 
   const HyperRect& space() const { return space_; }
@@ -97,7 +96,6 @@ class CellApproximator {
 
   size_t dim_;
   HyperRect space_;
-  LpOptions lp_opts_;
   CellApproxOptions approx_opts_;
 };
 

@@ -10,36 +10,32 @@ namespace nncell {
 
 namespace {
 
-// Ranks dimensions by obliqueness, most oblique first.
+// Ranks dimensions by obliqueness (volume saved by a midpoint split), most
+// oblique first.
 std::vector<size_t> RankObliqueDims(
     const CellApproximator& approximator, const double* owner,
     const std::vector<const double*>& candidates, const HyperRect& full_mbr,
-    ObliquenessMeasure measure, ApproxStats* stats) {
+    ApproxStats* stats) {
   const size_t d = full_mbr.dim();
   std::vector<double> score(d, 0.0);
-
-  if (measure == ObliquenessMeasure::kExtent) {
-    for (size_t i = 0; i < d; ++i) score[i] = full_mbr.Extent(i);
-  } else {
-    const double full_vol = full_mbr.Volume();
-    for (size_t i = 0; i < d; ++i) {
-      if (full_mbr.Extent(i) <= 1e-12) {
-        score[i] = -1.0;  // nothing to split
-        continue;
-      }
-      double mid = 0.5 * (full_mbr.lo(i) + full_mbr.hi(i));
-      HyperRect left = full_mbr;
-      left.hi(i) = mid;
-      HyperRect right = full_mbr;
-      right.lo(i) = mid;
-      double vol = 0.0;
-      for (const HyperRect& half : {left, right}) {
-        HyperRect piece =
-            approximator.ApproximateClippedMbr(owner, candidates, half, stats);
-        vol += piece.Volume();
-      }
-      score[i] = full_vol - vol;  // volume saved by a midpoint split
+  const double full_vol = full_mbr.Volume();
+  for (size_t i = 0; i < d; ++i) {
+    if (full_mbr.Extent(i) <= 1e-12) {
+      score[i] = -1.0;  // nothing to split
+      continue;
     }
+    double mid = 0.5 * (full_mbr.lo(i) + full_mbr.hi(i));
+    HyperRect left = full_mbr;
+    left.hi(i) = mid;
+    HyperRect right = full_mbr;
+    right.lo(i) = mid;
+    double vol = 0.0;
+    for (const HyperRect& half : {left, right}) {
+      HyperRect piece =
+          approximator.ApproximateClippedMbr(owner, candidates, half, stats);
+      vol += piece.Volume();
+    }
+    score[i] = full_vol - vol;  // volume saved by a midpoint split
   }
 
   std::vector<size_t> order(d);
@@ -99,8 +95,8 @@ std::vector<HyperRect> DecomposeCell(
     return result;
   }
 
-  std::vector<size_t> order = RankObliqueDims(
-      approximator, owner, candidates, full_mbr, options.measure, stats);
+  std::vector<size_t> order =
+      RankObliqueDims(approximator, owner, candidates, full_mbr, stats);
   size_t num_split = std::min(options.max_split_dims, order.size());
   order.resize(num_split);
   if (order.empty()) {

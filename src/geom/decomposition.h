@@ -11,17 +11,9 @@ namespace nncell {
 
 // Section 3 of the paper: fight MBR overlap by linearly decomposing each
 // NN-cell in its most "oblique" dimensions and indexing the MBR of every
-// non-empty piece.
-
-// How the oblique dimensions are ranked.
-enum class ObliquenessMeasure {
-  // Greedy volume reduction: for each dimension, how much does splitting
-  // the cell MBR at its midpoint shrink the summed piece volume? This
-  // directly optimizes Definition 4's objective (more LP work at build).
-  kVolumeReduction,
-  // Cheap proxy: largest MBR extent first.
-  kExtent,
-};
+// non-empty piece. A dimension is the more oblique the more splitting the
+// cell MBR at its midpoint shrinks the summed piece volume (greedy volume
+// reduction, which directly optimizes Definition 4's objective).
 
 struct DecompositionOptions {
   // Total partition budget k = prod(n_i); the paper keeps k <= ~10 so the
@@ -29,7 +21,6 @@ struct DecompositionOptions {
   size_t max_partitions = 1;
   // Maximum number of dimensions d' to decompose (paper: d' <= 7).
   size_t max_split_dims = 3;
-  ObliquenessMeasure measure = ObliquenessMeasure::kVolumeReduction;
 };
 
 // Per-dimension slice counts n_1 >= n_2 >= ... for the chosen oblique

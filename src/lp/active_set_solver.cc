@@ -13,6 +13,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Numerical tolerance for directions and multipliers.
+constexpr double kTol = 1e-9;
+
 // Removes `value` from a sorted vector.
 void EraseSorted(std::vector<size_t>& v, size_t value) {
   auto it = std::lower_bound(v.begin(), v.end(), value);
@@ -26,8 +29,6 @@ void InsertSorted(std::vector<size_t>& v, size_t value) {
 
 }  // namespace
 
-ActiveSetSolver::ActiveSetSolver(LpOptions opts) : opts_(opts) {}
-
 LpResult ActiveSetSolver::Run(const LpProblem& problem,
                               const std::vector<double>& c,
                               const std::vector<double>& x0,
@@ -38,11 +39,9 @@ LpResult ActiveSetSolver::Run(const LpProblem& problem,
   NNCELL_CHECK(c.size() == d);
   NNCELL_CHECK(x0.size() == d);
 
-  const double tol = opts_.tol;
   const double c_scale = std::max(1.0, std::sqrt(L2NormSq(c.data(), d)));
-  const double dir_tol = tol * c_scale;
-  const size_t max_iter =
-      opts_.max_iterations ? opts_.max_iterations : 100 * (m + d) + 1000;
+  const double dir_tol = kTol * c_scale;
+  const size_t max_iter = 100 * (m + d) + 1000;
 
   LpResult result;
   result.x = x0;
@@ -163,7 +162,7 @@ LpResult ActiveSetSolver::Run(const LpProblem& problem,
       // Bland: drop the smallest-index constraint with negative multiplier.
       size_t drop = m;  // sentinel
       for (size_t i = 0; i < k; ++i) {
-        if (rhs[i] < -tol * c_scale) {
+        if (rhs[i] < -kTol * c_scale) {
           if (drop == m || active[i] < drop) drop = active[i];
         }
       }
@@ -292,7 +291,6 @@ LpResult ActiveSetSolver::Minimize(const LpProblem& problem,
 
 StatusOr<std::vector<double>> FindFeasiblePoint(const LpProblem& problem,
                                                 const std::vector<double>& hint,
-                                                const LpOptions& opts,
                                                 PhaseOneScratch* scratch) {
   const size_t d = problem.dim();
   NNCELL_CHECK(hint.size() == d);
@@ -326,7 +324,7 @@ StatusOr<std::vector<double>> FindFeasiblePoint(const LpProblem& problem,
   c.assign(d + 1, 0.0);
   c[d] = 1.0;
 
-  ActiveSetSolver solver(opts);
+  ActiveSetSolver solver;
   LpResult r = solver.Minimize(ext, c, start, nullptr, &sc.lp);
   if (r.status != LpStatus::kOptimal) {
     return Status::Internal("phase-I LP did not converge");

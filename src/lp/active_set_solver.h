@@ -9,14 +9,6 @@
 
 namespace nncell {
 
-// Configuration for the active-set LP solver.
-struct LpOptions {
-  // Numerical tolerance for directions, multipliers and feasibility.
-  double tol = 1e-9;
-  // Iteration limit; 0 means "auto" (scales with constraint count).
-  size_t max_iterations = 0;
-};
-
 enum class LpStatus {
   kOptimal,
   kUnbounded,
@@ -59,11 +51,11 @@ struct LpScratch {
 // m up to N-1 bisector constraints). The ratio test maintains the per-row
 // products a_i . x incrementally and computes a_i . p with one streaming
 // pass over the packed constraint matrix, so each iteration reads the
-// matrix once instead of twice.
+// matrix once instead of twice. Directions and multipliers are tested
+// against a tolerance of 1e-9, and a solve stops after 100 * (m + d) + 1000
+// iterations (kIterationLimit).
 class ActiveSetSolver {
  public:
-  explicit ActiveSetSolver(LpOptions opts = LpOptions());
-
   // Maximizes c . x subject to the problem's constraints, starting from the
   // feasible point x0. x0 may lie on the boundary. Returns kInfeasibleStart
   // when x0 violates a constraint by more than the tolerance.
@@ -99,8 +91,6 @@ class ActiveSetSolver {
                const std::vector<double>& x0,
                const std::vector<size_t>* warm_active, LpScratch& scratch,
                const double* sx0) const;
-
-  LpOptions opts_;
 };
 
 // Reusable workspace of FindFeasiblePoint: the extended (d+1)-dimensional
@@ -118,7 +108,7 @@ struct PhaseOneScratch {
 // in d+1 dimensions with the same active-set solver.
 StatusOr<std::vector<double>> FindFeasiblePoint(
     const LpProblem& problem, const std::vector<double>& hint,
-    const LpOptions& opts = LpOptions(), PhaseOneScratch* scratch = nullptr);
+    PhaseOneScratch* scratch = nullptr);
 
 }  // namespace nncell
 

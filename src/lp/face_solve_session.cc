@@ -7,12 +7,6 @@
 
 namespace nncell {
 
-FaceSolveSession::FaceSolveSession(LpOptions opts) : solver_(opts) {}
-
-void FaceSolveSession::set_options(const LpOptions& opts) {
-  solver_ = ActiveSetSolver(opts);
-}
-
 void FaceSolveSession::BeginCell(bool warm_start) {
   warm_enabled_ = warm_start;
   prepared_ = false;

@@ -45,10 +45,6 @@ class FaceSolveSession {
     kCold,     // plain solve from the cold start
   };
 
-  explicit FaceSolveSession(LpOptions opts = LpOptions());
-
-  void set_options(const LpOptions& opts);
-
   // Starts a new cell: clears the prepared ray-shoot state. `warm_start`
   // false degrades every face to a cold solve (the seed behavior; used for
   // A/B benchmarks and differential tests).

@@ -151,7 +151,7 @@ NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
       options_(options),
       space_(MetricSpaceBox(dim, options.weights)),
       points_(dim),
-      approximator_(dim, space_, options.lp, options.approx),
+      approximator_(dim, space_, options.approx),
       max_rects_(std::max<size_t>(1, options.decomposition.max_partitions)) {
   // Leaf entries are (approximation rectangle, point id); like the paper,
   // the index stores only the approximations (2dN values) and owner
@@ -182,7 +182,6 @@ void NNCellIndex::SetNumThreads(size_t num_threads) {
 NNCellIndex::~NNCellIndex() = default;
 
 double NNCellIndex::SphereRadius() const {
-  if (options_.sphere_radius > 0.0) return options_.sphere_radius;
   return DefaultSphereRadius(std::max<size_t>(live_count_, 1), dim_);
 }
 
@@ -208,18 +207,15 @@ std::vector<const double*> NNCellIndex::SelectCandidates(const double* point,
     }
     case ApproxAlgorithm::kSphere: {
       // "All points of which the rectangle in the index intersects the
-      // sphere" around `point` with the heuristic radius. Optionally the
-      // page-granular result is filtered to the points actually inside
-      // the sphere, which caps the LP constraint count at the expected
-      // ~2^d near neighbors instead of everything sharing a page region.
+      // sphere" around `point` with the heuristic radius, filtered to the
+      // points actually inside the sphere. The filter caps the LP
+      // constraint count at the expected ~2^d near neighbors instead of
+      // everything sharing a page region; the MBRs may only grow, so
+      // Lemma 1 still applies.
       double r = SphereRadius();
       const double r_sq = r * r;
       for (uint64_t id : point_tree_->LeafPageSphereQuery(point, r)) {
-        if (id == self) continue;
-        if (options_.sphere_point_filter &&
-            L2DistSq(points_[id], point, dim_) > r_sq) {
-          continue;
-        }
+        if (id == self || L2DistSq(points_[id], point, dim_) > r_sq) continue;
         candidates.push_back(points_[id]);
       }
       break;

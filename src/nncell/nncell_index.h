@@ -83,11 +83,9 @@ ThreadPool* BatchPool(ThreadPool* pool, size_t n, double query_cost);
 
 struct NNCellOptions {
   // Which points contribute LP constraints (Section 2's four algorithms).
+  // The Sphere strategy takes the points within the paper's heuristic
+  // radius (DefaultSphereRadius, which shrinks as the database grows).
   ApproxAlgorithm algorithm = ApproxAlgorithm::kSphere;
-
-  // Sphere strategy radius; 0 = the paper's heuristic, which shrinks as
-  // the database grows.
-  double sphere_radius = 0.0;
 
   // Per-dimension weights of a weighted Euclidean metric
   //   d_W(x,y)^2 = sum_i w_i (x_i - y_i)^2
@@ -98,12 +96,6 @@ struct NNCellOptions {
   // original coordinates.
   std::vector<double> weights;
 
-  // Sphere strategy: additionally require the candidate *point* (not just
-  // its page region) to lie inside the sphere. Keeps the LP constraint
-  // count near-constant in N, making large static builds tractable; the
-  // MBRs may only grow (Lemma 1 still applies).
-  bool sphere_point_filter = true;
-
   // Section 3 decomposition; max_partitions <= 1 disables it.
   DecompositionOptions decomposition;
 
@@ -112,11 +104,9 @@ struct NNCellOptions {
 
   MaintenanceMode maintenance = MaintenanceMode::kExact;
 
-  LpOptions lp;
-
   // LP hot-path pipeline knobs (bisector pre-pruning, warm-started face
-  // solves). Runtime-only like `lp`: both settings yield the same MBRs, so
-  // neither is part of the persisted image.
+  // solves). Runtime-only: both settings yield the same MBRs, so neither
+  // is part of the persisted image.
   CellApproxOptions approx;
 
   // Threading for BulkBuild / QueryBatch. Purely a runtime knob: the
@@ -451,6 +441,7 @@ class NNCellIndex final : public IndexBackend {
   size_t RectCount(uint64_t id) const { return rect_count_[id]; }
   void SetCellRects(uint64_t id, const std::vector<HyperRect>& rects);
 
+  // DefaultSphereRadius at the live point count.
   double SphereRadius() const;
 
   // Inverts the sqrt(weight) isometry (identity when unweighted).

@@ -7,6 +7,7 @@
 // error precisely describing the first violation -- never a partial index.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -30,6 +31,15 @@ namespace {
 // reserves that many rectangle slots per point (the paper keeps it near
 // 10), so a corrupt budget must not size the allocation.
 constexpr uint64_t kMaxLoadedPartitions = 1024;
+
+// Metadata slots of three choices the paper fixes: the Sphere strategy
+// keeps only the points inside its sphere (1), whose radius is the
+// heuristic one (recorded as +0.0), and decomposition ranks dimensions by
+// volume reduction (0). Each slot holds that one value, and a load
+// requires it.
+constexpr uint64_t kPointFilterSlot = 1;
+constexpr double kSphereRadiusSlot = 0.0;
+constexpr uint64_t kMeasureSlot = 0;
 
 struct SnapshotMetrics {
   metrics::Counter* saves;
@@ -134,11 +144,11 @@ Status NNCellIndex::SerializeSnapshot(std::string* out,
   wire::PutU64(&meta, static_cast<uint64_t>(options_.algorithm));
   wire::PutU64(&meta, options_.use_xtree ? 1 : 0);
   wire::PutU64(&meta, static_cast<uint64_t>(options_.maintenance));
-  wire::PutU64(&meta, options_.sphere_point_filter ? 1 : 0);
-  wire::PutF64(&meta, options_.sphere_radius);
+  wire::PutU64(&meta, kPointFilterSlot);
+  wire::PutF64(&meta, kSphereRadiusSlot);
   wire::PutU64(&meta, options_.decomposition.max_partitions);
   wire::PutU64(&meta, options_.decomposition.max_split_dims);
-  wire::PutU64(&meta, static_cast<uint64_t>(options_.decomposition.measure));
+  wire::PutU64(&meta, kMeasureSlot);
   wire::PutU64(&meta, options_.weights.size());
   for (double w : options_.weights) wire::PutF64(&meta, w);
 
@@ -280,11 +290,12 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
   uint64_t algorithm = 0, use_xtree = 0, maintenance = 0, point_filter = 0;
   uint64_t max_partitions = 0, max_split_dims = 0, measure = 0;
   uint64_t weight_count = 0;
+  double sphere_radius = 0.0;
   r.GetU64(&algorithm);
   r.GetU64(&use_xtree);
   r.GetU64(&maintenance);
   r.GetU64(&point_filter);
-  r.GetF64(&options.sphere_radius);
+  r.GetF64(&sphere_radius);
   r.GetU64(&max_partitions);
   r.GetU64(&max_split_dims);
   r.GetU64(&measure);
@@ -298,9 +309,19 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
     return LoadError("corrupt snapshot: unknown maintenance mode " +
                      std::to_string(maintenance));
   }
-  if (measure > static_cast<uint64_t>(ObliquenessMeasure::kExtent)) {
-    return LoadError("corrupt snapshot: unknown obliqueness measure " +
-                     std::to_string(measure));
+  if (point_filter != kPointFilterSlot) {
+    return LoadError("corrupt snapshot: sphere point filter " +
+                     std::to_string(point_filter) + ", expected " +
+                     std::to_string(kPointFilterSlot));
+  }
+  if (sphere_radius != kSphereRadiusSlot || std::signbit(sphere_radius)) {
+    return LoadError("corrupt snapshot: sphere radius " +
+                     std::to_string(sphere_radius) + ", expected +0");
+  }
+  if (measure != kMeasureSlot) {
+    return LoadError("corrupt snapshot: obliqueness measure " +
+                     std::to_string(measure) + ", expected " +
+                     std::to_string(kMeasureSlot));
   }
   if (weight_count != 0 && weight_count != dim) {
     return LoadError("corrupt snapshot: weight count " +
@@ -310,10 +331,8 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
   options.algorithm = static_cast<ApproxAlgorithm>(algorithm);
   options.use_xtree = use_xtree != 0;
   options.maintenance = static_cast<MaintenanceMode>(maintenance);
-  options.sphere_point_filter = point_filter != 0;
   options.decomposition.max_partitions = static_cast<size_t>(max_partitions);
   options.decomposition.max_split_dims = static_cast<size_t>(max_split_dims);
-  options.decomposition.measure = static_cast<ObliquenessMeasure>(measure);
   options.weights.resize(weight_count);
   for (double& w : options.weights) r.GetF64(&w);
 

@@ -29,6 +29,9 @@ namespace {
 // off.
 constexpr int kSendTimeoutSeconds = 30;
 
+// Pending-connection queue length of each listening socket.
+constexpr int kListenBacklog = 64;
+
 bool IsQueryType(uint8_t type) {
   return type == kReqQuery || type == kReqQueryBatch;
 }
@@ -67,12 +70,12 @@ Status NNCellServer::Start() {
     return Status::Internal(fs::ErrnoMessage("pipe2"));
   }
   if (!options_.socket_path.empty()) {
-    auto fd = ListenUnix(options_.socket_path, options_.listen_backlog);
+    auto fd = ListenUnix(options_.socket_path, kListenBacklog);
     if (!fd.ok()) return fd.status();
     listen_fds_.push_back(*fd);
   }
   if (options_.tcp_port != 0) {
-    auto fd = ListenTcp(options_.tcp_port, options_.listen_backlog);
+    auto fd = ListenTcp(options_.tcp_port, kListenBacklog);
     if (!fd.ok()) {
       for (int lfd : listen_fds_) ::close(lfd);
       listen_fds_.clear();

@@ -35,7 +35,6 @@ struct ServerOptions {
   // Micro-batch cap: the dispatcher coalesces up to this many consecutive
   // queued QUERY requests into one IndexBackend::QueryBatch call.
   size_t max_batch = 32;
-  int listen_backlog = 64;
 };
 
 // The serving interface lives with the index classes that implement it

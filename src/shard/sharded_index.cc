@@ -71,21 +71,16 @@ ShardedIndex::ShardedIndex(NNCellOptions options, ShardedOptions sopts,
 
 ShardedIndex::~ShardedIndex() = default;
 
-Status ShardedIndex::InitManifest(size_t dim) {
-  if (sopts_.route_dim >= dim) {
-    return Status::InvalidArgument("route_dim out of range");
-  }
+void ShardedIndex::InitManifest(size_t dim) {
   const size_t k = sopts_.num_shards;
   manifest_.shard_count = static_cast<uint32_t>(k);
-  manifest_.route_dim = sopts_.route_dim;
+  manifest_.route_dim = 0;
   manifest_.dim = static_cast<uint32_t>(dim);
-  const double hi =
-      MetricSpaceBox(dim, options_.weights).hi()[sopts_.route_dim];
+  const double hi = MetricSpaceBox(dim, options_.weights).hi()[0];
   for (size_t j = 1; j < k; ++j) {
     manifest_.cuts.push_back(hi * static_cast<double>(j) /
                              static_cast<double>(k));
   }
-  return Status::OK();
 }
 
 void ShardedIndex::InstallEpoch() {
@@ -140,7 +135,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
   std::unique_ptr<ShardedIndex> idx(
       // nncell-lint: allow(naked-new) private constructor; the unique_ptr on this statement owns it
       new ShardedIndex(std::move(options), sopts, ""));
-  NNCELL_RETURN_IF_ERROR(idx->InitManifest(dim));
+  idx->InitManifest(dim);
   idx->shards_.resize(idx->manifest_.shard_count);
   for (Shard& s : idx->shards_) idx->MakeMemoryShard(&s);
   idx->InstallEpoch();
@@ -190,7 +185,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Open(
       return Status::InvalidArgument(
           "cannot create a sharded index without a dimension");
     }
-    NNCELL_RETURN_IF_ERROR(idx->InitManifest(dim));
+    idx->InitManifest(dim);
     NNCELL_RETURN_IF_ERROR(
         shard::WriteManifest(manifest_path, idx->manifest_));
     ri->created = true;

@@ -27,8 +27,6 @@ struct ShardedOptions {
   // Shard count when creating a fresh index (ignored when a manifest
   // exists). Clamped to [1, shard::kMaxShards].
   size_t num_shards = 1;
-  // Dimension whose metric coordinate the cuts partition.
-  uint32_t route_dim = 0;
 
   // Online rebalance policy: after an insert, when the index holds at
   // least `min_rebalance_points` live points and the fullest shard
@@ -248,8 +246,9 @@ class ShardedIndex final : public IndexBackend {
   ShardedIndex(NNCellOptions options, ShardedOptions sopts, std::string dir);
 
   // A fresh index's manifest (Create, and Open of an empty directory):
-  // sopts_.num_shards equal-width slabs of the metric route coordinate.
-  Status InitManifest(size_t dim);
+  // sopts_.num_shards equal-width slabs of metric coordinate 0, the route
+  // dimension of every index this build creates.
+  void InitManifest(size_t dim);
   // After Create, Open and a rebalance set shards_ and manifest_: zeroes
   // the per-shard probe counts, publishes the shard.count / shard.epoch
   // gauges.

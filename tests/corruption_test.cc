@@ -115,15 +115,21 @@ TEST(SnapshotCorruptionTest, TruncationAtEveryRegionRejected) {
   std::remove(path.c_str());
 }
 
-// Rewrites the partition budget of a snapshot image (the metadata word
-// after the four option words and the sphere radius) and recomputes the
-// metadata, body and footer checksums, so only the loader's structural
-// checks stand between the edited budget and the index.
-std::string WithPartitionBudget(std::string image, uint64_t budget) {
+// Byte offsets of option words in the snapshot metadata, after algorithm,
+// use_xtree and maintenance (docs/PERSISTENCE.md).
+constexpr size_t kPointFilterWord = 24;
+constexpr size_t kSphereRadiusWord = 32;
+constexpr size_t kPartitionBudgetWord = 40;
+constexpr size_t kMeasureWord = 56;
+
+// Rewrites the metadata word at byte offset `offset` of a snapshot image
+// and recomputes the metadata, body and footer checksums, so only the
+// loader's structural checks stand between the edited word and the index.
+std::string WithMetaWord(std::string image, size_t offset, uint64_t word) {
   const size_t meta = durable::kSnapshotHeaderBytes;
   uint64_t meta_len = 0;
   std::memcpy(&meta_len, image.data() + 56, sizeof(meta_len));
-  std::memcpy(&image[meta + 40], &budget, sizeof(budget));
+  std::memcpy(&image[meta + offset], &word, sizeof(word));
   uint32_t crc = Crc32c(image.data() + meta, meta_len);
   std::memcpy(&image[meta + meta_len], &crc, sizeof(crc));
   const size_t footer = image.size() - durable::kSnapshotFooterBytes;
@@ -134,41 +140,77 @@ std::string WithPartitionBudget(std::string image, uint64_t budget) {
   return image;
 }
 
+Status LoadImage(const std::string& image) {
+  PageFile file(512);
+  BufferPool pool(&file, 4096);
+  std::istringstream in(image);
+  return NNCellIndex::Load(in, &file, &pool).status();
+}
+
+// The saved image of a 30-point d=2 index with a partition budget of 4,
+// some of whose cells are decomposed.
+std::string DecomposedImage() {
+  PageFile file(512);
+  BufferPool pool(&file, 4096);
+  NNCellOptions opts;
+  opts.decomposition.max_partitions = 4;
+  NNCellIndex index(&pool, 2, opts);
+  Status built = index.BulkBuild(GenerateUniform(30, 2, 11));
+  EXPECT_TRUE(built.ok()) << built.ToString();
+  size_t most = 0;
+  for (uint64_t id = 0; id < index.points().size(); ++id) {
+    most = std::max(most, index.CellRects(id).size());
+  }
+  EXPECT_GT(most, 1u);
+  std::ostringstream out;
+  EXPECT_TRUE(index.Save(out).ok());
+  return out.str();
+}
+
 // The loaded index reserves max(1, budget) rect slots per point, so a
 // budget the checksums vouch for must still be bounded and must cover
 // every point's rects.
 TEST(SnapshotCorruptionTest, PartitionBudgetBoundsRectSlots) {
-  std::string pristine;
-  {
-    PageFile file(512);
-    BufferPool pool(&file, 4096);
-    NNCellOptions opts;
-    opts.decomposition.max_partitions = 4;
-    NNCellIndex index(&pool, 2, opts);
-    ASSERT_TRUE(index.BulkBuild(GenerateUniform(30, 2, 11)).ok());
-    size_t most = 0;
-    for (uint64_t id = 0; id < index.points().size(); ++id) {
-      most = std::max(most, index.CellRects(id).size());
-    }
-    ASSERT_GT(most, 1u);
-    std::ostringstream out;
-    ASSERT_TRUE(index.Save(out).ok());
-    pristine = out.str();
-  }
-  auto load = [](const std::string& image) {
-    PageFile file(512);
-    BufferPool pool(&file, 4096);
-    std::istringstream in(image);
-    return NNCellIndex::Load(in, &file, &pool).status();
-  };
-  EXPECT_TRUE(load(WithPartitionBudget(pristine, 4)).ok());
-  Status too_many = load(WithPartitionBudget(pristine, 1));
+  const std::string pristine = DecomposedImage();
+  EXPECT_TRUE(LoadImage(WithMetaWord(pristine, kPartitionBudgetWord, 4)).ok());
+  Status too_many = LoadImage(WithMetaWord(pristine, kPartitionBudgetWord, 1));
   EXPECT_NE(too_many.message().find("more than the partition budget"),
             std::string::npos)
       << too_many.ToString();
-  Status too_big = load(WithPartitionBudget(pristine, uint64_t{1} << 62));
+  Status too_big = LoadImage(
+      WithMetaWord(pristine, kPartitionBudgetWord, uint64_t{1} << 62));
   EXPECT_NE(too_big.message().find("partition budget"), std::string::npos)
       << too_big.ToString();
+}
+
+// The sphere point filter, the sphere radius and the obliqueness measure
+// each have one value (1, +0.0 and 0); a snapshot recording any other is
+// refused, naming the field.
+TEST(SnapshotCorruptionTest, FixedOptionSlotsRequireTheirValue) {
+  const std::string pristine = DecomposedImage();
+  Status ok = LoadImage(pristine);
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+  uint64_t radius_bits = 0;
+  const double radius = 0.25;
+  std::memcpy(&radius_bits, &radius, sizeof(radius));
+  const struct {
+    size_t offset;
+    uint64_t word;
+    const char* field;
+  } edits[] = {
+      {kPointFilterWord, 0, "sphere point filter"},
+      {kPointFilterWord, 2, "sphere point filter"},
+      {kSphereRadiusWord, radius_bits, "sphere radius"},
+      {kSphereRadiusWord, uint64_t{1} << 63, "sphere radius"},  // -0.0
+      {kMeasureWord, 1, "obliqueness measure"},
+  };
+  for (const auto& e : edits) {
+    Status st = LoadImage(WithMetaWord(pristine, e.offset, e.word));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << e.field << ": " << st.ToString();
+    EXPECT_NE(st.message().find(e.field), std::string::npos)
+        << e.field << ": " << st.ToString();
+  }
 }
 
 class DurableCorruptionTest : public ::testing::Test {

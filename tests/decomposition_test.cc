@@ -160,39 +160,6 @@ TEST(DecompositionTest, ObliqueCellBenefits) {
   EXPECT_LT(vol, 0.85 * full.Volume());
 }
 
-TEST(DecompositionTest, ExtentMeasureAlsoCovers) {
-  const size_t d = 4;
-  Rng rng(31337);
-  PointSet pts(d);
-  for (int i = 0; i < 20; ++i) {
-    std::vector<double> p(d);
-    for (auto& v : p) v = rng.NextDouble();
-    pts.Add(p);
-  }
-  CellApproximator approx(d, HyperRect::UnitCube(d));
-  auto others = AllOthers(pts, 0);
-  HyperRect full = approx.ApproximateMbr(pts[0], others);
-  DecompositionOptions opts;
-  opts.max_partitions = 6;
-  opts.measure = ObliquenessMeasure::kExtent;
-  auto pieces = DecomposeCell(approx, pts[0], others, full, opts);
-  ASSERT_FALSE(pieces.empty());
-  for (int s = 0; s < 300; ++s) {
-    std::vector<double> x(d);
-    for (auto& v : x) v = rng.NextDouble();
-    if (!IsInCell(x.data(), pts[0], others, d)) continue;
-    bool covered = false;
-    for (const HyperRect& piece : pieces) {
-      bool in = true;
-      for (size_t k = 0; k < d && in; ++k) {
-        in = x[k] >= piece.lo(k) - 1e-6 && x[k] <= piece.hi(k) + 1e-6;
-      }
-      covered |= in;
-    }
-    EXPECT_TRUE(covered);
-  }
-}
-
 TEST(DecompositionTest, GridCellsDoNotDecomposeWastefully) {
   // Grid cells are already boxes; decomposition must not increase volume.
   const size_t d = 2;

@@ -141,10 +141,8 @@ TEST(BisectorPrunerAuditTest, RandomizedThousandCellAuditHasZeroMismatches) {
                                ? GenerateUniform(135, d, seed)
                                : GenerateClusters(135, d, /*clusters=*/6,
                                                   /*stddev=*/0.05, seed);
-      CellApproximator pruned(d, HyperRect::UnitCube(d), LpOptions(),
-                              prune_only);
-      CellApproximator cold(d, HyperRect::UnitCube(d), LpOptions(),
-                            ColdOptions());
+      CellApproximator pruned(d, HyperRect::UnitCube(d), prune_only);
+      CellApproximator cold(d, HyperRect::UnitCube(d), ColdOptions());
       for (size_t owner = 0; owner < pts.size(); ++owner) {
         auto others = AllOthers(pts, owner);
         ApproxStats stats;
@@ -369,8 +367,7 @@ TEST(BisectorPrunerTest, OuterBoundContainsComputedMbr) {
     LpProblem problem(d);
     pruner.BuildPruned(pts[owner], others, d, HyperRect::UnitCube(d),
                        &problem);
-    CellApproximator cold(d, HyperRect::UnitCube(d), LpOptions(),
-                          ColdOptions());
+    CellApproximator cold(d, HyperRect::UnitCube(d), ColdOptions());
     HyperRect mbr = cold.ApproximateMbr(pts[owner], others);
     const HyperRect& bound = pruner.outer_bound();
     for (size_t k = 0; k < d; ++k) {
