@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -10,13 +11,9 @@ namespace nncell {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(num_threads, 1);
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -27,7 +24,6 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.NotifyAll();
   for (std::thread& t : workers_) t.join();
-  NNCELL_DCHECK(queued_.load() == 0);
 }
 
 size_t ThreadPool::DefaultThreads() {
@@ -37,57 +33,24 @@ size_t ThreadPool::DefaultThreads() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   NNCELL_DCHECK(task != nullptr);
-  // nncell-lint: allow(relaxed-atomics) round-robin cursor, placement hint only
-  size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-             queues_.size();
   {
-    MutexLock lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
+    MutexLock lock(wake_mu_);
+    tasks_.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_release);
-  // Empty critical section: pairs with the predicate check in WorkerLoop so
-  // a worker between "queues looked empty" and "blocked" cannot miss us.
-  { MutexLock lock(wake_mu_); }
   wake_cv_.NotifyOne();
 }
 
-std::function<void()> ThreadPool::TryPop(size_t self) {
-  {
-    Queue& own = *queues_[self];
-    MutexLock lock(own.mu);
-    if (!own.tasks.empty()) {
-      std::function<void()> task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      // nncell-lint: allow(relaxed-atomics) queue mutex orders the pop; count is a wake hint
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  for (size_t i = 1; i < queues_.size(); ++i) {
-    Queue& victim = *queues_[(self + i) % queues_.size()];
-    MutexLock lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      std::function<void()> task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      // nncell-lint: allow(relaxed-atomics) queue mutex orders the steal; count is a wake hint
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (std::function<void()> task = TryPop(self)) {
-      task();
-      continue;
+    std::function<void()> task;
+    {
+      MutexLock lock(wake_mu_);
+      while (!stop_ && tasks_.empty()) wake_cv_.Wait(wake_mu_);
+      if (tasks_.empty()) return;  // stopped and drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    MutexLock lock(wake_mu_);
-    while (!stop_ && queued_.load(std::memory_order_acquire) == 0) {
-      wake_cv_.Wait(wake_mu_);
-    }
-    if (stop_ && queued_.load(std::memory_order_acquire) == 0) return;
+    task();
   }
 }
 

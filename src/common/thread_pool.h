@@ -1,7 +1,6 @@
 #ifndef NNCELL_COMMON_THREAD_POOL_H_
 #define NNCELL_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <deque>
@@ -16,13 +15,14 @@
 
 namespace nncell {
 
-// Small work-stealing thread pool for the parallel phases of the engine
-// (per-point LP fan-out during bulk builds, batched query execution).
-// Each worker owns a deque: new tasks are distributed round-robin, a
-// worker pops its own deque LIFO (cache-warm) and steals FIFO from its
-// siblings when empty. The pool is task-agnostic; determinism is the
-// caller's job (submit pure tasks that write to disjoint result slots and
-// commit them in a fixed order, as ParallelFor's `commit` does).
+// Small thread pool for the parallel phases of the engine (per-point LP
+// fan-out during bulk builds, batched query execution). Workers take tasks
+// from one FIFO queue. Every task the engine submits is a ParallelFor
+// helper that claims units from its call's shared cursor, so the queue only
+// decides which idle worker starts a helper. The pool is task-agnostic;
+// determinism is the caller's job (submit pure tasks that write to
+// disjoint result slots and commit them in a fixed order, as ParallelFor's
+// `commit` does).
 //
 // Tasks must not throw. ParallelFor may be called concurrently from
 // several threads, pool workers included: each call tracks its own
@@ -37,7 +37,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return queues_.size(); }
+  size_t num_threads() const { return workers_.size(); }
 
   // Enqueues a fire-and-forget task. Every queued task is completed
   // before the destructor returns.
@@ -63,22 +63,14 @@ class ThreadPool {
   static size_t DefaultThreads();
 
  private:
-  struct Queue {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks NNCELL_GUARDED_BY(mu);
-  };
+  // Runs queued tasks until the destructor has stopped the pool and the
+  // queue is empty.
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-  // Own queue (back) first, then steals from siblings (front). Returns an
-  // empty function when every queue is empty.
-  std::function<void()> TryPop(size_t self);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
-  std::atomic<size_t> queued_{0};      // pushed, not yet popped
-  std::atomic<size_t> next_queue_{0};  // round-robin submit cursor
   Mutex wake_mu_;
   CondVar wake_cv_;
+  std::deque<std::function<void()>> tasks_ NNCELL_GUARDED_BY(wake_mu_);
   bool stop_ NNCELL_GUARDED_BY(wake_mu_) = false;
 };
 
