@@ -71,19 +71,24 @@ print("  stats ok: accepted=%d completed=%d rejected=%d open=%d"
 '
 }
 
-# Bad queue limits are rejected up front: exit 2 with the usage line, and
-# no index directory is created.
-for bad in --max-queue=0 --max-batch=0 --max-queue=abc --max-batch=-1; do
+# Bad numeric flags are rejected up front: exit 2 with the usage line, and
+# no index directory is created. The bad flag comes first, so it is the
+# value read even where --dim=2 follows. A server that accepted one would
+# start serving; the timeout turns that into a failure instead of a hang.
+for bad in --max-queue=0 --max-batch=0 --max-queue=abc --max-batch=-1 \
+    --max-queue=99999999999999999999999 --shards=two --shards=0 \
+    --threads=four --threads=2x --dim=0 --dim=2x --tcp-port=0 \
+    --tcp-port=65536 --tcp-port=http --metrics=yes --metrics=2; do
   set +e
-  "$SERVER_BIN" "$SCRATCH/badflag" --socket="$SCRATCH/bad.sock" --dim=2 \
-    "$bad" >"$SRV_LOG" 2>&1
+  timeout 10 "$SERVER_BIN" "$SCRATCH/badflag" "$bad" \
+    --socket="$SCRATCH/bad.sock" --dim=2 >"$SRV_LOG" 2>&1
   rc=$?
   set -e
   [[ $rc -eq 2 ]] || fail "$bad: exit $rc, want 2"
   grep -q "^usage: nncell_server" "$SRV_LOG" || fail "$bad: no usage line"
   [[ ! -e "$SCRATCH/badflag" ]] || fail "$bad: index directory was created"
 done
-echo "  bad queue flags rejected with exit 2"
+echo "  bad numeric flags rejected with exit 2"
 
 start_server
 

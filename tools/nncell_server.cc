@@ -22,6 +22,8 @@
 
 #include <signal.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,13 +52,16 @@ const char* FlagValue(int argc, char** argv, const char* name) {
   return nullptr;
 }
 
-// Parses a strictly positive decimal integer; false on anything else.
-bool ParsePositive(const char* v, size_t* out) {
+// Parses a decimal integer in [lo, hi]; false on anything else.
+bool ParseInRange(const char* v, size_t lo, size_t hi, size_t* out) {
   if (*v == '\0' || std::strspn(v, "0123456789") != std::strlen(v)) {
     return false;
   }
-  *out = std::strtoull(v, nullptr, 10);
-  return *out > 0;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v, nullptr, 10);
+  if (errno == ERANGE || x < lo || x > hi) return false;
+  *out = static_cast<size_t>(x);
+  return true;
 }
 
 }  // namespace
@@ -74,39 +79,39 @@ int main(int argc, char** argv) {
   const std::string dir = argv[1];
   server::ServerOptions sopt;
   if (const char* v = FlagValue(argc, argv, "--socket")) sopt.socket_path = v;
-  if (const char* v = FlagValue(argc, argv, "--tcp-port")) {
-    sopt.tcp_port = std::atoi(v);
-  }
-  // Both limits are validated before anything is opened or created: the
-  // server requires them positive, and a typo must not leave a fresh
-  // index directory behind.
-  for (auto [flag, field] : {std::pair{"--max-queue", &sopt.max_queue},
-                             std::pair{"--max-batch", &sopt.max_batch}}) {
-    const char* v = FlagValue(argc, argv, flag);
-    if (v != nullptr && !ParsePositive(v, field)) {
-      std::fprintf(stderr, "nncell_server: %s must be a positive integer\n%s",
-                   flag, usage);
-      return 2;
-    }
-  }
-  size_t dim = 0;
-  if (const char* v = FlagValue(argc, argv, "--dim")) {
-    dim = std::strtoul(v, nullptr, 10);
-  }
+  size_t tcp_port = 0;  // 0: no TCP listener
+  size_t dim = 0;       // 0: open an existing index
   // Query-batch pool width for either index kind; 0 (the default) is one
   // thread per hardware core, 1 runs every batch on the dispatcher.
   size_t threads = 0;
-  if (const char* v = FlagValue(argc, argv, "--threads")) {
-    threads = std::strtoul(v, nullptr, 10);
+  size_t metrics_on = 1;
+  size_t shards = 0;  // 0: sharded only when the directory has a manifest
+  // Every numeric flag is validated before anything is opened or created:
+  // a typo must not leave a fresh index directory behind or quietly fall
+  // back to a default.
+  const struct {
+    const char* flag;
+    size_t lo, hi;
+    size_t* field;
+    const char* want;
+  } numeric[] = {
+      {"--tcp-port", 1, 65535, &tcp_port, "a port in 1..65535"},
+      {"--max-queue", 1, SIZE_MAX, &sopt.max_queue, "a positive integer"},
+      {"--max-batch", 1, SIZE_MAX, &sopt.max_batch, "a positive integer"},
+      {"--dim", 1, SIZE_MAX, &dim, "a positive integer"},
+      {"--threads", 0, SIZE_MAX, &threads, "a non-negative integer"},
+      {"--metrics", 0, 1, &metrics_on, "0 or 1"},
+      {"--shards", 1, SIZE_MAX, &shards, "a positive integer"},
+  };
+  for (const auto& f : numeric) {
+    const char* v = FlagValue(argc, argv, f.flag);
+    if (v != nullptr && !ParseInRange(v, f.lo, f.hi, f.field)) {
+      std::fprintf(stderr, "nncell_server: %s must be %s\n%s", f.flag, f.want,
+                   usage);
+      return 2;
+    }
   }
-  bool metrics_on = true;
-  if (const char* v = FlagValue(argc, argv, "--metrics")) {
-    metrics_on = std::atoi(v) != 0;
-  }
-  size_t shards = 0;
-  if (const char* v = FlagValue(argc, argv, "--shards")) {
-    shards = std::strtoul(v, nullptr, 10);
-  }
+  sopt.tcp_port = static_cast<int>(tcp_port);
   if (sopt.socket_path.empty() && sopt.tcp_port == 0) {
     std::fprintf(stderr, "nncell_server: need --socket and/or --tcp-port\n");
     return 2;
@@ -182,7 +187,7 @@ int main(int argc, char** argv) {
     recovered_points = (*idx)->size();
     index = std::move(*idx);
   }
-  metrics::Registry::SetEnabled(metrics_on);
+  metrics::Registry::SetEnabled(metrics_on != 0);
 
   // Recovered state is read before Start(): once the dispatcher runs, the
   // index belongs to it and main must not touch it until Stop().
