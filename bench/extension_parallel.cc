@@ -9,8 +9,8 @@
 //    page sets are spread across the whole file.
 //
 // 2. Real thread scaling of this engine: wall-clock speedup of the
-//    multi-threaded bulk build (the per-point LP solves fan across a
-//    work-stealing pool; the committed index is byte-identical to a
+//    multi-threaded bulk build (the per-point LP solves fan across the
+//    thread pool; the committed index is byte-identical to a
 //    serial build) and of batched queries (QueryBatch = N concurrent
 //    readers over the shared buffer pool). Measured speedups are bounded
 //    by the machine's core count -- on a single-core container every
