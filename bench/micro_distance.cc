@@ -1,12 +1,13 @@
 // Microbenchmarks of the distance kernel layer: batched L2 scans over the
-// SoA block store and the LP panel kernels, scalar reference table vs the
-// runtime-dispatched table, across the dimensionalities the index actually
-// runs (d = 2..32). Counters report throughput in the units that matter
-// for the kernels: bytes/second of point data consumed (GB/s) and distance
-// evaluations per nanosecond.
+// SoA block store and the AoS point table, and the LP panel kernels, scalar
+// reference table vs the runtime-dispatched table, across the
+// dimensionalities the index actually runs (d = 2..32). Counters report
+// throughput in the units that matter for the kernels: bytes/second of
+// point data consumed (GB/s) and distance evaluations per nanosecond.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -82,6 +83,40 @@ void BM_L2Batch4(benchmark::State& state) {
   state.SetLabel(ops.name);
 }
 
+// Row-block variant over the AoS point table, as the scan executor calls
+// it: one call per 64 consecutive rows. Args: dim, N (the table's rows),
+// dispatched. N = 3,000 at d = 16 is the read-d16 scan; N = 5,000 at d = 4
+// a shard's fallback scan. One iteration is one whole-table scan.
+void BM_L2Rows(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const bool dispatched = state.range(2) != 0;
+  const kernels::KernelOps& ops = TableFor(dispatched);
+
+  Rng rng(42);
+  std::vector<double> data(n * dim);
+  for (auto& v : data) v = rng.NextDouble();
+  std::vector<double> q(dim);
+  for (auto& v : q) v = rng.NextDouble();
+
+  constexpr size_t kChunk = 64;
+  double out[kChunk];
+  for (auto _ : state) {
+    for (size_t base = 0; base < n; base += kChunk) {
+      const size_t rows = std::min(kChunk, n - base);
+      ops.l2_rows(q.data(), data.data() + base * dim, rows, dim, out);
+      benchmark::DoNotOptimize(out);
+    }
+    benchmark::ClobberMemory();
+  }
+  const double evals = static_cast<double>(state.iterations()) * n;
+  state.SetBytesProcessed(
+      static_cast<int64_t>(evals * dim * sizeof(double)));
+  state.counters["evals/ns"] =
+      benchmark::Counter(evals * 1e-9, benchmark::Counter::kIsRate);
+  state.SetLabel(ops.name);
+}
+
 // LP panel: y = A x over the padded constraint matrix (ray-shoot and
 // active-set row products). One eval = one row dot product.
 void BM_MatVec(benchmark::State& state) {
@@ -123,6 +158,9 @@ void DistanceArgs(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_L2BatchSoa)->Apply(DistanceArgs);
 BENCHMARK(BM_L2Batch4)->Apply(DistanceArgs);
+BENCHMARK(BM_L2Rows)
+    ->ArgsProduct({{4, 16}, {3000, 5000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MatVec)->Apply(DistanceArgs);
 
 }  // namespace

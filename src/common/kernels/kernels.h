@@ -14,7 +14,7 @@
 //
 // FP-determinism contract (docs/KERNELS.md has the full write-up):
 //
-//  * Point-lane kernels (l2_batch_soa, l2_batch4, min_dist_batch4,
+//  * Point-lane kernels (l2_batch_soa, l2_rows, l2_batch4, min_dist_batch4,
 //    min_max_dist_batch4) vectorize ACROSS points/rects: SIMD lane j holds
 //    object j, and each object's per-dimension accumulation runs in the
 //    same strictly sequential order as the scalar pair kernel. They are
@@ -70,6 +70,10 @@ struct KernelOps {
   // out[0..n) = L2DistSqPair(q, point_j, dim), bit-equal per point.
   void (*l2_batch_soa)(const double* q, const double* blocks, size_t n,
                        size_t dim, double* out);
+  // Row-block variant over n consecutive rows of dim doubles (the AoS
+  // point table): out[j] = L2DistSqPair(rows + j * dim, q, dim).
+  void (*l2_rows)(const double* q, const double* rows, size_t n, size_t dim,
+                  double* out);
   // Gather variant over 4 arbitrary row pointers (AoS candidates).
   void (*l2_batch4)(const double* q, const double* const p[4], size_t dim,
                     double* out);
@@ -133,6 +137,11 @@ inline void MatVec(const double* a, size_t rows, size_t n, size_t stride,
 
 inline void Axpy(double alpha, const double* x, double* y, size_t n) {
   Ops().axpy(alpha, x, y, n);
+}
+
+inline void L2DistSqRows(const double* q, const double* rows, size_t n,
+                         size_t dim, double* out) {
+  Ops().l2_rows(q, rows, n, dim, out);
 }
 
 inline void L2DistSqBatch4(const double* q, const double* const p[4],

@@ -70,13 +70,18 @@ void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// acc + (v - q)^2 per lane: one dimension's term of the pair kernel.
+inline __m256d AddSqDiff(__m256d acc, __m256d v, __m256d q) {
+  __m256d d = _mm256_sub_pd(v, q);
+  return _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+}
+
 // One SoA block: lane j is point j, per-dimension accumulation sequential.
 inline __m256d L2BlockAvx2(const double* q, const double* blk, size_t dim) {
   __m256d acc = _mm256_setzero_pd();
   for (size_t i = 0; i < dim; ++i) {
-    __m256d d = _mm256_sub_pd(_mm256_loadu_pd(blk + i * kLaneWidth),
-                              _mm256_set1_pd(q[i]));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    acc = AddSqDiff(acc, _mm256_loadu_pd(blk + i * kLaneWidth),
+                    _mm256_set1_pd(q[i]));
   }
   return acc;
 }
@@ -101,12 +106,57 @@ inline __m256d Gather4(const double* const p[4], size_t i) {
   return _mm256_set_pd(p[3][i], p[2][i], p[1][i], p[0][i]);
 }
 
+// Four consecutive rows at a time, lane j = row j. Each 4-dimension chunk
+// is four row loads transposed in registers, then its dimensions are added
+// one after another, so every lane keeps the pair kernel's sequential
+// order. The four chunk columns are spelled out: held in an array and
+// looped over they spill to the stack under gcc 12 -O2, which made a
+// 3,000-row d=16 scan 8.4 µs instead of 4.6 µs.
+void L2RowsAvx2(const double* q, const double* rows, size_t n, size_t dim,
+                double* out) {
+  const size_t n4 = n & ~(kLaneWidth - 1);
+  const size_t d4 = dim & ~(kLaneWidth - 1);
+  for (size_t j = 0; j < n4; j += kLaneWidth) {
+    const double* r0 = rows + j * dim;
+    const double* r1 = r0 + dim;
+    const double* r2 = r1 + dim;
+    const double* r3 = r2 + dim;
+    __m256d acc = _mm256_setzero_pd();
+    size_t i = 0;
+    for (; i < d4; i += kLaneWidth) {
+      __m256d a = _mm256_loadu_pd(r0 + i);
+      __m256d b = _mm256_loadu_pd(r1 + i);
+      __m256d c = _mm256_loadu_pd(r2 + i);
+      __m256d d = _mm256_loadu_pd(r3 + i);
+      __m256d ab_even = _mm256_unpacklo_pd(a, b);  // a0 b0 a2 b2
+      __m256d ab_odd = _mm256_unpackhi_pd(a, b);   // a1 b1 a3 b3
+      __m256d cd_even = _mm256_unpacklo_pd(c, d);  // c0 d0 c2 d2
+      __m256d cd_odd = _mm256_unpackhi_pd(c, d);   // c1 d1 c3 d3
+      acc = AddSqDiff(acc, _mm256_permute2f128_pd(ab_even, cd_even, 0x20),
+                      _mm256_set1_pd(q[i]));
+      acc = AddSqDiff(acc, _mm256_permute2f128_pd(ab_odd, cd_odd, 0x20),
+                      _mm256_set1_pd(q[i + 1]));
+      acc = AddSqDiff(acc, _mm256_permute2f128_pd(ab_even, cd_even, 0x31),
+                      _mm256_set1_pd(q[i + 2]));
+      acc = AddSqDiff(acc, _mm256_permute2f128_pd(ab_odd, cd_odd, 0x31),
+                      _mm256_set1_pd(q[i + 3]));
+    }
+    for (; i < dim; ++i) {
+      acc = AddSqDiff(acc, _mm256_set_pd(r3[i], r2[i], r1[i], r0[i]),
+                      _mm256_set1_pd(q[i]));
+    }
+    _mm256_storeu_pd(out + j, acc);
+  }
+  for (size_t j = n4; j < n; ++j) {
+    out[j] = L2DistSqPair(rows + j * dim, q, dim);
+  }
+}
+
 void L2Batch4Avx2(const double* q, const double* const p[4], size_t dim,
                   double* out) {
   __m256d acc = _mm256_setzero_pd();
   for (size_t i = 0; i < dim; ++i) {
-    __m256d d = _mm256_sub_pd(Gather4(p, i), _mm256_set1_pd(q[i]));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    acc = AddSqDiff(acc, Gather4(p, i), _mm256_set1_pd(q[i]));
   }
   _mm256_storeu_pd(out, acc);
 }
@@ -165,8 +215,8 @@ void MinMaxDistBatch4Avx2(const double* const lo[4],
 
 const KernelOps kAvx2Ops = {
     "avx2",          DotAvx2,        MatVecAvx2,
-    AxpyAvx2,        L2BatchSoaAvx2, L2Batch4Avx2,
-    MinDistBatch4Avx2, MinMaxDistBatch4Avx2,
+    AxpyAvx2,        L2BatchSoaAvx2, L2RowsAvx2,
+    L2Batch4Avx2,    MinDistBatch4Avx2, MinMaxDistBatch4Avx2,
 };
 
 }  // namespace

@@ -2,10 +2,10 @@
 // cannot fuse the separate mul/add roundings into fmla. The dim-lane
 // kernels run the canonical 4-wide blocked order as two float64x2 halves;
 // the SoA batch kernel puts points in lanes (per-point order sequential).
-// The pointer-gather kernels (l2_batch4, min_dist_batch4,
-// min_max_dist_batch4) reuse the scalar reference: NEON has no gather, so
-// lane-inserting from 4 scattered rows buys nothing over scalar code, and
-// bit-equality is then free.
+// The row and pointer-gather kernels (l2_rows, l2_batch4, min_dist_batch4,
+// min_max_dist_batch4) reuse the scalar reference: NEON has neither a
+// gather nor a cheap 4x4 transpose of doubles, so lane-inserting from 4
+// rows buys nothing over scalar code, and bit-equality is then free.
 
 #include "common/kernels/kernels_isa.h"
 
@@ -82,6 +82,11 @@ void L2BatchSoaNeon(const double* q, const double* blocks, size_t n,
   }
 }
 
+void L2RowsNeon(const double* q, const double* rows, size_t n, size_t dim,
+                double* out) {
+  GetScalarOps()->l2_rows(q, rows, n, dim, out);
+}
+
 void L2Batch4Neon(const double* q, const double* const p[4], size_t dim,
                   double* out) {
   GetScalarOps()->l2_batch4(q, p, dim, out);
@@ -100,8 +105,8 @@ void MinMaxDistBatch4Neon(const double* const lo[4],
 
 const KernelOps kNeonOps = {
     "neon",          DotNeon,        MatVecNeon,
-    AxpyNeon,        L2BatchSoaNeon, L2Batch4Neon,
-    MinDistBatch4Neon, MinMaxDistBatch4Neon,
+    AxpyNeon,        L2BatchSoaNeon, L2RowsNeon,
+    L2Batch4Neon,    MinDistBatch4Neon, MinMaxDistBatch4Neon,
 };
 
 }  // namespace

@@ -120,6 +120,11 @@ void L2BatchSoaScalar(const double* q, const double* blocks, size_t n,
   }
 }
 
+void L2RowsScalar(const double* q, const double* rows, size_t n, size_t dim,
+                  double* out) {
+  for (size_t j = 0; j < n; ++j) out[j] = L2DistSqPair(rows + j * dim, q, dim);
+}
+
 void L2Batch4Scalar(const double* q, const double* const p[4], size_t dim,
                     double* out) {
   for (int j = 0; j < 4; ++j) out[j] = L2DistSqPair(p[j], q, dim);
@@ -137,9 +142,9 @@ void MinMaxDistBatch4Scalar(const double* const lo[4],
 }
 
 const KernelOps kScalarOps = {
-    "scalar",        DotBlocked,     MatVecBlocked,
-    AxpyScalar,      L2BatchSoaScalar, L2Batch4Scalar,
-    MinDistBatch4Scalar, MinMaxDistBatch4Scalar,
+    "scalar",        DotBlocked,       MatVecBlocked,
+    AxpyScalar,      L2BatchSoaScalar, L2RowsScalar,
+    L2Batch4Scalar,  MinDistBatch4Scalar, MinMaxDistBatch4Scalar,
 };
 
 }  // namespace

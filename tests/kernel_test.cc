@@ -7,6 +7,7 @@
 
 #include "common/kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -144,6 +145,49 @@ TEST_P(KernelEquivalenceTest, L2Batch4MatchesPairKernel) {
     for (int j = 0; j < 4; ++j) {
       EXPECT_TRUE(BitEqual(L2DistSqPair(ptrs[j], q.data(), dim), out[j]))
           << ops->name << " l2_batch4 d=" << dim << " j=" << j;
+    }
+  }
+}
+
+// The row-block kernel reads n consecutive rows of the AoS point table. It
+// must equal the pair kernel per row for every row count (full 4-row
+// groups, the scalar tail rows, the 64-row chunk of the scan executor and
+// its neighbours) and write nothing past out[n - 1]. Special coordinates
+// (NaN, +-inf, -0.0) sit in rows and in the query, so the transposed lanes
+// must carry them exactly like the sequential loop does.
+TEST_P(KernelEquivalenceTest, L2RowsMatchesPairKernel) {
+  const size_t dim = GetParam();
+  Rng rng(89 * dim + 8);
+  const double specials[] = {kNan, kInf, -kInf, -0.0};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                   size_t{5}, size_t{6}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{63}, size_t{64}, size_t{65}}) {
+    std::vector<double> rows = RandomVec(rng, n * dim);
+    for (size_t j = 1; j < n; j += 3) {
+      rows[j * dim + j % dim] = specials[j % 4];
+    }
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<double> q = RandomVec(rng, dim);
+      if (variant == 1) q[0] = -0.0;
+      if (variant == 2) q[dim - 1] = kInf;
+      if (n > 0) {
+        // A row equal to q but for the sign of its zeros: distance +0.0.
+        std::copy(q.begin(), q.end(), rows.begin());
+        if (variant == 1) rows[0] = 0.0;
+      }
+      for (const KernelOps* ops : AllOpsForTest()) {
+        std::vector<double> out(n + 1, -1.0);
+        ops->l2_rows(q.data(), rows.data(), n, dim, out.data());
+        for (size_t j = 0; j < n; ++j) {
+          double want = L2DistSqPair(rows.data() + j * dim, q.data(), dim);
+          EXPECT_TRUE(BitEqual(want, out[j]))
+              << ops->name << " l2_rows d=" << dim << " n=" << n
+              << " variant=" << variant << " j=" << j << " want " << want
+              << " got " << out[j];
+        }
+        EXPECT_TRUE(BitEqual(-1.0, out[n]))
+            << ops->name << " l2_rows wrote past n=" << n << " d=" << dim;
+      }
     }
   }
 }
