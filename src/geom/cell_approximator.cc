@@ -230,7 +230,7 @@ double DefaultSphereRadius(size_t n, size_t dim) {
 
 std::vector<size_t> SelectNNDirectionCandidates(
     const PointSet& pts, const double* owner, size_t self,
-    const std::vector<bool>& alive) {
+    const std::vector<uint8_t>& alive) {
   const size_t d = pts.dim();
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
 

@@ -2,6 +2,7 @@
 #define NNCELL_GEOM_CELL_APPROXIMATOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/hyper_rect.h"
@@ -113,7 +114,7 @@ double DefaultSphereRadius(size_t n, size_t dim);
 // with !alive[j]. At most 4d candidates, ascending, duplicates removed.
 std::vector<size_t> SelectNNDirectionCandidates(
     const PointSet& pts, const double* owner, size_t self,
-    const std::vector<bool>& alive);
+    const std::vector<uint8_t>& alive);
 
 }  // namespace nncell
 

@@ -280,7 +280,7 @@ uint64_t NNCellIndex::AddPoint(const std::vector<double>& point,
   uint64_t id = points_.Add(point);
   rect_data_.resize(rect_data_.size() + max_rects_ * 2 * dim_);
   rect_count_.push_back(0);
-  alive_.push_back(true);
+  alive_.push_back(1);
   ++live_count_;
   if (insert_into_point_tree) {
     point_tree_->Insert(HyperRect::FromPoint(point.data(), dim_), id);
@@ -451,7 +451,7 @@ Status NNCellIndex::ApplyDelete(uint64_t id) {
   bool removed =
       point_tree_->Delete(HyperRect::FromPoint(points_[id], dim_), id);
   NNCELL_CHECK_MSG(removed, "point tree entry missing");
-  alive_[id] = false;
+  alive_[id] = 0;
   --live_count_;
   ++build_stats_.deletions;
 
@@ -762,9 +762,7 @@ size_t NNCellIndex::VisitCandidates(const double* q, double r, ExactPlan plan,
         ball_box.lo(i) = q[i] - r;
         ball_box.hi(i) = q[i] + r;
       }
-      for (const Entry& m : tree_->RangeQuery(ball_box)) {
-        owners.push_back(m.id);
-      }
+      owners = tree_->RangeQueryIds(ball_box);
     }
     if (distinct) {
       std::sort(owners.begin(), owners.end());
@@ -776,28 +774,40 @@ size_t NNCellIndex::VisitCandidates(const double* q, double r, ExactPlan plan,
     }
   }
 
-  // Stage 2: exact distance checks, four owners per gather-kernel call.
-  // Under the scan the cell MBRs cannot prune: every live point is a
-  // candidate.
+  // Stage 2: exact distance checks. Under the scan the cell MBRs cannot
+  // prune: every live point is a candidate, and the point table streams
+  // through the row kernel a chunk at a time. Dead rows are computed and
+  // dropped (the table is append-only, so their rows stay valid). Probe
+  // owners are scattered rows, four per gather-kernel call.
   TraceTimer scan_timer;
-  uint64_t id4[4];
-  const double* ptr4[4];
-  double d4[4];
-  size_t fill = 0;
-  const size_t n = scan ? points_.size() : owners.size();
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t id = scan ? i : owners[i];
-    if (scan && !alive_[id]) continue;
-    id4[fill] = id;
-    ptr4[fill] = points_[id];
-    if (++fill == 4) {
-      kernels::L2DistSqBatch4(q, ptr4, dim_, d4);
-      for (size_t t = 0; t < 4; ++t) visit(id4[t], d4[t]);
-      fill = 0;
+  if (scan) {
+    constexpr size_t kChunk = 64;
+    double dist[kChunk];
+    const size_t n = points_.size();
+    for (size_t base = 0; base < n; base += kChunk) {
+      const size_t rows = std::min(kChunk, n - base);
+      kernels::L2DistSqRows(q, points_[base], rows, dim_, dist);
+      for (size_t j = 0; j < rows; ++j) {
+        if (alive_[base + j]) visit(base + j, dist[j]);
+      }
     }
-  }
-  for (size_t t = 0; t < fill; ++t) {
-    visit(id4[t], L2DistSq(ptr4[t], q, dim_));
+  } else {
+    uint64_t id4[4];
+    const double* ptr4[4];
+    double d4[4];
+    size_t fill = 0;
+    for (uint64_t id : owners) {
+      id4[fill] = id;
+      ptr4[fill] = points_[id];
+      if (++fill == 4) {
+        kernels::L2DistSqBatch4(q, ptr4, dim_, d4);
+        for (size_t t = 0; t < 4; ++t) visit(id4[t], d4[t]);
+        fill = 0;
+      }
+    }
+    for (size_t t = 0; t < fill; ++t) {
+      visit(id4[t], L2DistSq(ptr4[t], q, dim_));
+    }
   }
   const size_t checked = scan ? live_count_ : owners.size();
   if (trace != nullptr) {

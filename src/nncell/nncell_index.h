@@ -471,9 +471,9 @@ class NNCellIndex final : public IndexBackend {
   // id order, and under kCellProbe the owners whose cell approximation
   // contains q (r = 0) or meets the ball's bounding box. `distinct` visits
   // each of them once, in ascending id order; otherwise an owner comes
-  // once per rectangle the point query returns. Distances come four per
-  // gather-kernel call (bit-equal to the pair kernel). A non-null `trace`
-  // gets the executor's stages.
+  // once per rectangle the point query returns. Distances come from the
+  // row kernel (scan) or the gather kernel (probe), both bit-equal to the
+  // pair kernel. A non-null `trace` gets the executor's stages.
   template <class Visit>
   size_t VisitCandidates(const double* q, double r, ExactPlan plan,
                          bool distinct, QueryTrace* trace, Visit visit) const;
@@ -568,7 +568,7 @@ class NNCellIndex final : public IndexBackend {
   std::vector<uint8_t> witness_codes_;
   std::vector<bool> witnessed_;
 
-  std::vector<bool> alive_;  // tombstones
+  std::vector<uint8_t> alive_;  // tombstones: 1 live, 0 deleted
   size_t live_count_ = 0;
   ExactPlan forced_plan_ = ExactPlan::kAuto;  // SetExactPlan
   ExactPlan plan_ = ExactPlan::kCellProbe;

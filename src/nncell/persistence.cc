@@ -155,7 +155,7 @@ Status NNCellIndex::SerializeSnapshot(std::string* out,
   const std::vector<double>& raw = points_.raw();
   wire::PutU64(&meta, raw.size());
   wire::PutBytes(&meta, raw.data(), raw.size() * sizeof(double));
-  for (bool a : alive_) wire::PutU8(&meta, a ? 1 : 0);
+  for (uint8_t a : alive_) wire::PutU8(&meta, a);
   for (uint64_t id = 0; id < rect_count_.size(); ++id) {
     wire::PutU64(&meta, RectCount(id));
     for (size_t r = 0; r < RectCount(id); ++r) {
@@ -350,13 +350,13 @@ StatusOr<std::unique_ptr<NNCellIndex>> NNCellIndex::LoadImage(
   r.GetBytes(raw.data(), raw.size() * sizeof(double));
 
   const size_t n = static_cast<size_t>(hdr.point_count);
-  std::vector<bool> alive(n);
+  std::vector<uint8_t> alive(n);
   uint64_t live = 0;
   for (size_t i = 0; i < n; ++i) {
     uint8_t a = 0;
     r.GetU8(&a);
-    alive[i] = a != 0;
-    live += alive[i] ? 1 : 0;
+    alive[i] = a != 0 ? 1 : 0;
+    live += alive[i];
   }
   if (r.failed()) return LoadError("snapshot metadata truncated (liveness)");
   if (live != hdr.live_count) {

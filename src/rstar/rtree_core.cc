@@ -394,6 +394,14 @@ std::vector<Entry> RTreeCore::RangeQuery(const HyperRect& range) const {
   return out;
 }
 
+std::vector<uint64_t> RTreeCore::RangeQueryIds(const HyperRect& range) const {
+  NNCELL_CHECK(range.dim() == options_.dim);
+  std::vector<uint64_t> out;
+  CollectMatches(&range, nullptr,
+                 [&](const EntryView& e) { out.push_back(e.id); });
+  return out;
+}
+
 std::vector<uint64_t> RTreeCore::LeafPageSphereQuery(const double* q,
                                                      double radius) const {
   const double radius_sq = radius * radius;

@@ -81,6 +81,10 @@ class RTreeCore {
   // All leaf entries whose rectangle intersects `range`.
   std::vector<Entry> RangeQuery(const HyperRect& range) const;
 
+  // Ids of the same entries, in depth-first traversal order; spares the
+  // rectangle copies RangeQuery makes.
+  std::vector<uint64_t> RangeQueryIds(const HyperRect& range) const;
+
   // Page-granular query used by the paper's Point/Sphere candidate
   // selection: the ids of ALL entries of every leaf node whose page region
   // lies within `radius` of q (radius 0: contains q), in depth-first

@@ -460,6 +460,68 @@ TEST(DifferentialExactPlanTest, PlanFlipsWithNAtFixedDim) {
   ASSERT_TRUE(index.CheckInvariants(25).ok());
 }
 
+// The scan executor reads the point table 64 rows per row-kernel call and
+// drops dead rows afterwards. Tombstones at both ends of the first two
+// chunks and on the last id must never answer, even for a query sitting
+// on a dead point, and every live row must: NN, 5-NN and range answers
+// equal a brute-force pass over the live points bit for bit, and the scan
+// checks exactly the live count. The differential_scalar_dispatch run
+// repeats this on the scalar table.
+TEST(DifferentialExactPlanTest, ScanChunkBoundaryTombstonesMatchBruteForce) {
+  const size_t dim = 6;
+  IndexUnderTest t = MakeIndex(dim, NNCellOptions{});
+  NNCellIndex& index = *t.index;
+  ASSERT_TRUE(index.BulkBuild(GenerateUniform(200, dim, 43)).ok());
+  const uint64_t last = index.points().size() - 1;
+  const std::vector<uint64_t> dead = {0, 63, 64, 127, last};
+  for (uint64_t id : dead) ASSERT_TRUE(index.Delete(id).ok()) << id;
+  ASSERT_EQ(index.exact_plan(), ExactPlan::kScan);
+  ASSERT_EQ(index.size(), 200u - dead.size());
+
+  PointSet queries = GenerateQueries(40, dim, 44);
+  for (uint64_t id : dead) queries.Add(index.points()[id]);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double* q = queries[i];
+    std::vector<std::pair<double, uint64_t>> oracle;
+    for (uint64_t id = 0; id < index.points().size(); ++id) {
+      if (index.IsAlive(id)) {
+        oracle.emplace_back(L2DistSq(index.points()[id], q, dim), id);
+      }
+    }
+    std::sort(oracle.begin(), oracle.end());
+
+    auto nn = index.Query(q);
+    ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+    EXPECT_EQ(nn->id, oracle[0].second) << i;
+    EXPECT_EQ(Bits(nn->dist), Bits(std::sqrt(oracle[0].first))) << i;
+    EXPECT_EQ(nn->candidates, index.size()) << i;
+
+    auto knn = index.KnnQuery(q, 5);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), 5u);
+    for (size_t j = 0; j < 5; ++j) {
+      EXPECT_EQ((*knn)[j].id, oracle[j].second) << i << " rank " << j;
+      EXPECT_EQ(Bits((*knn)[j].dist), Bits(std::sqrt(oracle[j].first)))
+          << i << " rank " << j;
+    }
+
+    const double radius = (*knn)[4].dist;
+    auto in_range = index.RangeSearch(q, radius);
+    ASSERT_TRUE(in_range.ok()) << in_range.status().ToString();
+    size_t want = 0;
+    while (want < oracle.size() && oracle[want].first <= radius * radius) {
+      ++want;
+    }
+    ASSERT_EQ(in_range->size(), want) << i;
+    for (size_t j = 0; j < want; ++j) {
+      EXPECT_EQ((*in_range)[j].id, oracle[j].second) << i << " " << j;
+      EXPECT_EQ(Bits((*in_range)[j].dist), Bits(std::sqrt(oracle[j].first)))
+          << i << " " << j;
+      EXPECT_EQ((*in_range)[j].candidates, index.size()) << i;
+    }
+  }
+}
+
 // QueryBatch under the scan plan from several threads at once, each batch
 // fanned over the index's own pool: N readers of the point table, with
 // answers equal to the serial cell probe's.

@@ -382,7 +382,7 @@ TEST(SelectorTest, NNDirectionBudgetAndContents) {
     pts.Add(p);
   }
   auto cands = SelectNNDirectionCandidates(
-      pts, pts[0], 0, std::vector<bool>(pts.size(), true));
+      pts, pts[0], 0, std::vector<uint8_t>(pts.size(), 1));
   EXPECT_LE(cands.size(), 4 * d);
   EXPECT_GT(cands.size(), 0u);
   for (size_t j : cands) EXPECT_NE(j, 0u);
@@ -410,7 +410,7 @@ TEST(SelectorTest, NNDirectionOnAxisPoints) {
   pts.Add({0.5, 0.9, 0.5});  // +y
   pts.Add({0.5, 0.5, 0.1});  // -z
   auto cands = SelectNNDirectionCandidates(
-      pts, pts[0], 0, std::vector<bool>(pts.size(), true));
+      pts, pts[0], 0, std::vector<uint8_t>(pts.size(), 1));
   EXPECT_EQ(cands.size(), 4u);
 }
 
@@ -423,10 +423,10 @@ TEST(SelectorTest, NNDirectionSkipsSelfAndDeadIds) {
   pts.Add({0.5, 0.9});  // +y
   const double owner[2] = {0.5, 0.5};
   constexpr size_t kNew = std::numeric_limits<size_t>::max();
-  std::vector<bool> alive(pts.size(), true);
+  std::vector<uint8_t> alive(pts.size(), 1);
   EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, kNew, alive),
             (std::vector<size_t>{0, 1, 2}));
-  alive[1] = false;
+  alive[1] = 0;
   EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, kNew, alive),
             (std::vector<size_t>{0, 2}));
   EXPECT_EQ(SelectNNDirectionCandidates(pts, owner, 0, alive),
