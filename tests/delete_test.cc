@@ -19,6 +19,7 @@
 #include "storage/durable_format.h"
 #include "storage/fs_util.h"
 #include "storage/page_file.h"
+#include "test_printers.h"
 
 namespace nncell {
 namespace {
