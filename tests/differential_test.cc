@@ -503,6 +503,7 @@ TEST(DifferentialExactPlanTest, ScanChunkBoundaryTombstonesMatchBruteForce) {
       EXPECT_EQ((*knn)[j].id, oracle[j].second) << i << " rank " << j;
       EXPECT_EQ(Bits((*knn)[j].dist), Bits(std::sqrt(oracle[j].first)))
           << i << " rank " << j;
+      EXPECT_EQ((*knn)[j].candidates, index.size()) << i << " rank " << j;
     }
 
     const double radius = (*knn)[4].dist;
