@@ -120,6 +120,15 @@ double RawVolume(const double* lo, const double* hi, size_t dim) {
   return v;
 }
 
+double RawMargin(const double* lo, const double* hi, size_t dim) {
+  double m = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    if (lo[i] > hi[i]) return 0.0;
+    m += (hi[i] - lo[i]);
+  }
+  return m;
+}
+
 double RawOverlapVolume(const double* lo, const double* hi, const double* rlo,
                         const double* rhi, size_t dim) {
   double v = 1.0;

@@ -133,6 +133,10 @@ inline void RawExpand(double* lo, double* hi, const double* rlo,
 // zero-dimensional rectangle.
 double RawVolume(const double* lo, const double* hi, size_t dim);
 
+// Sum of the side lengths of [lo, hi] (the R*-tree "margin" surrogate for
+// perimeter); 0 when some lo > hi.
+double RawMargin(const double* lo, const double* hi, size_t dim);
+
 // Volume of the intersection of [lo, hi] and [rlo, rhi] (0 when disjoint
 // or touching).
 double RawOverlapVolume(const double* lo, const double* hi, const double* rlo,

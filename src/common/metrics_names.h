@@ -56,7 +56,6 @@ inline constexpr char kIndexLeafVisits[] = "index.tree.leaf_visits";
 inline constexpr char kIndexNodeSplits[] = "index.tree.node_splits";
 inline constexpr char kIndexSupernodeEvents[] = "index.tree.supernode_events";
 inline constexpr char kIndexBuildCommitUs[] = "index.build.commit_us";
-inline constexpr char kIndexBuildCommitWaitUs[] = "index.build.commit_wait_us";
 inline constexpr char kIndexCellsRecomputed[] =
     "index.maintenance.cells_recomputed";
 inline constexpr char kIndexCellsRewritten[] =
@@ -176,9 +175,7 @@ inline constexpr MetricDef kMetricDefs[] = {
     {kIndexSupernodeEvents, Kind::kCounter, "events",
      "X-tree supernode-growth decisions (split avoided)"},
     {kIndexBuildCommitUs, Kind::kCounter, "microseconds",
-     "BulkBuild caller time committing solved cells (cell-tree inserts)"},
-    {kIndexBuildCommitWaitUs, Kind::kCounter, "microseconds",
-     "BulkBuild caller time blocked on a cell still being solved"},
+     "BulkBuild serial tail after the solves (cell table, cell-tree pack)"},
     {kIndexCellsRecomputed, Kind::kCounter, "cells",
      "cell approximations recomputed by Insert/Delete maintenance"},
     {kIndexCellsRewritten, Kind::kCounter, "cells",

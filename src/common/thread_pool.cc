@@ -54,16 +54,13 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-std::chrono::nanoseconds ThreadPool::ParallelFor(
-    size_t begin, size_t end, const std::function<void(size_t)>& body,
-    const std::function<void(size_t)>& commit) {
-  std::chrono::nanoseconds blocked{0};
-  if (end <= begin) return blocked;
+void ThreadPool::ParallelFor(size_t begin, size_t end,
+                             const std::function<void(size_t)>& body) {
+  if (end <= begin) return;
   const size_t n = end - begin;
-  // Without a commit, more units than threads so the shared cursor can
-  // rebalance uneven iteration costs (LP solves vary a lot per point);
-  // with one, single iterations so commits trail the solves closely.
-  const size_t units = commit ? n : std::min(n, 4 * num_threads());
+  // More units than threads, so the shared cursor can rebalance uneven
+  // iteration costs (LP solves vary a lot per point).
+  const size_t units = std::min(n, 4 * num_threads());
 
   // Per-call state on the heap: a helper that wakes after the caller has
   // returned still holds the group, finds the cursor past the last unit
@@ -72,15 +69,15 @@ std::chrono::nanoseconds ThreadPool::ParallelFor(
     const std::function<void(size_t)>* body;
     size_t begin, n, units;
     std::atomic<size_t> next{0};  // next unit to claim
-    // done[u] turns 1 (release) once unit u's iterations have run.
-    std::unique_ptr<std::atomic<uint32_t>[]> done;
+    // Units not yet finished; each finished unit decrements it (release).
+    std::atomic<uint32_t> pending;
   };
   auto group = std::make_shared<Group>();
   group->body = &body;
   group->begin = begin;
   group->n = n;
   group->units = units;
-  group->done = std::make_unique<std::atomic<uint32_t>[]>(units);
+  group->pending.store(static_cast<uint32_t>(units));
 
   // Claims and runs one unit; false once none is left.
   auto run_one = [](Group& g) {
@@ -88,8 +85,9 @@ std::chrono::nanoseconds ThreadPool::ParallelFor(
     if (u >= g.units) return false;
     const size_t hi = g.begin + g.n * (u + 1) / g.units;
     for (size_t i = g.begin + g.n * u / g.units; i < hi; ++i) (*g.body)(i);
-    g.done[u].store(1, std::memory_order_release);
-    g.done[u].notify_one();
+    if (g.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      g.pending.notify_all();
+    }
     return true;
   };
 
@@ -100,21 +98,15 @@ std::chrono::nanoseconds ThreadPool::ParallelFor(
       }
     });
   }
-  // Walk the units in order: work while the next one is unfinished, block
-  // once nothing is left to claim. The acquire load orders every body(i)
-  // of the unit before its commits and before the return.
-  for (size_t u = 0; u < units; ++u) {
-    while (group->done[u].load(std::memory_order_acquire) == 0) {
-      if (run_one(*group)) continue;
-      const auto t0 = std::chrono::steady_clock::now();
-      group->done[u].wait(0, std::memory_order_acquire);
-      blocked += std::chrono::steady_clock::now() - t0;
-    }
-    if (!commit) continue;
-    const size_t hi = begin + n * (u + 1) / units;
-    for (size_t i = begin + n * u / units; i < hi; ++i) commit(i);
+  // Work until nothing is left to claim, then wait for the units still
+  // running elsewhere. The acquire load that reads 0 orders every body(i)
+  // before the return.
+  while (run_one(*group)) {
   }
-  return blocked;
+  for (uint32_t left = group->pending.load(std::memory_order_acquire);
+       left != 0; left = group->pending.load(std::memory_order_acquire)) {
+    group->pending.wait(left, std::memory_order_acquire);
+  }
 }
 
 void ResizePool(size_t num_threads, std::unique_ptr<ThreadPool>* pool) {
@@ -127,15 +119,13 @@ void ResizePool(size_t num_threads, std::unique_ptr<ThreadPool>* pool) {
   }
 }
 
-std::chrono::nanoseconds ParallelFor(
-    ThreadPool* pool, size_t n, const std::function<void(size_t)>& body,
-    const std::function<void(size_t)>& commit) {
-  if (pool != nullptr && n > 1) return pool->ParallelFor(0, n, body, commit);
-  for (size_t i = 0; i < n; ++i) {
-    body(i);
-    if (commit) commit(i);
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& body) {
+  if (pool != nullptr && n > 1) {
+    pool->ParallelFor(0, n, body);
+    return;
   }
-  return std::chrono::nanoseconds(0);
+  for (size_t i = 0; i < n; ++i) body(i);
 }
 
 Status ParallelTry(ThreadPool* pool, size_t n,

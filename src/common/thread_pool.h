@@ -1,7 +1,6 @@
 #ifndef NNCELL_COMMON_THREAD_POOL_H_
 #define NNCELL_COMMON_THREAD_POOL_H_
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -21,8 +20,7 @@ namespace nncell {
 // helper that claims units from its call's shared cursor, so the queue only
 // decides which idle worker starts a helper. The pool is task-agnostic;
 // determinism is the caller's job (submit pure tasks that write to
-// disjoint result slots and commit them in a fixed order, as ParallelFor's
-// `commit` does).
+// disjoint result slots, and read the slots in a fixed order afterwards).
 //
 // Tasks must not throw. ParallelFor may be called concurrently from
 // several threads, pool workers included: each call tracks its own
@@ -44,20 +42,13 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   // Runs body(i) for every i in [begin, end); returns when every
-  // iteration has finished. The calling thread and up to num_threads()
-  // woken workers claim work from one cursor, so the caller waits only for
-  // work already running elsewhere. `body` is invoked concurrently and
-  // must be safe to call from several threads at once.
-  //
-  // With a `commit`, commit(i) runs on the calling thread for every i in
-  // ascending order, as soon as body(i) has finished, and sees every write
-  // body(i) made. Iterations are then claimed one at a time so the first
-  // commit can start early; while the next iteration is not done, the
-  // caller claims unclaimed ones itself and blocks only once none is left.
-  // Returns the time the caller spent blocked.
-  std::chrono::nanoseconds ParallelFor(
-      size_t begin, size_t end, const std::function<void(size_t)>& body,
-      const std::function<void(size_t)>& commit = nullptr);
+  // iteration has finished, and the caller then sees every write the
+  // iterations made. The calling thread and up to num_threads() woken
+  // workers claim work from one cursor, so the caller waits only for work
+  // already running elsewhere. `body` is invoked concurrently and must be
+  // safe to call from several threads at once.
+  void ParallelFor(size_t begin, size_t end,
+                   const std::function<void(size_t)>& body);
 
   // std::thread::hardware_concurrency with a fallback of 1.
   static size_t DefaultThreads();
@@ -79,13 +70,11 @@ class ThreadPool {
 // when that resolves to 1 (serial).
 void ResizePool(size_t num_threads, std::unique_ptr<ThreadPool>* pool);
 
-// pool->ParallelFor(0, n, body, commit) when `pool` is non-null and n > 1,
-// else the same iterations on the calling thread in ascending order
-// (body(i), then commit(i)), which then never blocks. The one choice
-// between the pool and a serial loop.
-std::chrono::nanoseconds ParallelFor(
-    ThreadPool* pool, size_t n, const std::function<void(size_t)>& body,
-    const std::function<void(size_t)>& commit = nullptr);
+// pool->ParallelFor(0, n, body) when `pool` is non-null and n > 1, else
+// the same iterations on the calling thread in ascending order. The one
+// choice between the pool and a serial loop.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& body);
 
 // Runs fn(i) -> Status for every i in [0, n) as ParallelFor(pool, n, ...)
 // does (fn must be safe to call from several threads at once when it can

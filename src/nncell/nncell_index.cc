@@ -12,6 +12,7 @@
 #include "common/metrics_names.h"
 #include "common/rng.h"
 #include "lp/audit.h"
+#include "rstar/bulk_load.h"
 #include "rstar/rstar_tree.h"
 #include "storage/wal.h"
 #include "xtree/xtree.h"
@@ -82,16 +83,14 @@ struct ApproxQueryMetrics {
   return m;
 }
 
-// Registry handles for the bulk build's ordered commit.
+// Registry handles for the bulk build's serial tail.
 struct BulkBuildMetrics {
   metrics::Counter* commit_us;
-  metrics::Counter* commit_wait_us;
 };
 
 [[maybe_unused]] const BulkBuildMetrics& BuildMetrics() {
   static const BulkBuildMetrics m = {
       metrics::Registry::Global().counter(metrics::kIndexBuildCommitUs),
-      metrics::Registry::Global().counter(metrics::kIndexBuildCommitWaitUs),
   };
   return m;
 }
@@ -509,31 +508,30 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
       e.id = id;
       point_entries.push_back(std::move(e));
     }
-    point_tree_->BulkLoad(std::move(point_entries));
+    point_tree_->BulkLoad(std::move(point_entries), StrPartition);
   }
 
   // Phase 2: one approximation per cell against the full point set. The
-  // cell rectangles go through the tree's regular insert path: for fat,
-  // heavily overlapping rectangles the R*/X split machinery groups by
-  // rectangle similarity, which beats center-based STR packing here.
-  //
-  // The approximations only read state that is frozen after phase 1 (the
+  // approximations only read state that is frozen after phase 1 (the
   // point table and the point tree), so the 2d LP solves per cell fan out
   // across the thread pool; the point tree's buffer pool serves the
-  // workers as concurrent readers. Each solved cell is committed -- its
-  // stats, its cell-tree inserts, its cell-table row -- on this thread in
-  // ascending point order as soon as it is solved, while the workers solve
-  // the cells after it. No solve reads what a commit writes, and the
-  // commit order is fixed, so the on-disk index is byte-identical to a
-  // serial build regardless of the thread count.
+  // workers as concurrent readers, and each solve writes its own slot.
   std::vector<std::vector<HyperRect>> computed(ids.size());
   std::vector<ApproxStats> solve_stats(ids.size());
-  auto solve = [&](size_t i) {
+  ParallelFor(thread_pool_.get(), ids.size(), [&](size_t i) {
     computed[i] = ComputeCellRects(points_[ids[i]], ids[i], &solve_stats[i]);
-  };
-  std::chrono::nanoseconds commit_time{0};
-  auto commit = [&](size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
+  });
+
+  // Phase 3, serial and in ascending point order, so the on-disk index is
+  // byte-identical whatever the thread count: sum the stats, write the
+  // cell table, and store the cell rectangles. A fresh cell tree is packed
+  // in one bottom-up pass with the R* split's sort orders and margin score
+  // (SplitPartition), which groups the fat, heavily overlapping cell MBRs
+  // by similarity; one insert per rectangle would rescore a wide root N
+  // times. A non-fresh tree takes the regular insert path.
+  [[maybe_unused]] const auto commit_start = std::chrono::steady_clock::now();
+  std::vector<Entry> cell_entries;
+  for (size_t i = 0; i < ids.size(); ++i) {
     const ApproxStats& s = solve_stats[i];
     build_stats_.approx.lp_runs += s.lp_runs;
     build_stats_.approx.lp_iterations += s.lp_iterations;
@@ -543,19 +541,22 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
     build_stats_.approx.skipped_faces += s.skipped_faces;
     build_stats_.approx.warm_faces += s.warm_faces;
     build_stats_.approx.cold_faces += s.cold_faces;
-    for (const HyperRect& rect : computed[i]) {
-      tree_->Insert(rect, ids[i]);
+    SetCellRects(ids[i], computed[i]);
+    for (HyperRect& rect : computed[i]) {
+      if (fresh) {
+        cell_entries.push_back(Entry{std::move(rect), ids[i]});
+      } else {
+        tree_->Insert(rect, ids[i]);
+      }
       ++build_stats_.entries_inserted;
     }
-    SetCellRects(ids[i], computed[i]);
-    computed[i] = {};
-    commit_time += std::chrono::steady_clock::now() - t0;
-  };
-  const std::chrono::nanoseconds commit_wait =
-      ParallelFor(thread_pool_.get(), ids.size(), solve, commit);
-  NNCELL_METRIC_COUNT(BuildMetrics().commit_us, commit_time.count() / 1000);
-  NNCELL_METRIC_COUNT(BuildMetrics().commit_wait_us,
-                      commit_wait.count() / 1000);
+  }
+  if (fresh) tree_->BulkLoad(std::move(cell_entries), SplitPartition);
+  NNCELL_METRIC_COUNT(
+      BuildMetrics().commit_us,
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - commit_start)
+          .count());
   UpdatePlan();
   // Durable mode: the bulk load becomes durable via one checkpoint instead
   // of one WAL record per point.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "common/check.h"
+#include "rstar/split.h"
 
 namespace nncell {
 
@@ -64,6 +67,53 @@ void StrRec(std::vector<Entry>& entries, size_t begin, size_t end,
   });
 }
 
+// Copies the MBR of entries [begin, end) into out (2*dim doubles, lo then
+// hi), grown entry by entry with RawExpand.
+void RangeMbr(const std::vector<Entry>& entries, size_t begin, size_t end,
+              size_t dim, double* out) {
+  std::copy_n(entries[begin].rect.lo(), 2 * dim, out);
+  for (size_t i = begin + 1; i < end; ++i) {
+    RawExpand(out, out + dim, entries[i].rect.lo(), entries[i].rect.hi(), dim);
+  }
+}
+
+void SplitRec(std::vector<Entry> entries, size_t capacity, size_t dim,
+              std::vector<std::vector<Entry>>* groups) {
+  const size_t n = entries.size();
+  if (n <= capacity) {
+    groups->push_back(std::move(entries));
+    return;
+  }
+  const size_t parts = (n + capacity - 1) / capacity;
+  const size_t k = n * (parts / 2) / parts;
+  std::vector<double> mbrs(4 * dim);
+  double* left = mbrs.data();
+  double* right = left + 2 * dim;
+  size_t best_axis = 0;
+  bool best_by_lower = true;
+  double best_margin = std::numeric_limits<double>::infinity();
+  for (size_t axis = 0; axis < dim; ++axis) {
+    for (bool by_lower : {true, false}) {
+      SortOnAxis(entries, axis, by_lower, /*tie_break=*/true);
+      RangeMbr(entries, 0, k, dim, left);
+      RangeMbr(entries, k, n, dim, right);
+      const double margin = RawMargin(left, left + dim, dim) +
+                            RawMargin(right, right + dim, dim);
+      if (margin < best_margin) {
+        best_margin = margin;
+        best_axis = axis;
+        best_by_lower = by_lower;
+      }
+    }
+  }
+  SortOnAxis(entries, best_axis, best_by_lower, /*tie_break=*/true);
+  std::vector<Entry> tail(std::make_move_iterator(entries.begin() + k),
+                          std::make_move_iterator(entries.end()));
+  entries.resize(k);
+  SplitRec(std::move(entries), capacity, dim, groups);
+  SplitRec(std::move(tail), capacity, dim, groups);
+}
+
 }  // namespace
 
 std::vector<std::vector<Entry>> StrPartition(std::vector<Entry> entries,
@@ -73,6 +123,16 @@ std::vector<std::vector<Entry>> StrPartition(std::vector<Entry> entries,
   if (entries.empty()) return groups;
   groups.reserve(entries.size() / capacity + 1);
   StrRec(entries, 0, entries.size(), 0, dim, capacity, &groups);
+  return groups;
+}
+
+std::vector<std::vector<Entry>> SplitPartition(std::vector<Entry> entries,
+                                               size_t capacity, size_t dim) {
+  NNCELL_CHECK(capacity >= 1);
+  std::vector<std::vector<Entry>> groups;
+  if (entries.empty()) return groups;
+  groups.reserve(entries.size() / capacity + 1);
+  SplitRec(std::move(entries), capacity, dim, &groups);
   return groups;
 }
 

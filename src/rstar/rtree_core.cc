@@ -68,7 +68,7 @@ void RTreeCore::Insert(const HyperRect& rect, uint64_t id) {
   ++size_;
 }
 
-void RTreeCore::BulkLoad(std::vector<Entry> entries) {
+void RTreeCore::BulkLoad(std::vector<Entry> entries, PartitionFn partition) {
   NNCELL_CHECK_MSG(size_ == 0 && height_ == 1, "BulkLoad needs an empty tree");
   if (entries.empty()) return;
   size_ = entries.size();
@@ -88,7 +88,7 @@ void RTreeCore::BulkLoad(std::vector<Entry> entries) {
       return;
     }
     std::vector<std::vector<Entry>> groups =
-        StrPartition(std::move(level), capacity, options_.dim);
+        partition(std::move(level), capacity, options_.dim);
     std::vector<Entry> parents;
     parents.reserve(groups.size());
     for (auto& group : groups) {

@@ -10,6 +10,7 @@
 
 #include "common/approx.h"
 #include "common/hyper_rect.h"
+#include "rstar/bulk_load.h"
 #include "rstar/node.h"
 #include "rstar/tree_options.h"
 #include "storage/buffer_pool.h"
@@ -55,12 +56,13 @@ class RTreeCore {
   // Inserts a leaf entry.
   void Insert(const HyperRect& rect, uint64_t id);
 
-  // Builds the tree from a static entry set with Sort-Tile-Recursive
-  // packing [LLE 97]: near-full, locality-preserving leaves and a
-  // bottom-up directory. Requires an empty tree; afterwards the tree
-  // supports all dynamic operations. Used for the one-shot precomputation
-  // of the NN-cell index.
-  void BulkLoad(std::vector<Entry> entries);
+  // Builds the tree from a static entry set in one bottom-up pass:
+  // `partition` packs the entries into single-page leaves, then each
+  // directory level over the level below, until one level fits the root.
+  // Requires an empty tree; afterwards the tree supports all dynamic
+  // operations. The NN-cell index packs its point tree with StrPartition
+  // and its cell tree with SplitPartition (bulk_load.h).
+  void BulkLoad(std::vector<Entry> entries, PartitionFn partition);
 
   // Removes the leaf entry matching (rect, id) exactly. Returns false when
   // no such entry exists.

@@ -7,21 +7,6 @@
 
 namespace nncell {
 
-namespace {
-
-// Sum of side lengths (the R*-tree "margin" surrogate for perimeter); 0
-// for an empty rectangle.
-double Margin(const double* lo, const double* hi, size_t dim) {
-  double m = 0.0;
-  for (size_t i = 0; i < dim; ++i) {
-    if (lo[i] > hi[i]) return 0.0;
-    m += (hi[i] - lo[i]);
-  }
-  return m;
-}
-
-}  // namespace
-
 void SortOnAxis(std::vector<Entry>& entries, size_t axis, bool by_lower,
                 bool tie_break) {
   std::stable_sort(entries.begin(), entries.end(),
@@ -78,7 +63,7 @@ std::pair<std::vector<Entry>, std::vector<Entry>> RStarSplit(
       for (size_t k = m; k + m <= n; ++k) {
         const double* l = prefix.data() + (k - 1) * w;
         const double* r = suffix.data() + k * w;
-        margin_sum += Margin(l, l + dim, dim) + Margin(r, r + dim, dim);
+        margin_sum += RawMargin(l, l + dim, dim) + RawMargin(r, r + dim, dim);
       }
       if (margin_sum < best_margin_sum) {
         best_margin_sum = margin_sum;

@@ -4,8 +4,11 @@
 // Run under the `tsan` preset this is the data-race detector's workload;
 // under the plain presets it is a functional regression test.
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -16,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "batch_paths.h"
+#include "common/distance.h"
+#include "common/hyper_rect.h"
 #include "common/thread_pool.h"
 #include "data/generators.h"
 #include "nncell/nncell_index.h"
@@ -172,92 +177,10 @@ TEST(ThreadPoolTest, ParallelMapReportsLowestFailureOnBothSides) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelFor with an ordered commit (BulkBuild's solve-then-commit loop)
-
-// Runs ParallelFor(0, n) with a commit and checks the contract: each
-// commit runs on the calling thread, in ascending order, once, and sees
-// the plain (non-atomic) writes of its body. Body costs vary with i so
-// items finish out of order.
-void ExpectOrderedCommits(ThreadPool& pool, size_t n) {
-  std::vector<std::vector<uint64_t>> slots(n);
-  size_t next = 0;
-  const std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(
-      0, n,
-      [&](size_t i) {
-        uint64_t x = i;
-        for (size_t spin = 0; spin < (i * 7919) % 97 * 50; ++spin) {
-          x = x * 6364136223846793005ull + 1442695040888963407ull;
-        }
-        slots[i].assign(4, i);
-        slots[i].push_back(x);
-      },
-      [&](size_t i) {
-        ASSERT_EQ(std::this_thread::get_id(), caller);
-        ASSERT_EQ(i, next) << "commit out of order";
-        ++next;
-        ASSERT_EQ(slots[i].size(), 5u) << "body " << i << " not visible";
-        for (size_t k = 0; k < 4; ++k) ASSERT_EQ(slots[i][k], i);
-      });
-  EXPECT_EQ(next, n);
-}
-
-TEST(OrderedCommitTest, CommitsAscendOnTheCallerAndSeeTheirBodies) {
-  ThreadPool pool(4);
-  ExpectOrderedCommits(pool, 1000);
-}
-
-TEST(OrderedCommitTest, OneWorkerPoolAndEmptyOrSingleRanges) {
-  ThreadPool pool(1);
-  for (size_t n : {0u, 1u, 2u, 100u}) ExpectOrderedCommits(pool, n);
-  ThreadPool four(4);
-  for (size_t n : {0u, 1u}) ExpectOrderedCommits(four, n);
-}
-
-TEST(OrderedCommitTest, NestedInsideAPoolTask) {
-  // The only worker runs a task whose ParallelFor commits: that worker is
-  // the caller, so it must claim and commit every item itself.
-  ThreadPool pool(1);
-  std::promise<void> done;
-  pool.Submit([&] {
-    ExpectOrderedCommits(pool, 200);
-    done.set_value();
-  });
-  done.get_future().wait();
-
-  // Ordered commits inside the bodies of a plain ParallelFor: each body's
-  // thread is a nested caller.
-  ThreadPool four(4);
-  std::atomic<int> finished{0};
-  four.ParallelFor(0, 6, [&](size_t) {
-    ExpectOrderedCommits(four, 100);
-    finished.fetch_add(1);
-  });
-  EXPECT_EQ(finished.load(), 6);
-}
-
-TEST(OrderedCommitTest, TenThousandTinyItems) {
-  // Tiny bodies maximize claim and completion races; the sanitizer jobs
-  // run this suite.
-  ThreadPool pool(4);
-  constexpr size_t kN = 10000;
-  std::vector<uint64_t> slots(kN, 0);
-  uint64_t sum = 0;
-  size_t next = 0;
-  pool.ParallelFor(
-      0, kN, [&](size_t i) { slots[i] = 3 * i + 1; },
-      [&](size_t i) {
-        EXPECT_EQ(i, next++);
-        sum += slots[i];
-      });
-  EXPECT_EQ(next, kN);
-  EXPECT_EQ(sum, 3 * (kN * (kN - 1) / 2) + kN);
-}
-
-// ---------------------------------------------------------------------------
-// Build determinism: the tentpole contract. A parallel build fans the
-// per-point LP solves across workers but commits results in point order,
-// so the persisted image must be byte-identical to a serial build.
+// Build determinism: a parallel build fans the per-point LP solves across
+// workers into their own slots, then stores the results in one serial pass
+// in point order, so the persisted image must be byte-identical to a
+// serial build.
 
 std::string BuildAndSerialize(const PointSet& pts, size_t num_threads,
                               bool use_xtree, size_t max_partitions) {
@@ -331,11 +254,186 @@ TEST(BuildDeterminismTest, LpHotPathOptimizationsAreThreadCountInvariant) {
 }
 
 TEST(BuildDeterminismTest, HoldsInSupernodeDimensionality) {
-  // d = 16 drives the X-tree into supernode territory (high-dimensional
-  // MBR overlap), covering multi-page nodes in the parallel build.
+  // d = 16: high-dimensional MBR overlap, where the insert path grows
+  // X-tree supernodes (a fresh build packs single-page nodes).
   PointSet pts = GenerateUniform(220, 16, 3);
   EXPECT_EQ(BuildAndSerialize(pts, 1, true, 1),
             BuildAndSerialize(pts, 8, true, 1));
+}
+
+// A fresh BulkBuild packs the cell tree in one pass (SplitPartition); an
+// index grown by Insert puts every rectangle through the insert path. Both
+// must give the brute-force answers, and the candidate counts that brute
+// force over their own cell rectangles implies.
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// The live owners with a cell rectangle meeting [lo, hi]: distinct, and
+// counted once per rectangle.
+struct Meeting {
+  size_t owners = 0;
+  size_t rects = 0;
+};
+
+Meeting OwnersMeeting(const NNCellIndex& index, const double* lo,
+                      const double* hi) {
+  Meeting m;
+  const size_t d = index.dim();
+  for (uint64_t id = 0; id < index.points().size(); ++id) {
+    if (!index.IsAlive(id)) continue;
+    size_t rects = 0;
+    for (const HyperRect& r : index.CellRects(id)) {
+      if (RawIntersects(r.lo(), r.hi(), lo, hi, d)) ++rects;
+    }
+    m.rects += rects;
+    m.owners += rects > 0 ? 1 : 0;
+  }
+  return m;
+}
+
+// NN, 5-NN and range answers through the cell probe, against brute force:
+// ids, distance bits and candidate counts. The kNN count follows the
+// probe's radius rule: the k-th nearest owner among the point query's,
+// quadrupled in d^2 until the ball holds k points.
+void ExpectOracleAnswers(NNCellIndex* index, uint64_t seed) {
+  index->SetExactPlan(ExactPlan::kCellProbe);
+  const size_t d = index->dim();
+  const PointSet queries = GenerateQueries(25, d, seed);
+  for (size_t t = 0; t < queries.size(); ++t) {
+    SCOPED_TRACE(t);
+    const double* q = queries[t];
+    std::vector<std::pair<double, uint64_t>> all;  // (d^2, id) of live points
+    for (uint64_t id = 0; id < index->points().size(); ++id) {
+      if (index->IsAlive(id)) {
+        all.emplace_back(L2DistSq(index->points()[id], q, d), id);
+      }
+    }
+    std::sort(all.begin(), all.end());
+    auto d2_of = [&](uint64_t id) {
+      return L2DistSq(index->points()[id], q, d);
+    };
+    auto in_ball = [&](double r_sq) {
+      return static_cast<size_t>(
+          std::upper_bound(all.begin(), all.end(),
+                           std::make_pair(r_sq, ~uint64_t{0})) -
+          all.begin());
+    };
+    auto ball_owners = [&](double r) {
+      std::vector<double> lo(d), hi(d);
+      for (size_t i = 0; i < d; ++i) {
+        lo[i] = q[i] - r;
+        hi[i] = q[i] + r;
+      }
+      return OwnersMeeting(*index, lo.data(), hi.data()).owners;
+    };
+
+    const Meeting at_q = OwnersMeeting(*index, q, q);
+    auto nn = index->Query(q);
+    ASSERT_TRUE(nn.ok()) << nn.status().ToString();
+    EXPECT_EQ(nn->id, all[0].second);
+    EXPECT_EQ(Bits(nn->dist), Bits(std::sqrt(all[0].first)));
+    EXPECT_EQ(nn->candidates, at_q.rects);
+
+    constexpr size_t k = 5;
+    size_t knn_candidates = at_q.owners;
+    if (knn_candidates < all.size()) {
+      std::vector<double> seed_d2;
+      for (uint64_t id = 0; id < index->points().size(); ++id) {
+        if (!index->IsAlive(id)) continue;
+        for (const HyperRect& r : index->CellRects(id)) {
+          if (r.ContainsPoint(q)) {
+            seed_d2.push_back(d2_of(id));
+            break;
+          }
+        }
+      }
+      std::sort(seed_d2.begin(), seed_d2.end());
+      double r_sq = seed_d2.size() >= k ? seed_d2[k - 1]
+                    : seed_d2.empty()   ? 1e-6
+                                        : std::max(seed_d2.back(), 1e-12);
+      while (true) {
+        knn_candidates = ball_owners(std::sqrt(r_sq));
+        if (in_ball(r_sq) >= k) break;
+        r_sq *= 4.0;
+      }
+    }
+    auto knn = index->KnnQuery(q, k);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ((*knn)[i].id, all[i].second) << "rank " << i;
+      EXPECT_EQ(Bits((*knn)[i].dist), Bits(std::sqrt(all[i].first)));
+      EXPECT_EQ((*knn)[i].candidates, knn_candidates);
+    }
+
+    const double radius = std::sqrt(all[2].first);
+    const size_t want = in_ball(radius * radius);
+    auto range = index->RangeSearch(q, radius);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    ASSERT_EQ(range->size(), want);
+    const size_t range_candidates = ball_owners(radius);
+    for (size_t i = 0; i < want; ++i) {
+      EXPECT_EQ((*range)[i].id, all[i].second);
+      EXPECT_EQ(Bits((*range)[i].dist), Bits(std::sqrt(all[i].first)));
+      EXPECT_EQ((*range)[i].candidates, range_candidates);
+    }
+  }
+}
+
+TEST(BuildDeterminismTest, PackedAndInsertBuiltCellTreesAnswerAsBruteForce) {
+  struct Case {
+    const char* name;
+    size_t n, dim;
+    ApproxAlgorithm algorithm;
+    size_t max_partitions;
+  };
+  for (const Case& c : {Case{"d4", 300, 4, ApproxAlgorithm::kSphere, 1},
+                        Case{"d8", 200, 8, ApproxAlgorithm::kSphere, 1},
+                        Case{"d16", 100, 16, ApproxAlgorithm::kSphere, 1},
+                        Case{"d4_decomposed", 120, 4, ApproxAlgorithm::kSphere,
+                             4},
+                        Case{"d4_nn_direction", 300, 4,
+                             ApproxAlgorithm::kNNDirection, 1}}) {
+    SCOPED_TRACE(c.name);
+    const PointSet pts = GenerateUniform(c.n, c.dim, 101 + c.dim);
+    NNCellOptions options;
+    options.algorithm = c.algorithm;
+    options.decomposition.max_partitions = c.max_partitions;
+
+    // 1 KiB pages give the packed tree a directory above its leaves.
+    PageFile packed_file(1024), grown_file(1024);
+    BufferPool packed_pool(&packed_file, 512), grown_pool(&grown_file, 512);
+    options.parallel.num_threads = 4;
+    NNCellIndex packed(&packed_pool, c.dim, options);
+    ASSERT_TRUE(packed.BulkBuild(pts).ok());
+    options.parallel.num_threads = 1;
+    NNCellIndex grown(&grown_pool, c.dim, options);
+    for (size_t i = 0; i < pts.size(); ++i) {
+      ASSERT_TRUE(grown.Insert(pts.Get(i)).ok());
+    }
+    EXPECT_GT(packed.TreeInfo().height, 2u);
+    EXPECT_EQ(packed.TreeInfo().num_supernodes, 0u);
+    ExpectOracleAnswers(&packed, 7);
+    ExpectOracleAnswers(&grown, 7);
+    ASSERT_TRUE(packed.CheckInvariants(20).ok());
+    ASSERT_TRUE(grown.CheckInvariants(20).ok());
+
+    // The packed tree then takes the regular write path.
+    const PointSet extra = GenerateUniform(100, c.dim, 202 + c.dim);
+    for (size_t i = 0; i < extra.size(); ++i) {
+      ASSERT_TRUE(packed.Insert(extra.Get(i)).ok());
+    }
+    for (uint64_t id = 0; id < 200; id += 2) {
+      ASSERT_TRUE(packed.Delete(id).ok()) << id;
+    }
+    Status ok = packed.CheckInvariants(20);
+    ASSERT_TRUE(ok.ok()) << ok.ToString();
+    ExpectOracleAnswers(&packed, 8);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Pins the bytes of bulk-built and then written NN-cell indexes with the
-// CRC32C of their Save() images, and those of an R*-tree and an X-tree
-// grown by Insert past height 2. The cell tree's insert path (ChooseSubtree,
+// ByteDigest of their Save() images, and those of an R*-tree and an X-tree
+// grown by Insert past height 2. The cell tree's packing (SplitPartition)
+// decides every byte of the built image; its insert path (ChooseSubtree,
 // forced reinsert, splits, supernodes) and its write path (FindLeafEntry,
-// ShrinkEntry, MBR propagation) decide every byte of the image, so a change
-// that alters any of their choices changes a digest. Re-pin a digest only
-// in a change that means to alter the tree's shape, and say why.
+// ShrinkEntry, MBR propagation) decide those of the written one, so a
+// change that alters any of their choices changes a digest. Re-pin a
+// digest only in a change that means to alter the tree's shape, and say
+// why.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "byte_digest.h"
 #include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/metrics_names.h"
@@ -51,15 +54,15 @@ uint32_t ImageDigest(const NNCellIndex& index) {
   Status saved = index.Save(out);
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   const std::string image = out.str();
-  return Crc32c(image.data(), image.size());
+  return ByteDigest(image.data(), image.size());
 }
 
 class ImageDigestTest : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(ImageDigestTest, BuildAndWritesMatchPinnedImages) {
   const DigestCase& c = GetParam();
-  // 2 KiB pages keep the indexes small while the leaf-parent node still
-  // has more than 32 children, so the candidate-pruned ChooseSubtree runs.
+  // 2 KiB pages keep the indexes small while the packed cell tree still
+  // has a directory above its leaf parents.
   PageFile file(2048);
   BufferPool pool(&file, 1024);
   NNCellOptions options;
@@ -69,8 +72,9 @@ TEST_P(ImageDigestTest, BuildAndWritesMatchPinnedImages) {
   Status built = index.BulkBuild(GenerateUniform(c.n, c.dim, c.seed));
   ASSERT_TRUE(built.ok()) << built.ToString();
   const RTreeCore::TreeInfo info = index.TreeInfo();
-  ASSERT_EQ(info.height, 2u) << "the root is the leaf parent";
-  EXPECT_GT(info.num_leaves, 32u) << "root fan-out";
+  ASSERT_GT(info.height, 2u) << "the root is above the leaf parents";
+  EXPECT_EQ(info.num_supernodes, 0u) << "packed nodes span one page";
+  EXPECT_GT(info.num_leaves, 32u) << "leaves";
   EXPECT_EQ(ImageDigest(index), c.built) << std::hex << ImageDigest(index);
 
   // Inserts shrink their neighbours' cells, in their leaves (ShrinkEntry)
@@ -105,21 +109,21 @@ TEST_P(ImageDigestTest, BuildAndWritesMatchPinnedImages) {
 
 INSTANTIATE_TEST_SUITE_P(
     Uniform, ImageDigestTest,
-    ::testing::Values(DigestCase{"d4", 1200, 4, 5, 0xb474dd66, 0xff443b13},
-                      DigestCase{"d16", 400, 16, 6, 0x6a432a82, 0xbf3bf335},
+    ::testing::Values(DigestCase{"d4", 1200, 4, 5, 0x8ba3d576, 0xabc93b39},
+                      DigestCase{"d16", 400, 16, 6, 0x23f2c048, 0x18738fd7},
                       // The NN-Direction selector picks every cell's rows.
-                      DigestCase{"d4_nn_direction", 1200, 4, 5, 0x44ff98b0,
-                                 0x267ecb6f, ApproxAlgorithm::kNNDirection},
+                      DigestCase{"d4_nn_direction", 1200, 4, 5, 0xd2238802,
+                                 0xfa0d5251, ApproxAlgorithm::kNNDirection},
                       // Each cell split into up to 4 pieces ranked by
                       // volume reduction (Section 3).
-                      DigestCase{"d4_decomposed", 400, 4, 5, 0xfd526609,
-                                 0xb6330155, ApproxAlgorithm::kSphere, 4}),
+                      DigestCase{"d4_decomposed", 400, 4, 5, 0xb50dbf73,
+                                 0x6f462961, ApproxAlgorithm::kSphere, 4}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.name);
     });
 
-// The NN-cell indexes above stay at height 2, so no directory split decides
-// their bytes. These trees grow by Insert past height 2 from points and fat
+// The NN-cell indexes above are built by packing, so no directory split
+// decides their built bytes. These trees grow by Insert past height 2 from points and fat
 // rectangles, so the R* split of directory nodes and, in the X-tree, the
 // overlap test, the overlap-minimal split and supernode growth all run.
 struct TreeDigestCase {

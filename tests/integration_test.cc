@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,18 @@ namespace nncell {
 namespace {
 
 enum class Distribution { kUniform, kGrid, kClusters, kFourier, kSparse };
+
+const char* DistributionLabel(Distribution dist) {
+  static constexpr const char* kNames[] = {"Uniform", "Grid", "Clusters",
+                                           "Fourier", "Sparse"};
+  return kNames[static_cast<int>(dist)];
+}
+
+// gtest prints the parameter into the name ctest registers; without this
+// an enum in a tuple prints as raw bytes.
+void PrintTo(Distribution dist, std::ostream* os) {
+  *os << DistributionLabel(dist);
+}
 
 PointSet MakeData(Distribution dist, size_t n, size_t dim, uint64_t seed) {
   switch (dist) {
@@ -117,10 +131,8 @@ TEST_P(CrossIndexTest, AllIndexesAgreeOnNN) {
 
 std::string DistributionName(
     const ::testing::TestParamInfo<std::tuple<Distribution, size_t>>& info) {
-  static constexpr const char* kNames[] = {"Uniform", "Grid", "Clusters",
-                                           "Fourier", "Sparse"};
-  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
-         "_d" + std::to_string(std::get<1>(info.param));
+  return std::string(DistributionLabel(std::get<0>(info.param))) + "_d" +
+         std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,5 +1,6 @@
 // Tests for the k-NN extension of the NN-cell index (the paper's stated
-// future work) and for the STR bulk loader it leans on.
+// future work) and for the bulk loaders it leans on (STR for the point
+// tree, the split packer for the cell tree).
 
 #include <algorithm>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "rstar/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "xtree/xtree.h"
 
 namespace nncell {
 namespace {
@@ -114,7 +116,7 @@ TEST(BulkLoadTest, QueriesMatchInsertBuiltTree) {
   TreeOptions opts;
   opts.dim = dim;
   RStarTree bulk(&bpool, opts);
-  bulk.BulkLoad(entries);
+  bulk.BulkLoad(entries, StrPartition);
   RStarTree incr(&ipool, opts);
   for (size_t i = 0; i < n; ++i) incr.Insert(entries[i].rect, i);
 
@@ -150,7 +152,7 @@ TEST(BulkLoadTest, SupportsSubsequentInsertsAndDeletes) {
     entries[i].rect = HyperRect::FromPoint(p.data(), p.size());
     entries[i].id = i;
   }
-  tree.BulkLoad(entries);
+  tree.BulkLoad(entries, StrPartition);
   ASSERT_EQ(tree.Validate(), "");
   // Dynamic phase on a packed tree.
   for (size_t i = 500; i < 700; ++i) {
@@ -172,7 +174,7 @@ TEST(BulkLoadTest, EmptyLoadIsNoop) {
   TreeOptions opts;
   opts.dim = 2;
   RStarTree tree(&pool, opts);
-  tree.BulkLoad({});
+  tree.BulkLoad({}, StrPartition);
   EXPECT_EQ(tree.size(), 0u);
   double q[2] = {0.5, 0.5};
   EXPECT_TRUE(tree.KnnQuery(q, 1).hits.empty());
@@ -194,10 +196,146 @@ TEST(BulkLoadTest, PackedTreeHasHighFill) {
     entries[i].id = i;
     incr.Insert(entries[i].rect, i);
   }
-  bulk.BulkLoad(entries);
+  bulk.BulkLoad(entries, StrPartition);
   auto bi = bulk.Info();
   auto ii = incr.Info();
   EXPECT_LT(bi.num_leaves, ii.num_leaves);  // denser packing
+}
+
+// ---------- Split packer (the cell tree's BulkLoad) ----------
+
+// Fat, overlapping boxes around uniform centers, clipped to the unit cube,
+// the shape of NN-cell approximations.
+std::vector<Entry> FatBoxes(size_t n, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Entry> entries(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> lo(dim), hi(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      const double center = rng.NextDouble();
+      const double half = 0.3 * rng.NextDouble();
+      lo[k] = std::max(0.0, center - half);
+      hi[k] = std::min(1.0, center + half);
+    }
+    entries[i].rect = HyperRect(lo, hi);
+    entries[i].id = i;
+  }
+  return entries;
+}
+
+TEST(BulkLoadTest, SplitPartitionGroupsEveryEntryOnceAtRStarFill) {
+  const size_t capacity = 16;
+  // The minimum fill RTreeCore::Validate enforces on non-root nodes.
+  const size_t min_fill = static_cast<size_t>(0.4 * capacity);
+  EXPECT_TRUE(SplitPartition({}, capacity, 2).empty());
+  for (size_t dim : {2u, 4u, 8u}) {
+    for (size_t n : {1u, 16u, 17u, 33u, 100u, 257u, 1000u}) {
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << " n " << n);
+      const std::vector<Entry> entries = FatBoxes(n, dim, 7 + n);
+      const auto groups = SplitPartition(entries, capacity, dim);
+      EXPECT_EQ(groups.size(), (n + capacity - 1) / capacity);
+      std::vector<int> seen(n, 0);
+      for (const auto& g : groups) {
+        EXPECT_LE(g.size(), capacity);
+        if (groups.size() > 1) {
+          EXPECT_GE(g.size(), min_fill);
+        }
+        for (const Entry& e : g) {
+          ASSERT_LT(e.id, n);
+          ++seen[e.id];
+          EXPECT_EQ(e.rect, entries[e.id].rect);
+        }
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                static_cast<std::ptrdiff_t>(n))
+          << "every entry in exactly one group";
+
+      const auto again = SplitPartition(entries, capacity, dim);
+      ASSERT_EQ(again.size(), groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        ASSERT_EQ(again[g].size(), groups[g].size());
+        for (size_t i = 0; i < groups[g].size(); ++i) {
+          EXPECT_EQ(again[g][i].id, groups[g][i].id) << "group " << g;
+        }
+      }
+    }
+  }
+}
+
+// Brute force over the live entries: the ids whose rectangle meets `box`,
+// ascending.
+std::vector<uint64_t> MeetingIds(const std::vector<Entry>& live,
+                                 const HyperRect& box) {
+  std::vector<uint64_t> ids;
+  for (const Entry& e : live) {
+    if (RawIntersects(e.rect.lo(), e.rect.hi(), box.lo(), box.hi(),
+                      box.dim())) {
+      ids.push_back(e.id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(BulkLoadTest, PackedXTreeValidatesAndAnswersAfterWrites) {
+  const size_t dim = 4;
+  PageFile file(1024);
+  BufferPool pool(&file, 4096);
+  TreeOptions opts;
+  opts.dim = dim;
+  XTree tree(&pool, opts);
+  std::vector<Entry> live = FatBoxes(1000, dim, 41);
+  tree.BulkLoad(live, SplitPartition);
+  ASSERT_EQ(tree.Validate(), "");
+  EXPECT_EQ(tree.size(), live.size());
+  EXPECT_GT(tree.height(), 2u);
+
+  // 100 inserts, then 100 deletes, through the regular write path.
+  std::vector<Entry> extra = FatBoxes(100, dim, 43);
+  for (Entry& e : extra) {
+    e.id += live.size();
+    tree.Insert(e.rect, e.id);
+    live.push_back(e);
+  }
+  for (size_t i = 0; i < 100; ++i) {
+    const Entry& gone = live[i];
+    ASSERT_TRUE(tree.Delete(gone.rect, gone.id)) << gone.id;
+  }
+  live.erase(live.begin(), live.begin() + 100);
+  ASSERT_EQ(tree.Validate(), "");
+  EXPECT_EQ(tree.size(), 1000u);
+
+  Rng rng(47);
+  for (int t = 0; t < 50; ++t) {
+    std::vector<double> q(dim);
+    for (double& v : q) v = rng.NextDouble();
+    std::vector<uint64_t> got = tree.PointQuery(q.data());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, MeetingIds(live, HyperRect::FromPoint(q.data(), dim)));
+
+    std::vector<double> lo(dim), hi(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      lo[k] = q[k] - 0.05;
+      hi[k] = q[k] + 0.05;
+    }
+    const HyperRect box(lo, hi);
+    got = tree.RangeQueryIds(box);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, MeetingIds(live, box));
+
+    std::vector<std::pair<double, uint64_t>> all;
+    for (const Entry& e : live) {
+      all.emplace_back(RawMinDistSq(e.rect.lo(), e.rect.hi(), q.data(), dim),
+                       e.id);
+    }
+    std::sort(all.begin(), all.end());
+    const auto hits = tree.KnnQuery(q.data(), 5).hits;
+    ASSERT_EQ(hits.size(), 5u);
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].id, all[i].second) << "rank " << i;
+      EXPECT_EQ(hits[i].dist_sq, all[i].first) << "rank " << i;
+    }
+  }
 }
 
 // ---------- NN-cell k-NN extension ----------

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "batch_paths.h"
+#include "byte_digest.h"
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
@@ -666,8 +667,8 @@ TEST_F(ShardDurableTest, SingleShardCorruptionDegradesOnlyThatShard) {
 // Pins what a fixed sequence leaves behind: BulkBuild, inserts and deletes
 // (stage 1), then a forced Rebalance that changes the shard count through
 // target_points_per_shard, 1 -> 2 and 3 -> 2 shards (stage 2). Durable: the
-// CRC32C of every file of the directory after each stage, the second after
-// a Checkpoint. In memory: the CRC32C of ShardStatsJson() and of fixed NN,
+// CRC32C of every file's path and ByteDigest after each stage, the second
+// after a Checkpoint. In memory: the CRC32C of ShardStatsJson() and of fixed NN,
 // kNN and range answers after each stage. The partition, the cuts, the
 // router map, the shard builds, the scatter-gather merge and its probe
 // counts decide these bytes. Re-pin only in a change that means to alter
@@ -719,7 +720,8 @@ uint32_t ExtendResult(uint32_t crc, const NNCellIndex::QueryResult& r) {
   return Crc32cExtend(crc, words, sizeof(words));
 }
 
-// Every regular file under `dir` as (relative path, bytes), sorted by path.
+// Every regular file under `dir` as (relative path, ByteDigest of its
+// bytes), sorted by path.
 uint32_t ExtendDirectory(uint32_t crc, const std::string& dir) {
   std::vector<std::string> files;
   for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
@@ -732,8 +734,9 @@ uint32_t ExtendDirectory(uint32_t crc, const std::string& dir) {
     std::ifstream in(dir + "/" + f, std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
+    const uint32_t content = ByteDigest(bytes.data(), bytes.size());
     crc = Crc32cExtend(crc, f.data(), f.size());
-    crc = Crc32cExtend(crc, bytes.data(), bytes.size());
+    crc = Crc32cExtend(crc, &content, sizeof(content));
   }
   return crc;
 }
@@ -799,8 +802,8 @@ TEST_P(ShardDigestTest, MemoryStateAndAnswersMatchPinnedDigest) {
 
 INSTANTIATE_TEST_SUITE_P(
     RebalancedShards, ShardDigestTest,
-    ::testing::Values(ShardDigestCase{"k1", 1, 0x063d742d, 0x7aad2211},
-                      ShardDigestCase{"k3", 3, 0x1a61aff2, 0x483320d0}),
+    ::testing::Values(ShardDigestCase{"k1", 1, 0x025b349c, 0x7aad2211},
+                      ShardDigestCase{"k3", 3, 0xd2acd846, 0x483320d0}),
     [](const ::testing::TestParamInfo<ShardDigestCase>& info) {
       return std::string(info.param.name);
     });

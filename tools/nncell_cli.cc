@@ -189,18 +189,15 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// The serial share of a bulk build: the caller's time committing solved
-// cells into the cell tree, and its time blocked on cells still being
-// solved (index.build.commit_us / commit_wait_us).
+// The serial share of a bulk build: the caller's time, after the LP
+// solves, summing their stats, writing the cell table and packing the cell
+// tree (index.build.commit_us).
 std::string CommitSummary() {
   const metrics::Registry& reg = metrics::Registry::Global();
-  char buf[96];
+  char buf[64];
   std::snprintf(
-      buf, sizeof(buf), "cell-tree commit %.2fs, commit wait %.2fs",
+      buf, sizeof(buf), "cell-tree commit %.2fs",
       static_cast<double>(reg.counter(metrics::kIndexBuildCommitUs)->Value()) /
-          1e6,
-      static_cast<double>(
-          reg.counter(metrics::kIndexBuildCommitWaitUs)->Value()) /
           1e6);
   return buf;
 }
