@@ -272,10 +272,10 @@ uint64_t Bits(double v) {
   return b;
 }
 
-// The live owners with a cell rectangle meeting [lo, hi]: distinct, and
-// counted once per rectangle.
+// The live owners with a cell rectangle meeting [lo, hi], and the number
+// of their rectangles that do.
 struct Meeting {
-  size_t owners = 0;
+  std::vector<uint64_t> owners;
   size_t rects = 0;
 };
 
@@ -290,7 +290,7 @@ Meeting OwnersMeeting(const NNCellIndex& index, const double* lo,
       if (RawIntersects(r.lo(), r.hi(), lo, hi, d)) ++rects;
     }
     m.rects += rects;
-    m.owners += rects > 0 ? 1 : 0;
+    if (rects > 0) m.owners.push_back(id);
   }
   return m;
 }
@@ -313,9 +313,6 @@ void ExpectOracleAnswers(NNCellIndex* index, uint64_t seed) {
       }
     }
     std::sort(all.begin(), all.end());
-    auto d2_of = [&](uint64_t id) {
-      return L2DistSq(index->points()[id], q, d);
-    };
     auto in_ball = [&](double r_sq) {
       return static_cast<size_t>(
           std::upper_bound(all.begin(), all.end(),
@@ -328,7 +325,7 @@ void ExpectOracleAnswers(NNCellIndex* index, uint64_t seed) {
         lo[i] = q[i] - r;
         hi[i] = q[i] + r;
       }
-      return OwnersMeeting(*index, lo.data(), hi.data()).owners;
+      return OwnersMeeting(*index, lo.data(), hi.data()).owners.size();
     };
 
     const Meeting at_q = OwnersMeeting(*index, q, q);
@@ -339,17 +336,11 @@ void ExpectOracleAnswers(NNCellIndex* index, uint64_t seed) {
     EXPECT_EQ(nn->candidates, at_q.rects);
 
     constexpr size_t k = 5;
-    size_t knn_candidates = at_q.owners;
+    size_t knn_candidates = at_q.owners.size();
     if (knn_candidates < all.size()) {
       std::vector<double> seed_d2;
-      for (uint64_t id = 0; id < index->points().size(); ++id) {
-        if (!index->IsAlive(id)) continue;
-        for (const HyperRect& r : index->CellRects(id)) {
-          if (r.ContainsPoint(q)) {
-            seed_d2.push_back(d2_of(id));
-            break;
-          }
-        }
+      for (uint64_t id : at_q.owners) {
+        seed_d2.push_back(L2DistSq(index->points()[id], q, d));
       }
       std::sort(seed_d2.begin(), seed_d2.end());
       double r_sq = seed_d2.size() >= k ? seed_d2[k - 1]

@@ -123,9 +123,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The NN-cell indexes above are built by packing, so no directory split
-// decides their built bytes. These trees grow by Insert past height 2 from points and fat
-// rectangles, so the R* split of directory nodes and, in the X-tree, the
-// overlap test, the overlap-minimal split and supernode growth all run.
+// decides their built bytes. These trees grow by Insert past height 2 from
+// points and fat rectangles, so the R* split of directory nodes and, in the
+// X-tree, the overlap test, the overlap-minimal split and supernode growth
+// all run.
 struct TreeDigestCase {
   const char* name;
   bool xtree;

@@ -668,11 +668,11 @@ TEST_F(ShardDurableTest, SingleShardCorruptionDegradesOnlyThatShard) {
 // (stage 1), then a forced Rebalance that changes the shard count through
 // target_points_per_shard, 1 -> 2 and 3 -> 2 shards (stage 2). Durable: the
 // CRC32C of every file's path and ByteDigest after each stage, the second
-// after a Checkpoint. In memory: the CRC32C of ShardStatsJson() and of fixed NN,
-// kNN and range answers after each stage. The partition, the cuts, the
-// router map, the shard builds, the scatter-gather merge and its probe
-// counts decide these bytes. Re-pin only in a change that means to alter
-// one of them, and say why.
+// after a Checkpoint. In memory: the CRC32C of ShardStatsJson() and of
+// fixed NN, kNN and range answers after each stage. The partition, the
+// cuts, the router map, the shard builds, the scatter-gather merge and its
+// probe counts decide these bytes. Re-pin only in a change that means to
+// alter one of them, and say why.
 struct ShardDigestCase {
   const char* name;
   size_t shards;
