@@ -41,13 +41,6 @@ struct DurabilityMetrics {
 }  // namespace
 
 Status NNCellIndex::LogInsert(const std::vector<double>& original) {
-  // Re-run the Insert preconditions: a record must never be appended for
-  // an operation the index would then reject (its replay would fail).
-  if (original.size() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  NNCELL_RETURN_IF_ERROR(CheckNewPoint(
-      ToMetricSpace(original.data(), dim_, options_.weights)));
   return wal_->Append(walrec::EncodeInsert(points_.size(), original));
 }
 
@@ -71,9 +64,11 @@ Status NNCellIndex::ReplayWalRecord(const std::vector<uint8_t>& payload) {
             " but the index would assign " + std::to_string(points_.size()) +
             " (snapshot and log disagree)");
       }
-      StatusOr<uint64_t> id = ApplyInsert(rec.point);
-      if (!id.ok()) return id.status();
-      NNCELL_CHECK(*id == rec.id);
+      const std::vector<double> point =
+          ToMetricSpace(rec.point.data(), dim_, options_.weights);
+      NNCELL_RETURN_IF_ERROR(CheckNewPoint(point));
+      const uint64_t id = ApplyInsert(point);
+      NNCELL_CHECK(id == rec.id);
       return Status::OK();
     }
     case durable::kWalOpDelete:

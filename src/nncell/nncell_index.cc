@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "common/distance.h"
 #include "common/kernels/kernels.h"
@@ -120,6 +121,8 @@ constexpr double kCodeLevels = 255.0;
 // live point in debug builds (AuditCertifiedCell).
 [[maybe_unused]] constexpr size_t kAuditedCertificatesPerWrite = 4;
 
+constexpr char kOutsideSpace[] = "point outside the data space [0,1]^d";
+
 }  // namespace
 
 double ToMetricCoord(double x, size_t i, const std::vector<double>& weights) {
@@ -143,6 +146,36 @@ HyperRect MetricSpaceBox(size_t dim, const std::vector<double>& weights) {
     }
   }
   return box;
+}
+
+Status CheckBatch(const PointSet& pts, size_t dim,
+                  const std::vector<double>& weights) {
+  if (pts.dim() != dim) return Status::InvalidArgument("dimension mismatch");
+  for (size_t i = 0; i < pts.size(); ++i) {
+    NNCELL_RETURN_IF_ERROR(CheckFinite(pts[i], dim));
+  }
+  const HyperRect space = MetricSpaceBox(dim, weights);
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (!space.ContainsPoint(ToMetricSpace(pts[i], dim, weights).data())) {
+      return Status::OutOfRange(kOutsideSpace);
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<size_t> FirstOccurrences(const PointSet& pts) {
+  auto less = [&](size_t a, size_t b) {
+    return std::lexicographical_compare(pts[a], pts[a] + pts.dim(), pts[b],
+                                        pts[b] + pts.dim());
+  };
+  // A stable sort puts each first occurrence ahead of its repeats.
+  std::vector<size_t> first(pts.size());
+  std::iota(first.begin(), first.end(), size_t{0});
+  std::stable_sort(first.begin(), first.end(), less);
+  auto same = [&](size_t a, size_t b) { return !less(a, b); };
+  first.erase(std::unique(first.begin(), first.end(), same), first.end());
+  std::sort(first.begin(), first.end());
+  return first;
 }
 
 NNCellIndex::NNCellIndex(BufferPool* pool, size_t dim, NNCellOptions options)
@@ -262,7 +295,7 @@ std::vector<double> NNCellIndex::OriginalPoint(uint64_t id) const {
 
 Status NNCellIndex::CheckNewPoint(const std::vector<double>& point) const {
   if (!space_.ContainsPoint(point.data())) {
-    return Status::OutOfRange("point outside the data space [0,1]^d");
+    return Status::OutOfRange(kOutsideSpace);
   }
   // The point tree holds every live point as a degenerate rectangle, so
   // the exact matches are the only entries containing `point`.
@@ -274,16 +307,12 @@ Status NNCellIndex::CheckNewPoint(const std::vector<double>& point) const {
   return Status::OK();
 }
 
-uint64_t NNCellIndex::AddPoint(const std::vector<double>& point,
-                               bool insert_into_point_tree) {
+uint64_t NNCellIndex::AddPoint(const std::vector<double>& point) {
   uint64_t id = points_.Add(point);
   rect_data_.resize(rect_data_.size() + max_rects_ * 2 * dim_);
   rect_count_.push_back(0);
   alive_.push_back(1);
   ++live_count_;
-  if (insert_into_point_tree) {
-    point_tree_->Insert(HyperRect::FromPoint(point.data(), dim_), id);
-  }
   return id;
 }
 
@@ -353,22 +382,21 @@ StatusOr<uint64_t> NNCellIndex::Insert(const std::vector<double>& original) {
     return Status::InvalidArgument("dimension mismatch");
   }
   NNCELL_RETURN_IF_ERROR(CheckFinite(original.data(), dim_));
-  // Durable mode: validate the operation, then log it before any mutation
-  // (write-ahead). A record is only ever appended for an insert that will
-  // succeed, so replay never hits a rejection.
+  const std::vector<double> point =
+      ToMetricSpace(original.data(), dim_, options_.weights);
+  NNCELL_RETURN_IF_ERROR(CheckNewPoint(point));
+  // Durable mode: log the checked insert before any mutation (write-ahead).
+  // A record is only ever appended for an insert that will succeed, so
+  // replay never hits a rejection.
   if (wal_ != nullptr) {
     NNCELL_RETURN_IF_ERROR(LogInsert(original));
   }
-  StatusOr<uint64_t> id = ApplyInsert(original);
-  if (id.ok()) UpdatePlan();
+  const uint64_t id = ApplyInsert(point);
+  UpdatePlan();
   return id;
 }
 
-StatusOr<uint64_t> NNCellIndex::ApplyInsert(
-    const std::vector<double>& original) {
-  std::vector<double> point =
-      ToMetricSpace(original.data(), dim_, options_.weights);
-  NNCELL_RETURN_IF_ERROR(CheckNewPoint(point));
+uint64_t NNCellIndex::ApplyInsert(const std::vector<double>& point) {
   // 1. Find the cells the new point will shrink. Stale approximations
   // remain correct supersets of the shrunk cells, so maintenance is a
   // quality (overlap) concern, not a correctness one.
@@ -393,8 +421,10 @@ StatusOr<uint64_t> NNCellIndex::ApplyInsert(
     }
   }
 
-  // 2. Register the point and insert its cell approximation.
-  uint64_t id = AddPoint(point, true);
+  // 2. Register the point, index it in the point tree, and insert its cell
+  // approximation.
+  uint64_t id = AddPoint(point);
+  point_tree_->Insert(HyperRect::FromPoint(point.data(), dim_), id);
   std::vector<double> optima;
   std::vector<HyperRect> rects =
       ComputeCellRects(points_[id], id, &build_stats_.approx, &optima);
@@ -459,80 +489,46 @@ Status NNCellIndex::ApplyDelete(uint64_t id) {
 }
 
 Status NNCellIndex::BulkBuild(const PointSet& pts) {
-  if (pts.dim() != dim_) return Status::InvalidArgument("dimension mismatch");
-  for (size_t i = 0; i < pts.size(); ++i) {
-    NNCELL_RETURN_IF_ERROR(CheckFinite(pts[i], dim_));
+  NNCELL_RETURN_IF_ERROR(CheckBatch(pts, dim_, options_.weights));
+  if (!points_.empty()) {
+    return Status::FailedPrecondition("BulkBuild requires an empty index");
   }
-  const bool fresh = points_.empty();
-  // Phase 1: register everything (points visible to candidate selection).
-  // On a fresh index the point tree is bulk-loaded afterwards instead of
-  // grown insert-by-insert, so it cannot find duplicates within the batch:
-  // sort the batch instead, stably, and keep each first occurrence.
+  // Phase 1: register the first occurrence of every point (points visible
+  // to candidate selection), then bulk-load the point tree with them.
   PointSet metric(dim_);
   for (size_t i = 0; i < pts.size(); ++i) {
     metric.Add(ToMetricSpace(pts[i], dim_, options_.weights));
   }
-  std::vector<bool> repeat(pts.size(), false);
-  if (fresh) {
-    auto less = [&](size_t a, size_t b) {
-      return std::lexicographical_compare(metric[a], metric[a] + dim_,
-                                          metric[b], metric[b] + dim_);
-    };
-    std::vector<size_t> order;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      if (space_.ContainsPoint(metric[i])) order.push_back(i);  // no NaN
-    }
-    std::stable_sort(order.begin(), order.end(), less);
-    for (size_t j = 1; j < order.size(); ++j) {
-      if (!less(order[j - 1], order[j])) repeat[order[j]] = true;
-    }
+  std::vector<Entry> point_entries;
+  for (size_t i : FirstOccurrences(metric)) {
+    const uint64_t id = AddPoint(metric.Get(i));
+    point_entries.push_back(Entry{HyperRect::FromPoint(points_[id], dim_), id});
   }
-  std::vector<uint64_t> ids;
-  ids.reserve(pts.size());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (repeat[i]) continue;
-    std::vector<double> point = metric.Get(i);
-    Status st = CheckNewPoint(point);
-    if (st.ok()) {
-      ids.push_back(AddPoint(point, !fresh));
-    } else if (st.code() != StatusCode::kAlreadyExists) {
-      return st;
-    }
-  }
-  if (fresh) {
-    std::vector<Entry> point_entries;
-    point_entries.reserve(ids.size());
-    for (uint64_t id : ids) {
-      Entry e;
-      e.rect = HyperRect::FromPoint(points_[id], dim_);
-      e.id = id;
-      point_entries.push_back(std::move(e));
-    }
-    point_tree_->BulkLoad(std::move(point_entries), StrPartition);
-  }
+  point_tree_->BulkLoad(std::move(point_entries), StrPartition);
 
   // Phase 2: one approximation per cell against the full point set. The
   // approximations only read state that is frozen after phase 1 (the
   // point table and the point tree), so the 2d LP solves per cell fan out
   // across the thread pool; the point tree's buffer pool serves the
   // workers as concurrent readers, and each solve writes its own slot.
-  std::vector<std::vector<HyperRect>> computed(ids.size());
-  std::vector<ApproxStats> solve_stats(ids.size());
-  ParallelFor(thread_pool_.get(), ids.size(), [&](size_t i) {
-    computed[i] = ComputeCellRects(points_[ids[i]], ids[i], &solve_stats[i]);
+  const size_t n = points_.size();
+  std::vector<std::vector<HyperRect>> computed(n);
+  std::vector<ApproxStats> solve_stats(n);
+  ParallelFor(thread_pool_.get(), n, [&](size_t id) {
+    computed[id] = ComputeCellRects(points_[id], id, &solve_stats[id]);
   });
 
   // Phase 3, serial and in ascending point order, so the on-disk index is
   // byte-identical whatever the thread count: sum the stats, write the
-  // cell table, and store the cell rectangles. A fresh cell tree is packed
-  // in one bottom-up pass with the R* split's sort orders and margin score
+  // cell table, and store the cell rectangles. The cell tree is packed in
+  // one bottom-up pass with the R* split's sort orders and margin score
   // (SplitPartition), which groups the fat, heavily overlapping cell MBRs
   // by similarity; one insert per rectangle would rescore a wide root N
-  // times. A non-fresh tree takes the regular insert path.
+  // times.
   [[maybe_unused]] const auto commit_start = std::chrono::steady_clock::now();
   std::vector<Entry> cell_entries;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const ApproxStats& s = solve_stats[i];
+  for (uint64_t id = 0; id < n; ++id) {
+    const ApproxStats& s = solve_stats[id];
     build_stats_.approx.lp_runs += s.lp_runs;
     build_stats_.approx.lp_iterations += s.lp_iterations;
     build_stats_.approx.lp_failures += s.lp_failures;
@@ -541,17 +537,13 @@ Status NNCellIndex::BulkBuild(const PointSet& pts) {
     build_stats_.approx.skipped_faces += s.skipped_faces;
     build_stats_.approx.warm_faces += s.warm_faces;
     build_stats_.approx.cold_faces += s.cold_faces;
-    SetCellRects(ids[i], computed[i]);
-    for (HyperRect& rect : computed[i]) {
-      if (fresh) {
-        cell_entries.push_back(Entry{std::move(rect), ids[i]});
-      } else {
-        tree_->Insert(rect, ids[i]);
-      }
+    SetCellRects(id, computed[id]);
+    for (HyperRect& rect : computed[id]) {
+      cell_entries.push_back(Entry{std::move(rect), id});
       ++build_stats_.entries_inserted;
     }
   }
-  if (fresh) tree_->BulkLoad(std::move(cell_entries), SplitPartition);
+  tree_->BulkLoad(std::move(cell_entries), SplitPartition);
   NNCELL_METRIC_COUNT(
       BuildMetrics().commit_us,
       std::chrono::duration_cast<std::chrono::microseconds>(

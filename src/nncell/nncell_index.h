@@ -75,6 +75,17 @@ std::vector<double> ToMetricSpace(const double* x, size_t dim,
 // The data space [0,1]^d under the isometry: [0, sqrt(w_i)] per dimension.
 HyperRect MetricSpaceBox(size_t dim, const std::vector<double>& weights);
 
+// The check both index classes run on a whole BulkBuild batch before they
+// change anything: InvalidArgument on a dimension mismatch, then on any
+// non-finite coordinate, then OutOfRange on any point outside the data
+// space (MetricSpaceBox).
+Status CheckBatch(const PointSet& pts, size_t dim,
+                  const std::vector<double>& weights);
+
+// The indices of the first occurrence of each distinct point of `pts`,
+// ascending; points are compared with <, so -0.0 equals +0.0.
+std::vector<size_t> FirstOccurrences(const PointSet& pts);
+
 // The pool a batch of `n` queries runs over: `pool` when the batch's
 // expected work, n * `query_cost` coordinate operations, reaches
 // NNCellIndex::kFanOutWork, else nullptr (ParallelMap's serial loop on the
@@ -162,7 +173,10 @@ class NNCellIndex final : public IndexBackend {
   // Static index creation (the paper's precomputation): registers all
   // points first, then computes every approximation once against the full
   // point set -- no maintenance needed. Duplicates are skipped (the first
-  // occurrence is kept).
+  // occurrence is kept). All or nothing: the whole batch is checked
+  // (CheckBatch) before anything changes. Only an index that has never
+  // held a point is built (else FailedPrecondition); add points to a live
+  // index with Insert, whose maintenance shrinks the cells they cut.
   Status BulkBuild(const PointSet& pts);
 
   // Deletes a point. Neighboring cells grow into the freed region, so
@@ -449,8 +463,9 @@ class NNCellIndex final : public IndexBackend {
 
   // Insert / Delete without the WAL append and without working out the
   // plan again: the public calls add both, WAL replay neither (Open works
-  // out the plan once after the last record).
-  StatusOr<uint64_t> ApplyInsert(const std::vector<double>& original);
+  // out the plan once after the last record). ApplyInsert takes a
+  // metric-space point that CheckNewPoint has accepted and returns its id.
+  uint64_t ApplyInsert(const std::vector<double>& point);
   Status ApplyDelete(uint64_t id);
 
   // Sets expected_candidates_, and plan_ from forced_plan_ and the live
@@ -495,10 +510,8 @@ class NNCellIndex final : public IndexBackend {
   // with ==, so -0.0 equals +0.0).
   Status CheckNewPoint(const std::vector<double>& point) const;
 
-  // Appends the checked metric-space point to points_ (and, unless
-  // deferred for a bulk load, the point tree); returns its id.
-  uint64_t AddPoint(const std::vector<double>& point,
-                    bool insert_into_point_tree);
+  // Appends the checked metric-space point to points_; returns its id.
+  uint64_t AddPoint(const std::vector<double>& point);
 
   // Serializes the full snapshot image (header, metadata, both page
   // files, footer) recording `wal_lsn` as the WAL position it covers.
@@ -516,9 +529,9 @@ class NNCellIndex final : public IndexBackend {
   static StatusOr<size_t> PeekSnapshotPageSize(const std::string& image);
 
   // Durable-mode write-ahead hooks (durability.cc): LogInsert/LogDelete
-  // re-run the operation's preconditions and append its WAL record, so a
-  // record is only ever logged for an operation that will succeed;
-  // ReplayWalRecord re-applies one recovered record.
+  // append the WAL record of an operation its caller has already checked,
+  // so a record is only ever logged for an operation that will succeed;
+  // ReplayWalRecord checks and re-applies one recovered record.
   Status LogInsert(const std::vector<double>& original);
   Status LogDelete(uint64_t id);
   Status ReplayWalRecord(const std::vector<uint8_t>& payload);

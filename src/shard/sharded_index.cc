@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -642,12 +641,7 @@ void ShardedIndex::InstallPartition(Partition* part,
 
 Status ShardedIndex::BulkBuild(const PointSet& pts) {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-  if (pts.dim() != manifest_.dim) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-  for (size_t i = 0; i < pts.size(); ++i) {
-    NNCELL_RETURN_IF_ERROR(CheckFinite(pts[i], manifest_.dim));
-  }
+  NNCELL_RETURN_IF_ERROR(CheckBatch(pts, manifest_.dim, options_.weights));
   if (!router_.empty()) {
     return Status::FailedPrecondition(
         "sharded BulkBuild requires an empty index");
@@ -658,11 +652,9 @@ Status ShardedIndex::BulkBuild(const PointSet& pts) {
 
   // Deduplicate exactly like the unsharded build (duplicates are skipped,
   // first occurrence wins), so global ids match the oracle's.
-  std::set<std::vector<double>> seen;
   PointSet unique(manifest_.dim);
   std::vector<uint64_t> gids;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (!seen.insert(pts.Get(i)).second) continue;
+  for (size_t i : FirstOccurrences(pts)) {
     gids.push_back(unique.size());
     unique.Add(pts[i]);
   }

@@ -157,7 +157,10 @@ class ShardedIndex final : public IndexBackend {
 
   // Static build: partitions the (deduplicated) input along
   // quantile-balanced cuts, builds every shard in parallel over the
-  // thread pool, then installs the router map. Requires an empty index.
+  // thread pool, then installs the router map. All or nothing on a bad
+  // batch: the whole batch is checked (CheckBatch) before any shard
+  // changes. Requires an empty index (else FailedPrecondition); add points
+  // to a live index with Insert.
   Status BulkBuild(const PointSet& pts);
 
   // Checkpoints every healthy shard (in parallel), then folds the router

@@ -106,6 +106,13 @@ test -f "$DIR/dur/snapshot.nncell"
 test -f "$DIR/dur/wal.log"
 "$CLI" query "$DIR/dur" "$DIR/q.csv" > "$DIR/durable.out"
 cmp "$DIR/serial.out" "$DIR/durable.out"
+# a second build into a directory that holds points is refused and
+# changes nothing
+! "$CLI" build "$DIR/pts.csv" "$DIR/dur" --algorithm=sphere --durable \
+  2>"$DIR/rebuild_err.out"
+grep -q "requires an empty index" "$DIR/rebuild_err.out"
+"$CLI" query "$DIR/dur" "$DIR/q.csv" > "$DIR/rebuild.out"
+cmp "$DIR/durable.out" "$DIR/rebuild.out"
 "$CLI" stats "$DIR/dur" | grep -q "validation:         OK"
 "$CLI" checkpoint "$DIR/dur" | grep -q "checkpointed"
 "$CLI" recover "$DIR/dur" > "$DIR/recover.out"

@@ -261,7 +261,7 @@ TEST(BuildDeterminismTest, HoldsInSupernodeDimensionality) {
             BuildAndSerialize(pts, 8, true, 1));
 }
 
-// A fresh BulkBuild packs the cell tree in one pass (SplitPartition); an
+// A BulkBuild packs the cell tree in one pass (SplitPartition); an
 // index grown by Insert puts every rectangle through the insert path. Both
 // must give the brute-force answers, and the candidate counts that brute
 // force over their own cell rectangles implies.

@@ -125,9 +125,9 @@ TEST(MaintenanceTest, DecomposedCellsAreNeverCertified) {
   EXPECT_TRUE(inv.ok()) << inv.ToString();
 }
 
-// Without the lookup table: a fresh bulk build keeps first occurrences
-// (-0.0 equals +0.0), and Insert finds duplicates through the point tree
-// until the original is deleted.
+// Without the lookup table: a bulk build keeps first occurrences (-0.0
+// equals +0.0), and Insert finds duplicates through the point tree until
+// the original is deleted.
 TEST(MaintenanceTest, DuplicatesFoundWithoutLookupTable) {
   PageFile file(2048);
   BufferPool pool(&file, 1024);
@@ -156,11 +156,16 @@ TEST(MaintenanceTest, DuplicatesFoundWithoutLookupTable) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, 4u);
 
-  // A second batch into the same index goes through the point tree.
+  // A second batch is refused; added through Insert, its duplicate is
+  // found through the point tree.
   PointSet more(2);
   more.Add(std::vector<double>{0.6, 0.6});
   more.Add(std::vector<double>{0.3, 0.3});
-  ASSERT_TRUE(index.BulkBuild(more).ok());
+  EXPECT_EQ(index.BulkBuild(more).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.Insert({0.6, 0.6}).status().code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(index.Insert({0.3, 0.3}).ok());
   EXPECT_EQ(index.size(), 5u);
   Status inv = index.CheckInvariants(50);
   EXPECT_TRUE(inv.ok()) << inv.ToString();

@@ -2,6 +2,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,6 +96,17 @@ struct StrategyCase {
   size_t decomposition;
 };
 
+// "Correct_X_k1": the strategy, the tree (X or R) and the decomposition.
+std::string CaseName(const StrategyCase& c) {
+  std::string name = ApproxAlgorithmName(c.algorithm);
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  name += c.use_xtree ? "_X" : "_R";
+  name += "_k" + std::to_string(c.decomposition);
+  return name;
+}
+
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << CaseName(c); }
+
 class NNCellStrategyTest : public ::testing::TestWithParam<StrategyCase> {};
 
 // The headline correctness property (Lemma 2): for every strategy,
@@ -144,11 +157,7 @@ INSTANTIATE_TEST_SUITE_P(
         StrategyCase{ApproxAlgorithm::kNNDirection, true, 1},
         StrategyCase{ApproxAlgorithm::kNNDirection, true, 4}),
     [](const ::testing::TestParamInfo<StrategyCase>& info) {
-      std::string name = ApproxAlgorithmName(info.param.algorithm);
-      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-      name += info.param.use_xtree ? "_X" : "_R";
-      name += "_k" + std::to_string(info.param.decomposition);
-      return name;
+      return CaseName(info.param);
     });
 
 TEST(NNCellIndexTest, GridDataIsPerfectlyApproximated) {

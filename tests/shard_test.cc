@@ -237,6 +237,9 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
   ApproxOptions approx;
   approx.epsilon = 0.1;
   const double inf = std::numeric_limits<double>::infinity();
+  PointSet outside(2);
+  outside.Add(q);
+  outside.Add(std::vector<double>{1.5, 0.5});
   for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
     const std::vector<double> p{0.5, bad};
     PointSet batch(2);
@@ -252,9 +255,11 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
           index.KnnQuery(p.data(), 3).status().message(),
           index.KnnQuery(p.data(), 3, approx).status().message(),
           index.RangeSearch(p.data(), 0.1).status().message(),
+          index.BulkBuild(outside).message(),
       };
     };
-    const std::vector<std::string> want(8, "non-finite coordinate");
+    std::vector<std::string> want(8, "non-finite coordinate");
+    want.push_back("point outside the data space [0,1]^d");
     EXPECT_EQ(messages(idx), want) << bad;
     EXPECT_EQ(messages(oracle.index), want) << bad;
     const std::string radius = bad < 0.0 ? "negative radius"
@@ -270,6 +275,36 @@ TEST(ShardedIndexTest, ErrorsMirrorUnsharded) {
   // Checkpoint needs a durable index.
   EXPECT_EQ(idx.Checkpoint().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// A batch with one point outside [0,1]^d is refused before either index
+// changes: nothing is registered, so a clean retry builds, and a further
+// BulkBuild is refused because the index is no longer empty.
+TEST(ShardedIndexTest, RefusedBatchLeavesIndexEmpty) {
+  const PointSet clean = RandomPoints(40, 2, 31);
+  PointSet bad(2);
+  for (size_t i = 0; i < clean.size(); ++i) {
+    if (i == clean.size() / 2) bad.Add(std::vector<double>{1.5, 0.5});
+    bad.Add(clean[i]);
+  }
+  auto check = [&](auto& index) {
+    EXPECT_EQ(index.BulkBuild(bad).code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(index.size(), 0u);
+    Status inv = index.CheckInvariants(20);
+    EXPECT_TRUE(inv.ok()) << inv.ToString();
+    ASSERT_TRUE(index.BulkBuild(clean).ok());
+    EXPECT_EQ(index.size(), clean.size());
+    EXPECT_EQ(index.BulkBuild(clean).code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(index.size(), clean.size());
+    inv = index.CheckInvariants(20);
+    EXPECT_TRUE(inv.ok()) << inv.ToString();
+  };
+  Oracle oracle(2);
+  check(oracle.index);
+  auto sharded = ShardedIndex::Create(2, Options(ApproxAlgorithm::kSphere),
+                                      Sharded(2));
+  ASSERT_TRUE(sharded.ok());
+  check(**sharded);
 }
 
 TEST(ShardedIndexTest, QueryBatchMatchesSerialLoop) {
