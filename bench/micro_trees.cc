@@ -1,11 +1,14 @@
-// Microbenchmarks of the index substrates: R*-tree / X-tree inserts and NN
-// queries, plus the X-tree supernode-budget ablation called out in
-// DESIGN.md.
+// Microbenchmarks of the index substrates: R*-tree / X-tree inserts, NN
+// queries and point queries, plus the X-tree supernode-budget ablation
+// called out in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
+#include "common/metrics.h"
+#include "common/metrics_names.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "rstar/bulk_load.h"
 #include "rstar/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -58,6 +61,57 @@ void BM_TreeKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeKnn<RStarTree>)->Arg(4)->Arg(16);
 BENCHMARK(BM_TreeKnn<XTree>)->Arg(4)->Arg(16);
+
+// The cell probe's tree layer: point queries on a packed X-tree of 5,000
+// cell-like d=4 rectangles (half-widths 0.05..0.15 per axis, so a query
+// lies in about as many of them as a d=4 shard's cell MBRs), warm pool.
+// Time per iteration is one query; node_visits and hits are per query.
+void BM_PointQuery(benchmark::State& state) {
+  const size_t dim = 4;
+  Rng rng(19);
+  std::vector<Entry> entries;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    std::vector<double> lo(dim), hi(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      double c = rng.NextDouble();
+      double w = rng.NextDouble(0.05, 0.15);
+      lo[k] = std::max(0.0, c - w);
+      hi[k] = std::min(1.0, c + w);
+    }
+    entries.push_back(Entry{HyperRect(lo, hi), i});
+  }
+  PageFile file(4096);
+  BufferPool pool(&file, 8192);
+  TreeOptions opts;
+  opts.dim = dim;
+  XTree tree(&pool, opts);
+  tree.BulkLoad(std::move(entries), SplitPartition);
+  PointSet queries = GenerateQueries(1024, dim, 21);
+
+  // Per-query counts from one untimed pass over the query set.
+  metrics::Registry& registry = metrics::Registry::Global();
+  metrics::Counter* visits = registry.counter(metrics::kIndexNodeVisits);
+  const bool was_enabled = metrics::Registry::Enabled();
+  metrics::Registry::SetEnabled(true);
+  const uint64_t visits_before = visits->Value();
+  size_t hits = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    hits += tree.PointQuery(queries[q]).size();
+  }
+  const uint64_t visit_delta = visits->Value() - visits_before;
+  metrics::Registry::SetEnabled(was_enabled);
+
+  size_t qi = 0;
+  for (auto _ : state) {
+    auto r = tree.PointQuery(queries[qi % queries.size()]);
+    benchmark::DoNotOptimize(r.data());
+    ++qi;
+  }
+  const double n = static_cast<double>(queries.size());
+  state.counters["node_visits"] = static_cast<double>(visit_delta) / n;
+  state.counters["hits"] = static_cast<double>(hits) / n;
+}
+BENCHMARK(BM_PointQuery)->Unit(benchmark::kMicrosecond);
 
 // Ablation: X-tree supernode page budget on overlapping high-d rectangles.
 void BM_XTreeSupernodeBudget(benchmark::State& state) {

@@ -2,6 +2,7 @@
 #define NNCELL_COMMON_KERNELS_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 // Runtime-dispatched SIMD kernels for the distance and LP hot loops.
@@ -35,6 +36,8 @@
 //    semantics of the C ternary ((a > b) ? a : b), mirrored in SIMD by
 //    cmp+blend — never min_pd/max_pd — so NaN propagation matches the
 //    scalar reference lane for lane.
+//  * box_hits does no arithmetic, only ordered compares, so every table
+//    returns the same bits by construction.
 
 namespace nncell {
 namespace kernels {
@@ -84,7 +87,19 @@ struct KernelOps {
   void (*min_max_dist_batch4)(const double* const lo[4],
                               const double* const hi[4], const double* p,
                               size_t dim, double* out);
+
+  // Box test over n <= kBoxHitsMax consecutive entries of a tree node's
+  // entry stream (stride 2 * dim + 1 doubles: lo | hi | id bits, the id
+  // never read). Bit j of the result is set iff entry j's box meets the
+  // closed box [blo, bhi]: lo_j[i] <= bhi[i] && hi_j[i] >= blo[i] for
+  // every i. Bits n..63 are 0. blo == bhi == q is the point-in-box test.
+  // Ordered compares only: a NaN bound never hits.
+  uint64_t (*box_hits)(const double* entries, size_t n, size_t dim,
+                       const double* blo, const double* bhi);
 };
+
+// Entries per box_hits call: one bit each in the 64-bit mask.
+inline constexpr size_t kBoxHitsMax = 64;
 
 // The dispatched table (resolved once, thread-safe) and the scalar
 // reference table (always available, what kernel_test compares against).
@@ -119,6 +134,11 @@ double L2NormSqRef(const double* a, size_t dim);
 // well-formed rects, NaN coordinates contribute 0 like the branchy form).
 double MinDistSqRef(const double* lo, const double* hi, const double* p,
                     size_t dim);
+
+// box_hits of one entry (lo | hi): the branch-free reference predicate,
+// & over every dimension with no early exit.
+bool BoxHitRef(const double* lo, const double* hi, const double* blo,
+               const double* bhi, size_t dim);
 
 // MINMAXDIST of [RKV 95], two-pass allocation-free form, sequential.
 double MinMaxDistSqRef(const double* lo, const double* hi, const double* p,
@@ -159,6 +179,11 @@ inline void MinMaxDistSqBatch4(const double* const lo[4],
                                const double* const hi[4], const double* p,
                                size_t dim, double* out) {
   Ops().min_max_dist_batch4(lo, hi, p, dim, out);
+}
+
+inline uint64_t BoxHits(const double* entries, size_t n, size_t dim,
+                        const double* blo, const double* bhi) {
+  return Ops().box_hits(entries, n, dim, blo, bhi);
 }
 
 }  // namespace kernels

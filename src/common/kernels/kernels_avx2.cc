@@ -213,10 +213,38 @@ void MinMaxDistBatch4Avx2(const double* const lo[4],
   _mm256_storeu_pd(out, best);
 }
 
+// One entry per step, its dimensions four at a time: lo <= bhi and
+// hi >= blo as ordered compares (false on NaN, like the scalar <= and >=),
+// and-ed, and the chunk hits when all four lanes are set. The dim % 4 tail
+// runs the scalar predicate. No early exit, so no branch depends on data.
+uint64_t BoxHitsAvx2(const double* entries, size_t n, size_t dim,
+                     const double* blo, const double* bhi) {
+  const size_t stride = 2 * dim + 1;
+  const size_t d4 = dim & ~(kLaneWidth - 1);
+  uint64_t mask = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const double* lo = entries + j * stride;
+    const double* hi = lo + dim;
+    bool hit = true;
+    size_t i = 0;
+    for (; i < d4; i += kLaneWidth) {
+      __m256d le = _mm256_cmp_pd(_mm256_loadu_pd(lo + i),
+                                 _mm256_loadu_pd(bhi + i), _CMP_LE_OQ);
+      __m256d ge = _mm256_cmp_pd(_mm256_loadu_pd(hi + i),
+                                 _mm256_loadu_pd(blo + i), _CMP_GE_OQ);
+      hit &= _mm256_movemask_pd(_mm256_and_pd(le, ge)) == 0xF;
+    }
+    for (; i < dim; ++i) hit &= (lo[i] <= bhi[i]) & (hi[i] >= blo[i]);
+    mask |= uint64_t{hit} << j;
+  }
+  return mask;
+}
+
 const KernelOps kAvx2Ops = {
     "avx2",          DotAvx2,        MatVecAvx2,
     AxpyAvx2,        L2BatchSoaAvx2, L2RowsAvx2,
     L2Batch4Avx2,    MinDistBatch4Avx2, MinMaxDistBatch4Avx2,
+    BoxHitsAvx2,
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 // min_max_dist_batch4) reuse the scalar reference: NEON has neither a
 // gather nor a cheap 4x4 transpose of doubles, so lane-inserting from 4
 // rows buys nothing over scalar code, and bit-equality is then free.
+// box_hits reuses it too: its compares are the same on every ISA.
 
 #include "common/kernels/kernels_isa.h"
 
@@ -103,10 +104,16 @@ void MinMaxDistBatch4Neon(const double* const lo[4],
   GetScalarOps()->min_max_dist_batch4(lo, hi, p, dim, out);
 }
 
+uint64_t BoxHitsNeon(const double* entries, size_t n, size_t dim,
+                     const double* blo, const double* bhi) {
+  return GetScalarOps()->box_hits(entries, n, dim, blo, bhi);
+}
+
 const KernelOps kNeonOps = {
     "neon",          DotNeon,        MatVecNeon,
     AxpyNeon,        L2BatchSoaNeon, L2RowsNeon,
     L2Batch4Neon,    MinDistBatch4Neon, MinMaxDistBatch4Neon,
+    BoxHitsNeon,
 };
 
 }  // namespace

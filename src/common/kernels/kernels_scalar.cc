@@ -48,6 +48,15 @@ double MinDistSqRef(const double* lo, const double* hi, const double* p,
   return s;
 }
 
+bool BoxHitRef(const double* lo, const double* hi, const double* blo,
+               const double* bhi, size_t dim) {
+  bool hit = true;
+  for (size_t i = 0; i < dim; ++i) {
+    hit &= (lo[i] <= bhi[i]) & (hi[i] >= blo[i]);
+  }
+  return hit;
+}
+
 double MinMaxDistSqRef(const double* lo, const double* hi, const double* p,
                        size_t dim) {
   // [RKV 95], two passes: farther-face sum first, then swap one term per
@@ -141,10 +150,22 @@ void MinMaxDistBatch4Scalar(const double* const lo[4],
   for (int j = 0; j < 4; ++j) out[j] = MinMaxDistSqRef(lo[j], hi[j], p, dim);
 }
 
+uint64_t BoxHitsScalar(const double* entries, size_t n, size_t dim,
+                       const double* blo, const double* bhi) {
+  const size_t stride = 2 * dim + 1;
+  uint64_t mask = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const double* lo = entries + j * stride;
+    mask |= uint64_t{BoxHitRef(lo, lo + dim, blo, bhi, dim)} << j;
+  }
+  return mask;
+}
+
 const KernelOps kScalarOps = {
     "scalar",        DotBlocked,       MatVecBlocked,
     AxpyScalar,      L2BatchSoaScalar, L2RowsScalar,
     L2Batch4Scalar,  MinDistBatch4Scalar, MinMaxDistBatch4Scalar,
+    BoxHitsScalar,
 };
 
 }  // namespace

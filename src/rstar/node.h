@@ -36,11 +36,32 @@ struct Node {
 };
 
 // Zero-copy view of one serialized entry; pointers reference the node-scan
-// scratch buffer and are valid only inside the VisitNode callback.
+// scratch buffer and are valid only inside the ScanNode / VisitNode
+// callback.
 struct EntryView {
   const double* lo;
   const double* hi;
   uint64_t id;
+};
+
+// Zero-copy view of a node's assembled entry stream: `count` entries of
+// 2 * dim + 1 words each (lo | hi | id bits), the layout box_hits scans.
+// Valid only inside the ScanNode callback.
+struct NodeEntries {
+  const double* words;
+  size_t count;
+  size_t dim;
+  bool is_leaf;
+
+  const double* entry(size_t i) const { return words + i * (2 * dim + 1); }
+
+  EntryView at(size_t i) const {
+    EntryView view;
+    view.lo = entry(i);
+    view.hi = view.lo + dim;
+    std::memcpy(&view.id, view.hi + dim, sizeof(view.id));
+    return view;
+  }
 };
 
 // Serializes nodes into pages through the buffer pool and computes entry
@@ -79,36 +100,39 @@ class NodeStore {
   // Releases every page of the node.
   void Free(PageId id, const Node& node);
 
-  // Allocation-free scan for the hot query paths: invokes
-  // visit(EntryView, is_leaf) for every entry and returns whether the node
+  // Allocation-free scan for the hot query paths: hands scan(NodeEntries)
+  // the node's whole assembled entry stream and returns whether the node
   // is a leaf. Reuses a thread-local scratch buffer, so within one thread
-  // the callback must finish before the next VisitNode call (queries
-  // therefore collect child page ids first and descend afterwards); any
-  // number of threads may scan concurrently. The node's first page is
-  // pinned for the duration of the scan, so neither a callback that
-  // touches the buffer pool nor a concurrent reader's cache miss can
-  // evict the frame the EntryView pointers reference.
+  // the callback must finish before the next scan (queries therefore
+  // collect child page ids first and descend afterwards); any number of
+  // threads may scan concurrently. The node's first page is pinned for
+  // the duration of the scan, so neither a callback that touches the
+  // buffer pool nor a concurrent reader's cache miss can evict the frame
+  // the stream references.
   template <typename Fn>
-  bool VisitNode(PageId id, Fn&& visit) const {
+  bool ScanNode(PageId id, Fn&& scan) const {
     PageGuard guard(pool_, id);
     const uint8_t* stream = AssembleNode(id);
-    const bool is_leaf = stream[0] != 0;
+    NodeEntries node;
+    node.is_leaf = stream[0] != 0;
     uint16_t num_entries;
     std::memcpy(&num_entries, stream + 2, sizeof(num_entries));
     uint32_t num_extra;
     std::memcpy(&num_extra, stream + 4, sizeof(num_extra));
-    size_t offset = EntriesOffset(num_extra);
-    const size_t stride = EntryBytes();
-    const size_t d = dim_;
-    for (uint16_t i = 0; i < num_entries; ++i, offset += stride) {
-      EntryView view;
-      view.lo = reinterpret_cast<const double*>(stream + offset);
-      view.hi = view.lo + d;
-      std::memcpy(&view.id, stream + offset + 2 * d * sizeof(double),
-                  sizeof(view.id));
-      visit(view, is_leaf);
-    }
-    return is_leaf;
+    node.words =
+        reinterpret_cast<const double*>(stream + EntriesOffset(num_extra));
+    node.count = num_entries;
+    node.dim = dim_;
+    scan(static_cast<const NodeEntries&>(node));
+    return node.is_leaf;
+  }
+
+  // ScanNode one entry at a time: visit(EntryView, is_leaf) per entry.
+  template <typename Fn>
+  bool VisitNode(PageId id, Fn&& visit) const {
+    return ScanNode(id, [&](const NodeEntries& node) {
+      for (size_t i = 0; i < node.count; ++i) visit(node.at(i), node.is_leaf);
+    });
   }
 
  private:

@@ -358,20 +358,26 @@ template <class Emit>
 void RTreeCore::CollectMatches(const HyperRect* range, const double* q,
                                Emit emit) const {
   const size_t d = options_.dim;
+  const double* blo = q != nullptr ? q : range->lo();
+  const double* bhi = q != nullptr ? q : range->hi();
   std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
     PageId cur = stack.back();
     stack.pop_back();
-    bool visited_leaf = store_.VisitNode(cur, [&](const EntryView& e,
-                                                  bool is_leaf) {
-      bool hit = q != nullptr
-                     ? RawContainsPoint(e.lo, e.hi, q, d)
-                     : RawIntersects(e.lo, e.hi, range->lo(), range->hi(), d);
-      if (!hit) return;
-      if (is_leaf) {
-        emit(e);
-      } else {
-        stack.push_back(static_cast<PageId>(e.id));
+    bool visited_leaf = store_.ScanNode(cur, [&](const NodeEntries& node) {
+      for (size_t base = 0; base < node.count; base += kernels::kBoxHitsMax) {
+        const size_t n = std::min(node.count - base, kernels::kBoxHitsMax);
+        // Set bits in ascending order: hits and child pushes keep the
+        // entries' order.
+        for (uint64_t hits = kernels::BoxHits(node.entry(base), n, d, blo, bhi);
+             hits != 0; hits &= hits - 1) {
+          const EntryView e = node.at(base + __builtin_ctzll(hits));
+          if (node.is_leaf) {
+            emit(e);
+          } else {
+            stack.push_back(static_cast<PageId>(e.id));
+          }
+        }
       }
     });
     NNCELL_METRIC_COUNT(Metrics().node_visits, 1);

@@ -201,7 +201,8 @@ class RTreeCore {
   void PropagateMbrs(std::vector<PathStep>& path, const HyperRect& child_mbr);
 
   // Depth-first over the tree: `emit` receives every leaf entry whose
-  // rectangle contains q (q != nullptr) or else intersects *range.
+  // rectangle contains q (q != nullptr) or else intersects *range. Each
+  // node is tested by the box_hits kernel, 64 entries per call.
   template <class Emit>
   void CollectMatches(const HyperRect* range, const double* q,
                       Emit emit) const;

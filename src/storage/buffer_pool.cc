@@ -102,9 +102,10 @@ BufferPool::Frame& BufferPool::GetFrame(Shard& shard, PageId id,
 }
 
 void BufferPool::Touch(Shard& shard, size_t frame_idx) {
-  shard.lru.erase(shard.frames[frame_idx].lru_it);
-  shard.lru.push_front(frame_idx);
-  shard.frames[frame_idx].lru_it = shard.lru.begin();
+  // Relinks the frame's list node at the front: no allocation, and lru_it
+  // stays valid.
+  shard.lru.splice(shard.lru.begin(), shard.lru,
+                   shard.frames[frame_idx].lru_it);
 }
 
 size_t BufferPool::EvictOne(Shard& shard) {

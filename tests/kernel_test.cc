@@ -258,6 +258,121 @@ TEST_P(KernelEquivalenceTest, NanInfPropagation) {
   }
 }
 
+// Entry stream of 64 boxes in the node layout box_hits reads (stride
+// 2 * dim + 1: lo | hi | id bits), built around the query box [blo, bhi]
+// so that each kind below shows up in every dimensionality: plain hits,
+// boxes touching the query (closed boxes must hit), boxes one ulp outside,
+// degenerate point boxes, infinite bounds and random boxes.
+std::vector<double> BoxStream(Rng& rng, size_t dim, const double* blo,
+                              const double* bhi) {
+  const size_t stride = 2 * dim + 1;
+  std::vector<double> words(kBoxHitsMax * stride);
+  for (size_t j = 0; j < kBoxHitsMax; ++j) {
+    double* lo = words.data() + j * stride;
+    double* hi = lo + dim;
+    const size_t k = rng.NextIndex(dim);
+    for (size_t i = 0; i < dim; ++i) {
+      lo[i] = blo[i] - rng.NextDouble(0.0, 1.0);
+      hi[i] = bhi[i] + rng.NextDouble(0.0, 1.0);
+    }
+    switch (j % 9) {
+      case 1:  // touching: lo meets bhi in dim k, hi meets blo elsewhere
+        lo[k] = bhi[k];
+        hi[(k + 1) % dim] = blo[(k + 1) % dim];
+        break;
+      case 2:  // one ulp past bhi in dim k
+        lo[k] = std::nextafter(bhi[k], kInf);
+        break;
+      case 3:  // one ulp short of blo in dim k
+        hi[k] = std::nextafter(blo[k], -kInf);
+        break;
+      case 4:  // degenerate point box at blo
+        for (size_t i = 0; i < dim; ++i) lo[i] = hi[i] = blo[i];
+        break;
+      case 5:  // infinite bounds all round
+        for (size_t i = 0; i < dim; ++i) {
+          lo[i] = -kInf;
+          hi[i] = kInf;
+        }
+        break;
+      case 6:  // an empty-looking box: lo = +inf in dim k
+        lo[k] = kInf;
+        break;
+      case 7:  // hi = -inf in dim k
+        hi[k] = -kInf;
+        break;
+      case 8:  // random box, hit or miss
+        for (size_t i = 0; i < dim; ++i) {
+          double a = rng.NextDouble(-2.0, 2.0), b = rng.NextDouble(-2.0, 2.0);
+          lo[i] = std::min(a, b);
+          hi[i] = std::max(a, b);
+        }
+        break;
+      default:
+        break;
+    }
+    const uint64_t id = rng.NextU64();
+    std::memcpy(hi + dim, &id, sizeof(id));
+  }
+  return words;
+}
+
+// Flips the sign of every zero: +0.0 <-> -0.0.
+void FlipZeros(std::vector<double>* v) {
+  for (double& x : *v) {
+    if (x == 0.0) x = -x;
+  }
+}
+
+// box_hits on every table: each bit equals the raw rectangle predicate
+// (RawContainsPoint for a point query, RawIntersects for a box), bits at
+// or above n stay 0, and touching or degenerate boxes hit. Queries with
+// zero coordinates meet boxes whose zeros carry the other sign.
+TEST_P(KernelEquivalenceTest, BoxHitsMatchRawPredicates) {
+  const size_t dim = GetParam();
+  const size_t stride = 2 * dim + 1;
+  Rng rng(101 * dim + 9);
+  for (int variant = 0; variant < 4; ++variant) {
+    std::vector<double> blo = RandomVec(rng, dim), bhi;
+    if (variant == 1) std::fill(blo.begin(), blo.end(), 0.0);
+    bhi = blo;
+    const bool is_point = variant < 2;
+    if (!is_point) {
+      for (size_t i = 0; i < dim; ++i) bhi[i] = blo[i] + rng.NextDouble();
+      if (variant == 3) {
+        std::fill(blo.begin(), blo.end(), -0.0);
+        std::fill(bhi.begin(), bhi.end(), 0.0);
+      }
+    }
+    std::vector<double> words = BoxStream(rng, dim, blo.data(), bhi.data());
+    if (variant == 1 || variant == 3) FlipZeros(&words);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                     size_t{5}, size_t{6}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{63}, size_t{64}}) {
+      uint64_t want = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const double* lo = words.data() + j * stride;
+        const double* hi = lo + dim;
+        const bool hit =
+            is_point ? RawContainsPoint(lo, hi, blo.data(), dim)
+                     : RawIntersects(lo, hi, blo.data(), bhi.data(), dim);
+        want |= uint64_t{hit} << j;
+        EXPECT_EQ(hit, BoxHitRef(lo, hi, blo.data(), bhi.data(), dim))
+            << "BoxHitRef d=" << dim << " variant=" << variant << " j=" << j;
+        if (j % 9 == 1 || j % 9 == 4 || j % 9 == 5) {
+          EXPECT_TRUE(hit) << "closed box " << j % 9 << " d=" << dim;
+        }
+      }
+      for (const KernelOps* ops : AllOpsForTest()) {
+        EXPECT_EQ(want, ops->box_hits(words.data(), n, dim, blo.data(),
+                                      bhi.data()))
+            << ops->name << " box_hits d=" << dim << " n=" << n
+            << " variant=" << variant;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDims, KernelEquivalenceTest,
                          ::testing::Range(size_t{1}, size_t{33}));
 

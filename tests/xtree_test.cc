@@ -263,6 +263,137 @@ TEST(XTreeTest, FewerPageAccessesThanRStarOnHighDimRects) {
   EXPECT_LE(x_reads, r_reads);
 }
 
+// A tree that lists every leaf entry in the depth-first order the box
+// queries walk (children pushed in entry order, popped last first).
+template <class Tree>
+class LeafEntryListing : public Tree {
+ public:
+  using Tree::Tree;
+
+  std::vector<Entry> LeafEntries(size_t* max_fanout) const {
+    std::vector<Entry> entries;
+    std::vector<PageId> stack = {this->SaveState().root};
+    *max_fanout = 0;
+    while (!stack.empty()) {
+      PageId pid = stack.back();
+      stack.pop_back();
+      size_t fanout = 0;
+      this->store().VisitNode(pid, [&](const EntryView& e, bool is_leaf) {
+        ++fanout;
+        if (is_leaf) {
+          entries.push_back(
+              Entry{HyperRect::FromBounds(e.lo, this->options().dim), e.id});
+        } else {
+          stack.push_back(static_cast<PageId>(e.id));
+        }
+      });
+      *max_fanout = std::max(*max_fanout, fanout);
+    }
+    return entries;
+  }
+};
+
+// Cell-like rectangles inside [0,1]^dim, half-widths in [w_lo, w_hi).
+std::vector<HyperRect> CellLikeRects(Rng& rng, size_t n, size_t dim,
+                                     double w_lo, double w_hi) {
+  std::vector<HyperRect> rects;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> lo(dim), hi(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      double c = rng.NextDouble();
+      double w = rng.NextDouble(w_lo, w_hi);
+      lo[k] = std::max(0.0, c - w);
+      hi[k] = std::min(1.0, c + w);
+    }
+    rects.emplace_back(lo, hi);
+  }
+  return rects;
+}
+
+// PointQuery and RangeQueryIds answer exactly the leaf entries a brute
+// filter of the whole tree keeps, in the same order, on nodes of more than
+// 64 entries (several box_hits calls each) or on X-tree supernodes.
+template <class Tree>
+void ExpectBoxQueriesMatchLeafFilter(size_t dim, size_t n, size_t page_size,
+                                     double w_lo, double w_hi,
+                                     bool want_supernodes) {
+  SCOPED_TRACE("dim " + std::to_string(dim));
+  Rng rng(dim * 101 + n);
+  PageFile file(page_size);
+  BufferPool pool(&file, 4096);
+  TreeOptions opts;
+  opts.dim = dim;
+  LeafEntryListing<Tree> tree(&pool, opts);
+  const std::vector<HyperRect> rects = CellLikeRects(rng, n, dim, w_lo, w_hi);
+  for (size_t i = 0; i < n; ++i) tree.Insert(rects[i], i);
+  ASSERT_EQ(tree.Validate(), "");
+  if (want_supernodes) {
+    ASSERT_GT(tree.Info().num_supernodes, 0u);
+  }
+  size_t max_fanout = 0;
+  const std::vector<Entry> leaves = tree.LeafEntries(&max_fanout);
+  ASSERT_EQ(leaves.size(), n);
+  if (!want_supernodes) {
+    EXPECT_GT(max_fanout, 64u);
+  }
+
+  size_t point_hits = 0, range_hits = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<double> q(dim);
+    for (auto& v : q) v = rng.NextDouble();
+    // Every third query sits on a stored corner: closed boxes must hit.
+    const HyperRect& r = rects[rng.NextIndex(n)];
+    if (trial % 3 == 1) q.assign(r.lo(), r.lo() + dim);
+    if (trial % 3 == 2) q.assign(r.hi(), r.hi() + dim);
+    std::vector<uint64_t> want;
+    for (const Entry& e : leaves) {
+      if (RawContainsPoint(e.rect.lo(), e.rect.hi(), q.data(), dim)) {
+        want.push_back(e.id);
+      }
+    }
+    EXPECT_EQ(tree.PointQuery(q.data()), want) << "point trial " << trial;
+    point_hits += want.size();
+
+    HyperRect range = HyperRect::Empty(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      double a = rng.NextDouble(), b = rng.NextDouble(-0.05, 0.05);
+      range.lo(k) = std::min(a, a + b);
+      range.hi(k) = std::max(a, a + b);
+    }
+    if (trial % 3 == 1) range = r;  // touching neighbours count
+    want.clear();
+    for (const Entry& e : leaves) {
+      if (RawIntersects(e.rect.lo(), e.rect.hi(), range.lo(), range.hi(),
+                        dim)) {
+        want.push_back(e.id);
+      }
+    }
+    EXPECT_EQ(tree.RangeQueryIds(range), want) << "range trial " << trial;
+    range_hits += want.size();
+  }
+  // At least the boxes the corner queries and box ranges were taken from.
+  EXPECT_GE(point_hits, 40u);
+  EXPECT_GE(range_hits, 20u);
+}
+
+TEST(BoxQueryTest, RStarMatchesLeafFilterD4) {
+  ExpectBoxQueriesMatchLeafFilter<RStarTree>(4, 3000, 8192, 0.02, 0.12,
+                                             false);
+}
+
+TEST(BoxQueryTest, XTreeMatchesLeafFilterD4) {
+  ExpectBoxQueriesMatchLeafFilter<XTree>(4, 3000, 8192, 0.02, 0.12, false);
+}
+
+TEST(BoxQueryTest, RStarMatchesLeafFilterD16) {
+  ExpectBoxQueriesMatchLeafFilter<RStarTree>(16, 1500, 32768, 0.2, 0.7,
+                                             false);
+}
+
+TEST(BoxQueryTest, XTreeSupernodesMatchLeafFilterD16) {
+  ExpectBoxQueriesMatchLeafFilter<XTree>(16, 800, 2048, 0.1, 0.5, true);
+}
+
 // An X-tree that lists the ids stored on each of its leaf pages, so the
 // page granularity of the leaf-page queries can be checked from outside.
 class LeafListingXTree : public XTree {
